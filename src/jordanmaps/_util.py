@@ -1,31 +1,9 @@
-"""Small shared helpers: worker counts, atomic file output, canonical JSON."""
+"""Small shared helpers: atomic file output, canonical JSON, digests."""
 
 import hashlib
 import json
 import os
 import tempfile
-
-_WORKER_CAP = 16
-
-
-def worker_count():
-    """Worker budget for partitionable scans.
-
-    Defaults to a small multiple of the CPU count; the environment variable
-    ``JF_THREADS`` caps it (``JF_THREADS=1`` forces sequential scans).
-    """
-    default = min(4, os.cpu_count() or 1)
-    raw = os.environ.get("JF_THREADS")
-    if raw is None:
-        return max(1, default)
-    try:
-        cap = int(raw)
-    except ValueError:
-        return max(1, default)
-    if cap < 1:
-        return 1
-    return min(default, cap, _WORKER_CAP) if cap < default else min(cap, _WORKER_CAP)
-
 
 def canonical_json(obj):
     """Deterministic JSON text: sorted keys, stable separators, trailing newline."""

@@ -411,7 +411,8 @@ def classify_with_report(phi, verification=None):
             lam = mat_unit(f, n, 1, 1, Scalar(f, raw))
             _reject(phi, "endomorphism",
                     "scalar multiples of E_11 do not map to the line through the image unit",
-                    targeted=[(lam, lam), (lam, mat_unit(f, n, 1, 1))], culprit=img, seed=seed)
+                    targeted=[(lam, lam), (lam, mat_unit(f, n, 1, 1))] + line_pairs,
+                    culprit=img, seed=seed)
         return w
 
     rng = random.Random(seed)
@@ -425,15 +426,20 @@ def classify_with_report(phi, verification=None):
         probes += [f.of(x) for x in ("1/2", "-1/2", "2/3", "7/3", "-22/7")]
         probes += [f.random_raw(rng) for _ in range(16)]
     probes = list(dict.fromkeys(probes))
+    # (lam E_11) o E_12 = (lam/2) E_12 ties the line through E_11 to E_12: a
+    # scalar action that is wrong on the line but consistent along it is
+    # caught by these pairs, not by pairs of multiples of E_11
+    e12 = mat_unit(f, n, 1, 2)
+    line_pairs = [(mat_unit(f, n, 1, 1, Scalar(f, raw)), e12) for raw in probes[:16]]
     observed = {raw: omega_hat(raw) for raw in probes}
     for a, b in zip(probes, probes[1:] + probes[:1]):
         lam_a, lam_b = mat_unit(f, n, 1, 1, Scalar(f, a)), mat_unit(f, n, 1, 1, Scalar(f, b))
         if omega_hat(f.mul(a, b)) != f.mul(observed[a], observed[b]):
             _reject(phi, "endomorphism", "recovered scalar action is not multiplicative",
-                    targeted=[(lam_a, lam_b)], culprit=(a, b), seed=seed)
+                    targeted=[(lam_a, lam_b)] + line_pairs, culprit=(a, b), seed=seed)
         if omega_hat(f.add(a, b)) != f.add(observed[a], observed[b]):
             _reject(phi, "endomorphism", "recovered scalar action is not additive",
-                    targeted=[(lam_a, lam_b)], culprit=(a, b), seed=seed)
+                    targeted=[(lam_a, lam_b)] + line_pairs, culprit=(a, b), seed=seed)
     survivors = [
         e for e in endo_enumerate(f)
         if all(e.apply_raw(raw) == w for raw, w in observed.items())
@@ -449,7 +455,7 @@ def classify_with_report(phi, verification=None):
                 "scalar action does not match any field endomorphism",
                 targeted=[(mat_unit(f, n, 1, 1, Scalar(f, a)),
                            mat_unit(f, n, 1, 1, Scalar(f, b)))
-                          for a, b in zip(probes[:10], probes[1:11])],
+                          for a, b in zip(probes[:10], probes[1:11])] + line_pairs,
                 culprit=dict(list(observed.items())[:4]), seed=seed)
     omega = survivors[0]
     report["stages"].append("endomorphism")
@@ -463,7 +469,8 @@ def classify_with_report(phi, verification=None):
         points += 1
         if phi(x) != form.evaluate(x):
             _reject(phi, "final", "map disagrees with the reconstructed form",
-                    targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))],
+                    targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]
+                    + line_pairs,
                     culprit=x, seed=seed)
     report["stages"].append("final")
     report["points_checked"] = points

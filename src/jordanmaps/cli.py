@@ -10,7 +10,7 @@ command, input digests, strategy, outcome, and timing. Exit codes: 0 success,
 1 suite failure, 2 the map is provably not Jordan multiplicative (witness
 included), 3 a structural invariant broke with no witness pair found, 4
 unsupported input. Reports are deterministic for fixed inputs and seeds,
-except the timing fields. JF_THREADS caps worker threads.
+except the timing fields.
 """
 
 import argparse

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import UnsupportedInput
-from .matrices import Mat, jordan_circ, jordan_diamond, mat_zero
+from .matrices import Mat, _jordan_raw, jordan_circ, jordan_diamond, mat_zero
 
 CIRC = "circ"
 DIAMOND = "diamond"
@@ -282,17 +282,22 @@ def _product_table(field, n, mode, domain):
     """Domain matrices in domain_iter order and their product table.
 
     table[a][b] is the index of x_a * x_b; both domains are closed under both
-    products. The products commute, so each unordered pair is computed once.
-    Rows are 16-bit arrays: _PAIR_CAP keeps every domain below 2^16 matrices.
+    products. The products commute, so each unordered pair is computed once,
+    on raw rows. Rows are 16-bit arrays: _PAIR_CAP keeps every domain below
+    2^16 matrices.
     """
+    circ = mode == CIRC
+    if circ and field.char2:
+        raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
     mats = tuple(_domain_matrices(field, n, domain))
-    index = {x: i for i, x in enumerate(mats)}
-    product = jordan_circ if mode == CIRC else jordan_diamond
-    rows = [[0] * len(mats) for _ in mats]
-    for a, x in enumerate(mats):
-        for b in range(a, len(mats)):
-            rows[a][b] = rows[b][a] = index[product(x, mats[b])]
-    return mats, index, tuple(array("H", r) for r in rows)
+    raws = [x.rows for x in mats]
+    raw_index = {r: i for i, r in enumerate(raws)}
+    rows = [[0] * len(raws) for _ in raws]
+    for a, x in enumerate(raws):
+        row = rows[a]
+        for b in range(a, len(raws)):
+            row[b] = rows[b][a] = raw_index[_jordan_raw(field, x, raws[b], circ)]
+    return mats, {x: i for i, x in enumerate(mats)}, tuple(array("H", r) for r in rows)
 
 
 def eval_map(phi, x):
@@ -324,9 +329,17 @@ def check_multiplicative(phi, strategy=None, max_domain=81):
     (field, n, mode, domain) and kept in a cache bounded to 8 tables. Images
     are evaluated once each, in the order the pair loop first needs them, and
     identified by value; the product of two images that lie in the domain is
-    read from the same table, any other is computed once per image pair
-    within a row. Pairs are visited in row-major domain_iter order, so
-    `pairs_checked` and the witness are those of the first violating pair.
+    read from the same table, any other is computed by phi.product, which
+    keeps its shape checks.
+
+    Only the upper triangle b >= a of the ordered pairs is visited, and this
+    is exact. Both products commute exactly, the table is symmetric and each
+    image is evaluated once per scan, so the pair (a, b) passes exactly when
+    (b, a) does. A pair with b < a was therefore already checked as (b, a) in
+    an earlier row, and the first violating pair in row-major domain_iter
+    order always has b >= a. The witness and `pairs_checked` (a*size + b + 1)
+    are those of that pair; an accepted scan covers, and reports, all
+    size*size ordered pairs.
     """
     if strategy is None:
         size = phi.domain_size
@@ -364,7 +377,7 @@ def check_multiplicative(phi, strategy=None, max_domain=81):
             fa = image_id(a)
             row = table[a]
             products = {}
-            for b in range(size):
+            for b in range(a, size):
                 lhs = image_id(row[b])
                 fb = image_id(b)
                 if fa < size and fb < size:

@@ -14,6 +14,8 @@ Rank and inverse use plain exact Gaussian elimination with first-nonzero
 pivoting — no magnitude heuristics, so results are deterministic.
 """
 
+from fractions import Fraction
+
 from .errors import UnsupportedInput
 from .exact_fields import Scalar
 
@@ -240,6 +242,39 @@ def _matmul_raw(field, a_rows, b_rows):
     return tuple(out)
 
 
+def _jordan_raw(field, a_rows, b_rows, circ):
+    """Rows of ab + ba for square a, b of one size, halved when `circ`."""
+    kind = field.kind
+    if kind == "galois":
+        add, mul = field.add, field.mul
+        pairs = zip(_matmul_raw(field, a_rows, b_rows), _matmul_raw(field, b_rows, a_rows))
+        if circ:
+            h = field.half_one
+            return tuple(tuple(mul(add(x, y), h) for x, y in zip(r, s)) for r, s in pairs)
+        return tuple(tuple(add(x, y) for x, y in zip(r, s)) for r, s in pairs)
+    a_cols = tuple(zip(*a_rows))
+    b_cols = tuple(zip(*b_rows))
+    cols = tuple(zip(b_cols, a_cols))
+    if kind == "prime":
+        p = field.p
+        h = field.half_one if circ else 1
+        return tuple(
+            tuple(
+                (sum(x * y for x, y in zip(ra, cb)) + sum(x * y for x, y in zip(rb, ca))) * h % p
+                for cb, ca in cols
+            )
+            for ra, rb in zip(a_rows, b_rows)
+        )
+    h = Fraction(1, 2) if circ else 1
+    return tuple(
+        tuple(
+            (sum(x * y for x, y in zip(ra, cb)) + sum(x * y for x, y in zip(rb, ca))) * h
+            for cb, ca in cols
+        )
+        for ra, rb in zip(a_rows, b_rows)
+    )
+
+
 def _row_echelon(field, rows, normalize=False, ncols_limit=None):
     """In-place exact elimination; returns (rows, rank).
 
@@ -330,7 +365,8 @@ def _check_product_args(x, y):
 def jordan_diamond(x, y):
     """x*y + y*x (meaningful in every characteristic)."""
     _check_product_args(x, y)
-    return (x @ y) + (y @ x)
+    f = x.field
+    return Mat._from_raw(f, _jordan_raw(f, x.rows, y.rows, False))
 
 
 def jordan_circ(x, y):
@@ -339,7 +375,7 @@ def jordan_circ(x, y):
     f = x.field
     if f.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
-    return jordan_diamond(x, y).scale(Scalar(f, f.half_one))
+    return Mat._from_raw(f, _jordan_raw(f, x.rows, y.rows, True))
 
 
 def mat_rank(x):

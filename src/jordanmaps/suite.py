@@ -5,16 +5,15 @@ wraps them with wall-clock timing and the stated limits. All randomness is
 seeded, so reruns are reproducible; timings are the only nondeterminism.
 """
 
+import itertools
 import json
 import os
 import random
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import cli
-from ._util import worker_count
 from .classifier import (
     CanonicalForm,
     classify,
@@ -27,7 +26,7 @@ from .counterexamples import char2_example, triangular_example
 from .errors import NotJordanMultiplicative
 from .exact_fields import RingEndo, endo_enumerate, preset_field, rational_field
 from .generation import certify_identity, ladder, replay
-from .maps import CIRC, JordanMap, Strategy
+from .maps import CIRC, JordanMap, Strategy, _domain_matrices
 from .matrices import (
     Mat,
     is_idempotent,
@@ -54,22 +53,6 @@ class CriterionResult:
             f"[{tag}] {self.name}: {self.detail} "
             f"({self.elapsed_s:.2f}s, limit {self.limit_s:g}s)"
         )
-
-
-def _all_mats(field, n, skip_zero=False):
-    q = field.order
-    zero = field.zero
-    for idx in range(q ** (n * n)):
-        if skip_zero and idx == 0:
-            continue
-        rows, rem = [], idx
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                row.append(rem % q)
-                rem //= q
-            rows.append(tuple(row))
-        yield Mat._from_raw(field, tuple(rows))
 
 
 def _random_mat(field, n, rng):
@@ -169,7 +152,7 @@ def crit_exhaustive_replay(seed):
     for name, expect in (("F3", 80), ("F5", 624)):
         f = preset_field(name)
         done = 0
-        for x in _all_mats(f, 2, skip_zero=True):
+        for x in itertools.islice(_domain_matrices(f, 2, "full"), 1, None):
             cert = certify_identity(x)
             if not replay(cert):
                 return False, f"replay failed over {name} at {x.rows}"
@@ -220,8 +203,8 @@ def crit_roundtrip_batch(seed):
                     for _ in range(10):
                         jobs.append((f, n, transpose, endo, _random_invertible(f, n, rng)))
 
-    def run_job(idx_job):
-        idx, (f, n, transpose, endo, t) = idx_job
+    failures = 0
+    for idx, (f, n, transpose, endo, t) in enumerate(jobs):
         phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=CIRC)
         planted = CanonicalForm.conjugation_form(t, omega=endo, transpose=transpose, mode=CIRC)
         if f.order ** (n * n) <= 81:
@@ -229,14 +212,10 @@ def crit_roundtrip_batch(seed):
         else:
             strategy = Strategy.sampled(count=400, seed=seed + idx, pairs=150)
         form, report = classify_with_report(phi, strategy)
-        ok = forms_equivalent(form, planted)
-        if strategy.kind == "exhaustive" and report.get("points_checked") != 81:
-            return False
-        return ok
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        outcomes = list(pool.map(run_job, enumerate(jobs)))
-    failures = outcomes.count(False)
+        if not forms_equivalent(form, planted) or (
+            strategy.kind == "exhaustive" and report.get("points_checked") != 81
+        ):
+            failures += 1
     if failures or len(jobs) < 200:
         return False, f"{failures} failures out of {len(jobs)} maps"
     return True, f"{len(jobs)} planted maps recovered equivalently (0 failures)"
@@ -250,7 +229,7 @@ def crit_constant_zero(seed):
     idempotent; the zero map classifies to zero; an altered constant map is
     rejected with a replayable witness pair."""
     f = preset_field("F3")
-    idempotents = [x for x in _all_mats(f, 2) if is_idempotent(x)]
+    idempotents = [x for x in _domain_matrices(f, 2, "full") if is_idempotent(x)]
     if len(idempotents) != 14:
         return False, f"expected 14 idempotents in M_2(F_3), found {len(idempotents)}"
     for p in idempotents:
@@ -411,7 +390,7 @@ def crit_rectangular(seed):
     """Tables M_2(F_3) -> M_1(F_3): constants at an idempotent (and zero) are
     accepted; a seeded non-constant table is rejected with a witness pair."""
     f = preset_field("F3")
-    domain = list(_all_mats(f, 2))
+    domain = list(_domain_matrices(f, 2, "full"))
     one_by_one = Mat(f, [[1]])
     zero_cell = Mat(f, [[0]])
     const = JordanMap.from_table(f, 2, {x: one_by_one for x in domain}, mode=CIRC)

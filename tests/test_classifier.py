@@ -151,6 +151,27 @@ class TestRejection:
             classify(phi)
         assert exc.value.witness is not None
 
+    @pytest.mark.parametrize("field", [preset_field("F7"), F9], ids=["F7", "F9"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cube_on_the_e11_line(self, field, seed):
+        # a conjugation except lam E_11 -> T (lam^3 E_11) T^-1: lam -> lam^3 is
+        # multiplicative on the line (and Frobenius on F_9), so only pairs
+        # that leave the line, such as (lam E_11, E_12), break the law
+        t = Mat(field, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+        t_inv = t.inverse()
+
+        def fn(x):
+            if x.support() <= {(1, 1)}:
+                lam = x.entry(1, 1)
+                return t @ mat_unit(field, 3, 1, 1, lam * lam * lam) @ t_inv
+            return t @ x @ t_inv
+
+        phi = JordanMap.from_oracle(field, 3, fn)
+        with pytest.raises(NotJordanMultiplicative) as exc:
+            classify(phi, verification=f"sampled:50:{seed}")
+        x, y = exc.value.witness
+        assert phi(phi.product(x, y)) != phi.product(phi(x), phi(y))
+
 
 class TestGuards:
     def test_small_n(self):

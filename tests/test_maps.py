@@ -9,6 +9,7 @@ from jordanmaps import (
     Mat,
     Strategy,
     UnsupportedInput,
+    block_embedding_example,
     check_multiplicative,
     diamond_to_circ,
     eval_map,
@@ -187,10 +188,15 @@ def _genuine_map(case):
         return JordanMap.from_oracle(
             F5, 2, lambda x: x.transpose(), domain="upper_triangular"
         )
+    if case == "M2F3-to-M4":
+        # blockdiag(X, E_11): every image is 4x4, so every product is computed
+        return block_embedding_example(F3).map
     return JordanMap.constant(F3, 2, Mat(F3, [[1]]))  # M_2(F_3) -> M_1(F_3)
 
 
-@pytest.mark.parametrize("case", ["M2F3-circ", "M2F2-diamond", "T2F5-upper", "M2F3-to-M1"])
+@pytest.mark.parametrize(
+    "case", ["M2F3-circ", "M2F2-diamond", "T2F5-upper", "M2F3-to-M1", "M2F3-to-M4"]
+)
 def test_exhaustive_check_matches_reference_scan(case):
     base = _genuine_map(case)
     f, m = base.field, base.m

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from jordanmaps import (
     mat_unit,
     mat_zero,
     preset_field,
+    rational_field,
 )
 
 F5 = preset_field("F5")
@@ -84,6 +88,29 @@ def test_circ_needs_odd_characteristic():
         jordan_circ(a, a)
     # the diamond product stays available
     assert jordan_diamond(a, a) == mat_zero(F2, 2)
+
+
+@pytest.mark.parametrize("field", [preset_field("F3"), F9, rational_field(), F2],
+                         ids=["F3", "F9", "Q", "F2"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jordan_products_match_reference(field, n):
+    rng = random.Random(n)
+
+    def draw():
+        if field.is_finite:
+            return Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
+        return Mat(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                           for _ in range(n)])
+
+    for _ in range(10):
+        x, y = draw(), draw()
+        diamond = (x @ y) + (y @ x)
+        assert jordan_diamond(x, y) == diamond
+        if field.char2:
+            with pytest.raises(UnsupportedInput):
+                jordan_circ(x, y)
+        else:
+            assert jordan_circ(x, y) == diamond.scale(Scalar(field, field.half_one))
 
 
 def test_inverse_roundtrip():
