@@ -46,6 +46,7 @@ from .matrices import (
     mat_rank,
     mat_unit,
     mat_zero,
+    random_invertible,
 )
 
 _SCAN_BUDGET = 300
@@ -554,20 +555,6 @@ class SuiteReport:
         return [item for item in self.items if not item.ok and not item.skipped]
 
 
-def _random_invertible(field, n, rng, tries=400):
-    for _ in range(tries):
-        m = Mat._from_raw(
-            field,
-            tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n)),
-        )
-        try:
-            inv = m.inverse()
-        except ValueError:
-            continue
-        return m, inv
-    raise InvariantViolation("suite", "could not sample an invertible matrix")
-
-
 def _diag_idem(field, n, lo, hi):
     """Idempotent with ones at diagonal positions lo+1..hi."""
     one, zero = field.one, field.zero
@@ -620,18 +607,18 @@ def preservation_suite(phi, samples=20, seed=0):
     skip_eh = skip_cd if skip_cd else (None if square else "codomain size differs")
 
     def idem(rank):
-        s, s_inv = _random_invertible(f, n, rng)
+        s, s_inv = random_invertible(f, n, rng)
         return s @ _diag_idem(f, n, 0, rank) @ s_inv
 
     def idem_chain(lo_rank, hi_rank):
-        s, s_inv = _random_invertible(f, n, rng)
+        s, s_inv = random_invertible(f, n, rng)
         return (
             s @ _diag_idem(f, n, 0, lo_rank) @ s_inv,
             s @ _diag_idem(f, n, 0, hi_rank) @ s_inv,
         )
 
     def idem_orth(parts):
-        s, s_inv = _random_invertible(f, n, rng)
+        s, s_inv = random_invertible(f, n, rng)
         out, lo = [], 0
         for width in parts:
             out.append(s @ _diag_idem(f, n, lo, lo + width) @ s_inv)

@@ -36,7 +36,7 @@ from .errors import (
 from .exact_fields import RingEndo, Scalar, preset_field
 from .generation import certify_identity, replay
 from .maps import CIRC, DIAMOND, JordanMap, Strategy, _parse_strategy
-from .matrices import Mat
+from .matrices import Mat, random_invertible
 from .counterexamples import (
     block_embedding_example,
     char2_example,
@@ -123,19 +123,6 @@ def _base_report(command, args):
     return report
 
 
-def _random_invertible(field, n, rng):
-    for _ in range(400):
-        m = Mat._from_raw(
-            field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
-        )
-        try:
-            m.inverse()
-        except ValueError:
-            continue
-        return m
-    raise UnsupportedInput("could not generate an invertible matrix")
-
-
 def cmd_certify(args):
     t0 = time.monotonic()
     report = _base_report("certify", args)
@@ -193,11 +180,11 @@ def _load_or_random_map(args, report):
         mode = args.mode
         if field.char2:
             raise UnsupportedInput("random structured maps need characteristic != 2")
-        t = _random_invertible(field, args.n, rng)
+        t, t_inv = random_invertible(field, args.n, rng)
         e = rng.randrange(field.k) if field.kind == "galois" else 0
         endo = RingEndo(field, e)
         transpose = bool(rng.getrandbits(1))
-        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=mode)
+        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=mode, t_inv=t_inv)
         planted = CanonicalForm.conjugation_form(t, omega=endo, transpose=transpose, mode=mode)
         report["random_map"] = {
             "t": mat_to_json(t),

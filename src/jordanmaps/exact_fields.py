@@ -15,6 +15,13 @@ The public `Scalar` wrapper pairs a raw value with its owning field and
 supports the usual operators. Galois multiplication uses discrete log/antilog
 tables (built once per field for orders up to `_LOG_TABLE_LIMIT`), falling
 back to polynomial arithmetic modulo the field's irreducible modulus.
+
+Galois addition in odd characteristic uses a Zech table built next to the
+log tables: for a generator g, `_zech[d]` is the log of 1 + g^d, or -1 when
+1 + g^d = 0, so g^s + g^t = g^(s + zech[t - s]) with exponents mod q - 1.
+The matrix kernels accumulate whole dot products this way, on logs.
+Characteristic-2 fields add by XOR; fields without log tables add base-p
+digit by digit (`_digit_add`, which also builds the Zech table).
 """
 
 from fractions import Fraction
@@ -157,22 +164,21 @@ class Field:
         self.modulus = tuple(modulus) if modulus is not None else None
         self.order = p ** k if kind != "rational" else None
         self.char = p
+        self._key = (kind, p, k, self.modulus)
         self._log = None
         self._exp = None
+        self._zech = None
         self._frob_cache = {}
         if kind == "galois" and self.order <= _LOG_TABLE_LIMIT:
             self._build_log_tables()
 
     # -- identity / hashing -------------------------------------------------
 
-    def _key(self):
-        return (self.kind, self.p, self.k, self.modulus)
-
     def __eq__(self, other):
-        return isinstance(other, Field) and self._key() == other._key()
+        return self is other or (isinstance(other, Field) and self._key == other._key)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"Field({self.name()})"
@@ -209,6 +215,19 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
+        zech = self._zech
+        if zech is None:
+            return self._digit_add(a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        z = zech[(log[b] - la) % (self.order - 1)]
+        return self._exp[la + z] if z >= 0 else 0
+
+    def _digit_add(self, a, b):
         p, out, mult = self.p, 0, 1
         for _ in range(self.k):
             out += ((a + b) % p) * mult
@@ -224,6 +243,9 @@ class Field:
             return -a % self.p
         if self.p == 2:
             return a
+        if self._zech is not None:
+            # -1 = g^((q-1)/2)
+            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
         p, out, mult = self.p, 0, 1
         for _ in range(self.k):
             out += (-a % p) * mult
@@ -324,6 +346,9 @@ class Field:
             exp[i] = exp[i - (q - 1)]
         self._exp = exp
         self._log = log
+        if self.p != 2:
+            sums = (self._digit_add(1, exp[d]) for d in range(q - 1))
+            self._zech = [log[v] if v else -1 for v in sums]
 
     def _find_generator(self):
         q = self.order

@@ -142,11 +142,13 @@ class JordanMap:
         return cls(field, n, mode, ("table", table), m=m, domain=domain)
 
     @classmethod
-    def conjugation(cls, t, endo=None, transpose=False, mode=CIRC):
-        """X |-> T w(X) T^-1, optionally transposing first."""
+    def conjugation(cls, t, endo=None, transpose=False, mode=CIRC, t_inv=None):
+        """X |-> T w(X) T^-1, optionally transposing first (t_inv may be
+        supplied to avoid recomputation, as in Mat.conjugate_by)."""
         if not t.is_square:
             raise UnsupportedInput("conjugating matrix must be square")
-        t_inv = t.inverse()
+        if t_inv is None:
+            t_inv = t.inverse()
         field, n = t.field, t.nrows
         if endo is not None and endo.field != field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")

@@ -10,11 +10,20 @@ Both Jordan products live here:
     jordan_circ(X, Y)    = (XY + YX) / 2      (requires characteristic != 2)
     jordan_diamond(X, Y) =  XY + YX
 
-Rank and inverse use plain exact Gaussian elimination with first-nonzero
-pivoting — no magnitude heuristics, so results are deterministic.
+Products over Q lift each operand to integers over one common denominator
+and build a `Fraction` only per result entry; products over F_{p^k} sum in
+the log domain through the field's Zech table (see exact_fields).
+
+Rank and inverse share one exact Gauss-Jordan elimination with first-nonzero
+pivoting (no magnitude heuristics, so results are deterministic), run per
+field kind: mod-p arithmetic on ints over F_p, fraction-free (Bareiss)
+elimination of the lifted integer matrix over Q, and field arithmetic over
+F_{p^k}.
 """
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import UnsupportedInput
 from .exact_fields import Scalar
@@ -185,20 +194,26 @@ class Mat:
         )
 
     def rank(self):
-        return _row_echelon(self.field, [list(r) for r in self.rows])[1]
+        f = self.field
+        rows = _lift(self.rows)[1] if f.kind == "rational" else [list(r) for r in self.rows]
+        return _eliminate(f, rows, self.ncols)[0]
 
     def inverse(self):
         if not self.is_square:
             raise ValueError("inverse needs a square matrix")
         f, n = self.field, self.nrows
-        aug = [
-            list(row) + [f.one if i == j else f.zero for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
-        reduced, rank = _row_echelon(f, aug, normalize=True, ncols_limit=n)
+        d, rows = _lift(self.rows) if f.kind == "rational" else (1, self.rows)
+        # raw 0 and 1 are the ints 0 and 1 in F_p and F_{p^k}, as in the lifted rows
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        rank, pivot = _eliminate(f, aug, n)
         if rank < n:
             raise ValueError("singular matrix")
-        return Mat._from_raw(f, tuple(tuple(row[n:]) for row in reduced))
+        if f.kind == "rational":
+            # aug is [pivot*I | pivot*A^-1] for the lifted A = d*self
+            return Mat._from_raw(
+                f, tuple(tuple(Fraction(d * v, pivot) for v in row[n:]) for row in aug)
+            )
+        return Mat._from_raw(f, tuple(tuple(row[n:]) for row in aug))
 
     def apply_endo(self, omega):
         """Apply a ring endomorphism entrywise."""
@@ -221,94 +236,168 @@ def _matmul_raw(field, a_rows, b_rows):
     b_cols = tuple(zip(*b_rows))
     if kind == "prime":
         p = field.p
-        return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % p for col in b_cols) for row in a_rows
-        )
+        return tuple(tuple(sum(map(mul, row, col)) % p for col in b_cols) for row in a_rows)
     if kind == "rational":
-        return tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in b_cols) for row in a_rows
-        )
-    add, mul, zero = field.add, field.mul, field.zero
-    out = []
-    for row in a_rows:
-        out_row = []
-        for col in b_cols:
-            acc = zero
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+        return _rational_products(a_rows, b_cols, 1)
+    return _galois_products(field, a_rows, b_cols, field.one)
 
 
 def _jordan_raw(field, a_rows, b_rows, circ):
     """Rows of ab + ba for square a, b of one size, halved when `circ`."""
+    # ab + ba = [a | b] @ [b ; a]
+    rows = [ra + rb for ra, rb in zip(a_rows, b_rows)]
+    cols = [cb + ca for cb, ca in zip(zip(*b_rows), zip(*a_rows))]
+    kind = field.kind
+    if kind == "prime":
+        p, h = field.p, field.half_one if circ else 1
+        return tuple(tuple(sum(map(mul, r, c)) * h % p for c in cols) for r in rows)
+    if kind == "rational":
+        return _rational_products(rows, cols, 2 if circ else 1)
+    return _galois_products(field, rows, cols, field.half_one if circ else field.one)
+
+
+def _lift(rows):
+    """(d, integer rows of d * rows) for rational rows, d the lcm of their denominators."""
+    d = lcm(*[x.denominator for row in rows for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def _rational_products(rows, cols, den):
+    """Rows of (rows @ cols) / den over Q, multiplied on the lifted integers."""
+    da, a = _lift(rows)
+    db, b = _lift(cols)
+    d = da * db * den
+    return tuple(tuple(Fraction(sum(map(mul, ra, cb)), d) for cb in b) for ra in a)
+
+
+def _galois_products(field, rows, cols, scale):
+    """Rows of (rows @ cols) * scale over F_{p^k}, for a nonzero raw `scale`.
+
+    With a Zech table each entry is summed on discrete logs: a term x*y is
+    g^(log x + log y), and g^s + g^t = g^(s + zech[t - s]). Without one
+    (characteristic 2, or no log tables) the terms go through the field.
+    """
+    zech = field._zech
+    if zech is None:
+        add, mul_, zero, one = field.add, field.mul, field.zero, field.one
+        out = []
+        for row in rows:
+            out_row = []
+            for col in cols:
+                acc = zero
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = add(acc, mul_(x, y))
+                out_row.append(acc if scale == one else mul_(acc, scale))
+            out.append(tuple(out_row))
+        return tuple(out)
+    log, exp, q1 = field._log, field._exp, field.order - 1
+    shift = log[scale]
+    log_rows = [[(t, log[x]) for t, x in enumerate(row) if x] for row in rows]
+    log_cols = [[log[y] if y else None for y in col] for col in cols]
+    out = []
+    for log_row in log_rows:
+        out_row = []
+        for log_col in log_cols:
+            acc = None  # log of the partial sum; None while it is 0
+            for t, lx in log_row:
+                ly = log_col[t]
+                if ly is None:
+                    continue
+                if acc is None:
+                    acc = lx + ly
+                else:
+                    z = zech[(lx + ly - acc) % q1]
+                    acc = acc + z if z >= 0 else None
+            out_row.append(0 if acc is None else exp[(acc + shift) % q1])
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _eliminate(field, rows, ncols):
+    """Gauss-Jordan elimination of `rows` in place over their first `ncols`
+    columns; returns (rank, pivot).
+
+    The pivot of a column is its first nonzero entry at or below the current
+    rank, with no magnitude heuristics. Afterwards every pivot entry equals
+    `pivot` and the rest of each pivot column is 0. F_p runs on ints mod p
+    and scales pivots to 1. Q runs fraction-free (Bareiss) on the integer
+    rows from `_lift`: with pivot c and previous pivot c0, every other row r
+    becomes (c*r - r[col]*pivot_row) / c0, an exact division, so `pivot` is
+    the last pivot. F_{p^k} runs `_row_echelon` on field arithmetic.
+    """
     kind = field.kind
     if kind == "galois":
-        add, mul = field.add, field.mul
-        pairs = zip(_matmul_raw(field, a_rows, b_rows), _matmul_raw(field, b_rows, a_rows))
-        if circ:
-            h = field.half_one
-            return tuple(tuple(mul(add(x, y), h) for x, y in zip(r, s)) for r, s in pairs)
-        return tuple(tuple(add(x, y) for x, y in zip(r, s)) for r, s in pairs)
-    a_cols = tuple(zip(*a_rows))
-    b_cols = tuple(zip(*b_rows))
-    cols = tuple(zip(b_cols, a_cols))
-    if kind == "prime":
-        p = field.p
-        h = field.half_one if circ else 1
-        return tuple(
-            tuple(
-                (sum(x * y for x, y in zip(ra, cb)) + sum(x * y for x, y in zip(rb, ca))) * h % p
-                for cb, ca in cols
-            )
-            for ra, rb in zip(a_rows, b_rows)
-        )
-    h = Fraction(1, 2) if circ else 1
-    return tuple(
-        tuple(
-            (sum(x * y for x, y in zip(ra, cb)) + sum(x * y for x, y in zip(rb, ca))) * h
-            for cb, ca in cols
-        )
-        for ra, rb in zip(a_rows, b_rows)
-    )
-
-
-def _row_echelon(field, rows, normalize=False, ncols_limit=None):
-    """In-place exact elimination; returns (rows, rank).
-
-    Pivots are the first nonzero entry in each column (row order), no
-    magnitude heuristics. With normalize=True produces reduced row-echelon
-    form (used for inversion). `ncols_limit` restricts pivot search to the
-    leading columns of an augmented system.
-    """
-    nrows = len(rows)
-    ncols = ncols_limit if ncols_limit is not None else len(rows[0])
-    zero = field.zero
-    rank = 0
+        return _row_echelon(field, rows, ncols), field.one
+    p, nrows = field.p, len(rows)
+    rank, prev = 0, 1
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col] != zero), None)
-        if pivot is None:
+        at = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if at is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        if normalize:
-            inv = field.inv(rows[rank][col])
-            rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        span = range(nrows) if normalize else range(rank + 1, nrows)
-        for r in span:
-            if r == rank:
-                continue
-            factor = rows[r][col]
-            if factor == zero:
-                continue
-            if not normalize:
-                factor = field.div(factor, rows[rank][col])
-            rows[r] = [field.sub(v, field.mul(factor, w)) for v, w in zip(rows[r], rows[rank])]
+        rows[rank], rows[at] = rows[at], rows[rank]
+        top = rows[rank]
+        c = top[col]
+        if kind == "prime":
+            inv = pow(c, p - 2, p)
+            top = rows[rank] = [v * inv % p for v in top]
+            for r in range(nrows):
+                f = rows[r][col]
+                if f and r != rank:
+                    rows[r] = [(v - f * w) % p for v, w in zip(rows[r], top)]
+        else:
+            for r in range(nrows):
+                if r != rank:
+                    f = rows[r][col]
+                    rows[r] = [(c * v - f * w) // prev for v, w in zip(rows[r], top)]
+            prev = c
         rank += 1
         if rank == nrows:
             break
-    return rows, rank
+    return rank, prev
+
+
+def _row_echelon(field, rows, ncols):
+    """Gauss-Jordan elimination on field arithmetic over the first `ncols`
+    columns, pivots scaled to 1; returns the rank."""
+    add, mul_ = field.add, field.mul
+    nrows = len(rows)
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        top = rows[rank] = [mul_(inv, v) for v in rows[rank]]
+        for r in range(nrows):
+            factor = rows[r][col]
+            if factor and r != rank:
+                neg = field.neg(factor)
+                rows[r] = [add(v, mul_(neg, w)) for v, w in zip(rows[r], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def random_invertible(field, n, rng):
+    """(m, m^-1) for a seeded random invertible n x n matrix.
+
+    Draws n*n entries with `field.random_raw` per try, row by row, until one
+    is invertible. Over F_q a draw is singular with probability below
+    1 - prod(1 - q^-i) < 0.712, so 400 tries all fail with probability below
+    1e-59 (below 1e-142 for q >= 3).
+    """
+    for _ in range(400):
+        m = Mat._from_raw(
+            field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
+        )
+        try:
+            return m, m.inverse()
+        except ValueError:
+            continue
+    raise RuntimeError("no invertible matrix in 400 random draws")
 
 
 # -- module-level constructors and operations ---------------------------------

@@ -162,6 +162,41 @@ class TestConstruction:
     def test_equality_distinguishes_fields(self, f3, f5):
         assert f3 != f5
         assert prime_field(3) == f3
+        assert hash(prime_field(3)) == hash(f3)
+        assert galois_field(3, 2) != galois_field(3, 2, modulus=(2, 2, 1))
+        assert f3 != 3 and f3 == f3
+
+
+def _digit_add(p, k, a, b):
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(k))
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, 2), (5, 2), (3, 3), (7, 2), (2, 2), (2, 3)],
+    ids=["F9", "F25", "F27", "F49", "F4", "F8"],
+)
+def test_add_matches_digit_add(p, k):
+    """Zech-table addition (XOR in characteristic 2), negation and
+    subtraction agree with base-p digit arithmetic on every pair."""
+    f = galois_field(p, k)
+    q = f.order
+    for a in range(q):
+        neg = sum(-(a // p**i) % p * p**i for i in range(k))
+        assert f.neg(a) == neg
+        for b in range(q):
+            total = _digit_add(p, k, a, b)
+            assert f.add(a, b) == total
+            assert f.sub(total, b) == a
+            if p == 2:
+                assert total == a ^ b
+
+
+@given(a=st.integers(0, 80), b=st.integers(0, 80), c=st.integers(0, 80))
+def test_f81_zech_add_is_a_group_law(a, b, c):
+    f = galois_field(3, 4)
+    assert f.add(a, b) == _digit_add(3, 4, a, b)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
 def test_scalar_str_galois(f9):

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanmaps import (
@@ -12,6 +13,7 @@ from jordanmaps import (
     Scalar,
     UnsupportedInput,
     block_diag,
+    galois_field,
     is_idempotent,
     is_proportional,
     jordan_circ,
@@ -22,6 +24,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
+from jordanmaps.matrices import _row_echelon, random_invertible
 
 F5 = preset_field("F5")
 F2 = preset_field("F2")
@@ -90,27 +93,125 @@ def test_circ_needs_odd_characteristic():
     assert jordan_diamond(a, a) == mat_zero(F2, 2)
 
 
-@pytest.mark.parametrize("field", [preset_field("F3"), F9, rational_field(), F2],
-                         ids=["F3", "F9", "Q", "F2"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_jordan_products_match_reference(field, n):
-    rng = random.Random(n)
+KERNEL_FIELDS = {
+    "F3": preset_field("F3"),
+    "F9": F9,
+    "Q": rational_field(),
+    "F2": F2,
+    "F27": galois_field(3, 3),
+    "F4": galois_field(2, 2),
+}
 
-    def draw():
-        if field.is_finite:
-            return Mat(field, [[rng.randrange(field.order) for _ in range(n)] for _ in range(n)])
-        return Mat(field, [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-                           for _ in range(n)])
 
-    for _ in range(10):
-        x, y = draw(), draw()
-        diamond = (x @ y) + (y @ x)
-        assert jordan_diamond(x, y) == diamond
-        if field.char2:
-            with pytest.raises(UnsupportedInput):
-                jordan_circ(x, y)
+def _reference_ops(field):
+    """(add, mul) on raw values, written apart from the kernels: plain
+    Fraction sums, ints mod p, or the base-p digit add and polynomial mul."""
+    if field.kind == "rational":
+        return (lambda a, b: a + b), (lambda a, b: a * b)
+    if field.kind == "prime":
+        p = field.p
+        return (lambda a, b: (a + b) % p), (lambda a, b: a * b % p)
+    p, k = field.p, field.k
+
+    def add(a, b):
+        return sum((a // p**i + b // p**i) % p * p**i for i in range(k))
+
+    return add, field._poly_mul
+
+
+def _reference_matmul(field, a, b):
+    add, mul = _reference_ops(field)
+    n = len(b)
+    return tuple(
+        tuple(
+            reduce(add, (mul(row[t], b[t][j]) for t in range(n)), field.zero)
+            for j in range(len(b[0]))
+        )
+        for row in a
+    )
+
+
+def _reference_inverse(field, x):
+    """Inverse by the generic field-arithmetic elimination, or None."""
+    n = x.nrows
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(x.rows)]
+    if field.kind == "rational":
+        aug = [[Fraction(v) for v in row] for row in aug]
+    if _row_echelon(field, aug, n) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def _canonical(field, m):
+    if field.kind == "rational":
+        return all(type(v) is Fraction for row in m.rows for v in row)
+    return all(type(v) is int and 0 <= v < field.order for row in m.rows for v in row)
+
+
+def _kernel_mats(field, n):
+    if field.is_finite:
+        entry = st.integers(min_value=0, max_value=field.order - 1)
+    else:
+        entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS.values()), ids=list(KERNEL_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(max_examples=15)
+@given(data=st.data())
+def test_jordan_products_match_reference(field, n, data):
+    """Matmul, both Jordan products, rank and inverse against references
+    on field arithmetic; singular inputs raise and entries stay canonical."""
+    rows = _kernel_mats(field, n)
+    x, y = Mat(field, data.draw(rows)), data.draw(rows)
+    if n > 1 and data.draw(st.booleans()):
+        # a repeated row makes y singular
+        y[-1] = y[0]
+    y = Mat(field, y)
+    add, mul = _reference_ops(field)
+    xy = _reference_matmul(field, x.rows, y.rows)
+    yx = _reference_matmul(field, y.rows, x.rows)
+    diamond = tuple(tuple(map(add, r, s)) for r, s in zip(xy, yx))
+    assert (x @ y).rows == xy
+    assert jordan_diamond(x, y).rows == diamond
+    if field.char2:
+        with pytest.raises(UnsupportedInput):
+            jordan_circ(x, y)
+    else:
+        half = field.half_one
+        circ = jordan_circ(x, y)
+        assert circ.rows == tuple(tuple(mul(v, half) for v in row) for row in diamond)
+        assert _canonical(field, circ)
+    assert _canonical(field, x @ y) and _canonical(field, jordan_diamond(x, y))
+    for z in (x, y):
+        rows = [list(r) for r in z.rows]
+        assert z.rank() == _row_echelon(field, rows, n)
+        expected = _reference_inverse(field, z)
+        if expected is None:
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                z.inverse()
         else:
-            assert jordan_circ(x, y) == diamond.scale(Scalar(field, field.half_one))
+            inv = z.inverse()
+            assert inv.rows == expected and _canonical(field, inv)
+
+
+def test_random_invertible_draw_order():
+    """The helper draws n*n entries per try, row by row, and returns the first
+    invertible draw with its inverse."""
+    for field in (F2, preset_field("F3"), F9, rational_field()):
+        rng, twin = random.Random(4), random.Random(4)
+        for _ in range(5):
+            m, m_inv = random_invertible(field, 3, rng)
+            while True:
+                draw = Mat._from_raw(
+                    field, tuple(tuple(field.random_raw(twin) for _ in range(3)) for _ in range(3))
+                )
+                if _row_echelon(field, [list(r) for r in draw.rows], 3) == 3:
+                    break
+            assert m == draw
+            assert m @ m_inv == mat_identity(field, 3)
+        assert rng.random() == twin.random()
 
 
 def test_inverse_roundtrip():
