@@ -32,8 +32,7 @@ from .jordan_order import jordan_perp, simultaneous_diagonalizer
 from .maps import (
     CIRC,
     DIAMOND,
-    Strategy,
-    _parse_strategy,
+    _resolve_strategy,
     check_multiplicative,
     diamond_to_circ,
 )
@@ -43,15 +42,12 @@ from .matrices import (
     is_proportional,
     jordan_circ,
     mat_identity,
-    mat_rank,
     mat_unit,
     mat_zero,
     random_invertible,
 )
 
 _SCAN_BUDGET = 300
-_EXHAUSTIVE_LIMIT = 81
-_UNIT_SWEEP_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -143,9 +139,6 @@ class OrientationSet:
         self.flipped = frozenset(flipped)
         self.factors = dict(factors)
 
-    def is_straight(self, r, s):
-        return (r, s) in self.straight
-
     @property
     def consistent(self):
         return not self.violations()
@@ -176,22 +169,12 @@ def _violates(phi, x, y):
 
 
 def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
-    """Reject the map: try the targeted pairs, then a unit sweep, then random
-    pairs. A confirmed pair raises NotJordanMultiplicative; otherwise the
-    structural failure is raised with its stage tag."""
-    seen = set()
+    """Reject the map: try the targeted pairs, then seeded random pairs. A
+    confirmed pair raises NotJordanMultiplicative; otherwise the structural
+    failure is raised with its stage tag."""
     for x, y in targeted:
-        seen.add((x, y))
         if _violates(phi, x, y):
             raise NotJordanMultiplicative(detail, witness=(x, y))
-    f, n = phi.field, phi.n
-    if n <= _UNIT_SWEEP_LIMIT:
-        units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        units.append(mat_zero(f, n))
-        for x in units:
-            for y in units:
-                if (x, y) not in seen and _violates(phi, x, y):
-                    raise NotJordanMultiplicative(detail, witness=(x, y))
     rng = random.Random(seed + 1)
     for _ in range(_SCAN_BUDGET):
         x, y = phi.sample_domain(rng), phi.sample_domain(rng)
@@ -200,15 +183,17 @@ def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
     raise InvariantViolation(stage, detail, witness=culprit)
 
 
-def _resolve_strategy(phi, verification):
-    if verification is None:
-        size = phi.domain_size
-        if size is not None and size <= _EXHAUSTIVE_LIMIT:
-            return Strategy.exhaustive()
-        return Strategy.sampled()
-    if isinstance(verification, str):
-        return _parse_strategy(verification)
-    return verification
+def _through(x):
+    """The pair (2I, x/2), whose circ product is x: a map that is wrong only
+    at x breaks the law on it."""
+    f, n = x.field, x.nrows
+    return mat_identity(f, n).scale(2), x.scale(Scalar(f, f.half_one))
+
+
+def _anchored(f, n, positions):
+    """Pairs (E_aa, E_ab), whose circ product is E_ab / 2: each checks the
+    image of E_ab against the image of its row idempotent."""
+    return [(mat_unit(f, n, a, a), mat_unit(f, n, a, b)) for a, b in positions]
 
 
 def _verification_points(phi, strategy):
@@ -298,7 +283,8 @@ def classify_with_report(phi, verification=None):
         for x in _verification_points(phic, strategy):
             if not phic(x).is_zero:
                 _reject(phi, "zero", "map vanishes at E_11 but not everywhere",
-                        targeted=[(x, x), (x, zero_mat)], culprit=x, seed=seed)
+                        targeted=[(x, x), (x, zero_mat), _through(x), (mat_unit(f, n, 1, 1), x)],
+                        culprit=x, seed=seed)
         report["stages"].append("zero")
         report["variant"] = "zero"
         return CanonicalForm.zero_form(f, n, mode=phi.mode), report
@@ -306,13 +292,16 @@ def classify_with_report(phi, verification=None):
     # unit idempotent images: a rank-one orthogonal family summing to I.
     q = [phic(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
     for j, qj in enumerate(q, start=1):
-        ejj = mat_unit(f, n, j, j)
         if not is_idempotent(qj):
-            _reject(phi, "unit_images", f"image of E_{j}{j} is not idempotent",
-                    targeted=[(ejj, ejj)], culprit=qj, seed=seed)
-        if mat_rank(qj) != 1:
-            _reject(phi, "unit_images", f"image of E_{j}{j} does not have rank 1",
-                    targeted=[(ejj, ejj)], culprit=qj, seed=seed)
+            what = "is not idempotent"
+        elif qj.rank() != 1:
+            what = "does not have rank 1"
+        else:
+            continue
+        ejj = mat_unit(f, n, j, j)
+        row = [(j, k) for k in range(1, n + 1) if k != j]
+        _reject(phi, "unit_images", f"image of E_{j}{j} {what}",
+                targeted=[(ejj, ejj)] + _anchored(f, n, row), culprit=qj, seed=seed)
     for i in range(n):
         for j in range(i + 1, n):
             if not jordan_perp(q[i], q[j]):
@@ -393,7 +382,8 @@ def classify_with_report(phi, verification=None):
                 if g(i, j) * g(j, k) != g(i, k):
                     _reject(phi, "scaling",
                             f"unit scalings do not chain across ({i},{j},{k})",
-                            targeted=[(mat_unit(f, n, i, j), mat_unit(f, n, j, k))],
+                            targeted=[(mat_unit(f, n, i, j), mat_unit(f, n, j, k))]
+                            + _anchored(f, n, [(i, j), (j, i), (j, k), (k, j), (i, k), (k, i)]),
                             culprit=(g(i, j), g(j, k), g(i, k)), seed=seed)
     d_rows = []
     for i in range(1, n + 1):
@@ -471,7 +461,7 @@ def classify_with_report(phi, verification=None):
         if phi(x) != form.evaluate(x):
             _reject(phi, "final", "map disagrees with the reconstructed form",
                     targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]
-                    + line_pairs,
+                    + line_pairs + [_through(x)],
                     culprit=x, seed=seed)
     report["stages"].append("final")
     report["points_checked"] = points
@@ -667,7 +657,7 @@ def preservation_suite(phi, samples=20, seed=0):
         def inner():
             p = idem(rng.randint(1, n))
             log.append((item, "P", p))
-            rp, rfp = mat_rank(p), mat_rank(phi(p))
+            rp, rfp = p.rank(), phi(p).rank()
             if item == "d":
                 return None if rfp >= rp else (p, phi(p))
             return None if rfp == rp else (p, phi(p))

@@ -5,21 +5,26 @@ Subcommands: certify (build an identity-reaching certificate), classify
 against a map), counterexample (emit a hypothesis-sharpness bundle), suite
 (run the acceptance criteria).
 
-Every run emits a JSON report (stdout, or --out with an atomic write): the
-command, input digests, strategy, outcome, and timing. Exit codes: 0 success,
-1 suite failure, 2 the map is provably not Jordan multiplicative (witness
-included), 3 a structural invariant broke with no witness pair found, 4
-unsupported input. Reports are deterministic for fixed inputs and seeds,
-except the timing fields.
+Every run emits one JSON report, on stdout or atomically to --out: the
+command, input digests, strategy, outcome, timing and exit code. `suite`
+also writes its [PASS|FAIL] ledger, one line per criterion, to stderr. Each
+subcommand is a core `cmd_*(args, report) -> (exit_code, outcome)`; `_run`
+builds the report around it. Exit codes: 0 success, 1 suite failure, 2 the
+map is provably not Jordan multiplicative (witness included), 3 a
+structural invariant broke with no witness pair found, 4 unsupported input.
+Reports are deterministic for fixed inputs and seeds, except the timing
+fields.
 """
 
 import argparse
+import hashlib
 import json
+import os
 import random
 import sys
+import tempfile
 import time
 
-from ._util import atomic_write_text, sha256_digest
 from .classifier import (
     CanonicalForm,
     _verification_points,
@@ -35,8 +40,8 @@ from .errors import (
 )
 from .exact_fields import RingEndo, Scalar, preset_field
 from .generation import certify_identity, replay
-from .maps import CIRC, DIAMOND, JordanMap, Strategy, _parse_strategy
-from .matrices import Mat, random_invertible
+from .maps import CIRC, DIAMOND, JordanMap, _parse_strategy
+from .matrices import Mat, random_invertible, random_mat
 from .counterexamples import (
     block_embedding_example,
     char2_example,
@@ -64,9 +69,25 @@ def _read_json(path):
     except OSError as exc:
         raise UnsupportedInput(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data.decode("utf-8")), sha256_digest(data)
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UnsupportedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_atomic(path, text):
+    """Write text to `path` via a same-directory temp file and os.replace."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _json_safe(obj):
@@ -106,64 +127,48 @@ def _attempt(core):
         return 4, {"status": "unsupported", "detail": str(exc)}
 
 
-def _emit(args, report, code):
+def _run(args):
+    """Run one subcommand: build the base report, call its core through
+    `_attempt`, add outcome, timing and exit code, and write the report to
+    stdout or --out. Returns the exit code."""
+    t0 = time.monotonic()
+    report = {"schema": SCHEMA, "command": args.command, "inputs": [], "seed": args.seed}
+    code, outcome = _attempt(lambda: args.core(args, report))
+    report["outcome"] = outcome
+    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
     report["exit_code"] = code
     text = dumps(report)
-    if getattr(args, "out", None):
-        atomic_write_text(args.out, text)
+    if args.out:
+        _write_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return code
 
 
-def _base_report(command, args):
-    report = {"schema": SCHEMA, "command": command, "inputs": []}
-    if getattr(args, "seed", None) is not None:
-        report["seed"] = args.seed
-    return report
-
-
-def cmd_certify(args):
-    t0 = time.monotonic()
-    report = _base_report("certify", args)
-
-    def core():
-        field = preset_field(args.field)
-        report["field"] = field_to_json(field)
-        if args.matrix:
-            obj, digest = _read_json(args.matrix)
-            report["inputs"].append({"path": args.matrix, "sha256": digest})
-            x = mat_from_json(field, obj)
-            if not x.is_square:
-                raise UnsupportedInput("certificates need a square matrix")
-        elif args.random:
-            rng = random.Random(args.seed)
-            n = args.n
-            x = Mat._from_raw(
-                field,
-                tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n)),
-            )
-            while x.is_zero:
-                x = Mat._from_raw(
-                    field,
-                    tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n)),
-                )
-        else:
-            raise UnsupportedInput("certify needs --matrix FILE or --random")
-        cert = certify_identity(x)
-        outcome = {
-            "status": "certified",
-            "steps": len(cert),
-            "step_bound": 3 + 6 * (x.nrows - 1),
-            "start": mat_to_json(x),
-            "certificate": certificate_to_json(cert),
-        }
-        return 0, outcome
-
-    code, outcome = _attempt(core)
-    report["outcome"] = outcome
-    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
-    return _emit(args, report, code)
+def cmd_certify(args, report):
+    field = preset_field(args.field)
+    report["field"] = field_to_json(field)
+    if args.matrix:
+        obj, digest = _read_json(args.matrix)
+        report["inputs"].append({"path": args.matrix, "sha256": digest})
+        x = mat_from_json(field, obj)
+        if not x.is_square:
+            raise UnsupportedInput("certificates need a square matrix")
+    elif args.random:
+        rng = random.Random(args.seed)
+        x = random_mat(field, args.n, rng)
+        while x.is_zero:
+            x = random_mat(field, args.n, rng)
+    else:
+        raise UnsupportedInput("certify needs --matrix FILE or --random")
+    cert = certify_identity(x)
+    return 0, {
+        "status": "certified",
+        "steps": len(cert),
+        "step_bound": 3 + 6 * (x.nrows - 1),
+        "start": mat_to_json(x),
+        "certificate": certificate_to_json(cert),
+    }
 
 
 def _load_or_random_map(args, report):
@@ -196,123 +201,93 @@ def _load_or_random_map(args, report):
     raise UnsupportedInput("classify needs --map FILE or --random")
 
 
-def cmd_classify(args):
-    t0 = time.monotonic()
-    report = _base_report("classify", args)
-
-    def core():
-        phi, planted = _load_or_random_map(args, report)
-        strategy = _parse_strategy(args.verify) if args.verify else None
-        if strategy is not None:
-            report["strategy"] = strategy.describe()
-        if phi.m < phi.n:
-            form = classify_rectangular(phi, strategy)
-            detail = {"variant": form.variant, "rectangular": True}
-        else:
-            form, detail = classify_with_report(phi, strategy)
-        outcome = {"status": "classified", "form": form_to_json(form), "report": detail}
-        if planted is not None:
-            outcome["roundtrip"] = forms_equivalent(form, planted)
-        return 0, outcome
-
-    code, outcome = _attempt(core)
-    report["outcome"] = outcome
-    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
-    return _emit(args, report, code)
+def cmd_classify(args, report):
+    phi, planted = _load_or_random_map(args, report)
+    strategy = _parse_strategy(args.verify) if args.verify else None
+    if strategy is not None:
+        report["strategy"] = strategy.describe()
+    if phi.m < phi.n:
+        form = classify_rectangular(phi, strategy)
+        detail = {"variant": form.variant, "rectangular": True}
+    else:
+        form, detail = classify_with_report(phi, strategy)
+    outcome = {"status": "classified", "form": form_to_json(form), "report": detail}
+    if planted is not None:
+        outcome["roundtrip"] = forms_equivalent(form, planted)
+    return 0, outcome
 
 
-def cmd_verify(args):
-    t0 = time.monotonic()
-    report = _base_report("verify", args)
-
-    def core():
-        if args.certificate:
-            obj, digest = _read_json(args.certificate)
-            report["inputs"].append({"path": args.certificate, "sha256": digest})
-            cert = certificate_from_json(obj)
-            report["field"] = field_to_json(cert.field)
-            result = replay(cert)
-            if result:
-                return 0, {"status": "verified", "steps": len(cert)}
-            return 3, {
-                "status": "invalid_certificate",
-                "failed_step": result.failed_step,
-                "reason": result.reason,
-            }
-        if args.form and args.map:
-            form_obj, form_digest = _read_json(args.form)
-            report["inputs"].append({"path": args.form, "sha256": form_digest})
-            form = form_from_json(form_obj)
-            map_obj, map_digest = _read_json(args.map)
-            report["inputs"].append({"path": args.map, "sha256": map_digest})
-            phi = map_from_json(map_obj)
-            report["field"] = field_to_json(phi.field)
-            if (form.field, form.n, form.mode) != (phi.field, phi.n, phi.mode):
-                raise UnsupportedInput("form and map disagree on field, size, or mode")
-            strategy = _parse_strategy(args.verify) if args.verify else Strategy.exhaustive()
-            report["strategy"] = strategy.describe()
-            points = 0
-            for x in _verification_points(phi, strategy):
-                points += 1
-                if phi(x) != form.evaluate(x):
-                    return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
-            return 0, {"status": "verified", "points": points}
-        raise UnsupportedInput("verify needs --certificate FILE, or --form FILE with --map FILE")
-
-    code, outcome = _attempt(core)
-    report["outcome"] = outcome
-    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
-    return _emit(args, report, code)
-
-
-def cmd_counterexample(args):
-    t0 = time.monotonic()
-    report = _base_report("counterexample", args)
-
-    def core():
-        name = args.name
-        if name == "triangular":
-            bundle = triangular_example(preset_field(args.field), n=args.n)
-        elif name == "char2":
-            bundle = char2_example(n=args.n)
-        elif name == "block_embedding":
-            bundle = block_embedding_example(preset_field(args.field), n=args.n)
-        else:
-            raise UnsupportedInput(f"unknown counterexample {name!r}")
-        report["field"] = field_to_json(bundle.map.field)
-        verified = bundle.verify()
-        outcome = {
-            "status": "verified" if verified else "broken",
-            "name": bundle.name,
-            "description": bundle.description,
-            "mode": bundle.map.mode,
-            "evidence": {
-                "qualifier": bundle.evidence.qualifier,
-                "pairs_checked": bundle.evidence.pairs_checked,
-                "ok": bundle.evidence.ok,
-            },
-            "non_additivity": _json_safe(bundle.non_additivity),
-            "non_constancy": _json_safe(bundle.non_constancy),
-            "extra": _json_safe(bundle.extra),
+def cmd_verify(args, report):
+    if args.certificate:
+        obj, digest = _read_json(args.certificate)
+        report["inputs"].append({"path": args.certificate, "sha256": digest})
+        cert = certificate_from_json(obj)
+        report["field"] = field_to_json(cert.field)
+        result = replay(cert)
+        if result:
+            return 0, {"status": "verified", "steps": len(cert)}
+        return 3, {
+            "status": "invalid_certificate",
+            "failed_step": result.failed_step,
+            "reason": result.reason,
         }
-        return (0 if verified else 3), outcome
+    if args.form and args.map:
+        form_obj, form_digest = _read_json(args.form)
+        report["inputs"].append({"path": args.form, "sha256": form_digest})
+        form = form_from_json(form_obj)
+        map_obj, map_digest = _read_json(args.map)
+        report["inputs"].append({"path": args.map, "sha256": map_digest})
+        phi = map_from_json(map_obj)
+        report["field"] = field_to_json(phi.field)
+        if (form.field, form.n, form.mode) != (phi.field, phi.n, phi.mode):
+            raise UnsupportedInput("form and map disagree on field, size, or mode")
+        strategy = _parse_strategy(args.verify or "exhaustive")
+        report["strategy"] = strategy.describe()
+        points = 0
+        for x in _verification_points(phi, strategy):
+            points += 1
+            if phi(x) != form.evaluate(x):
+                return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
+        return 0, {"status": "verified", "points": points}
+    raise UnsupportedInput("verify needs --certificate FILE, or --form FILE with --map FILE")
 
-    code, outcome = _attempt(core)
-    report["outcome"] = outcome
-    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
-    return _emit(args, report, code)
+
+def cmd_counterexample(args, report):
+    name = args.name
+    if name == "triangular":
+        bundle = triangular_example(preset_field(args.field), n=args.n)
+    elif name == "char2":
+        bundle = char2_example(n=args.n)
+    elif name == "block_embedding":
+        bundle = block_embedding_example(preset_field(args.field), n=args.n)
+    else:
+        raise UnsupportedInput(f"unknown counterexample {name!r}")
+    report["field"] = field_to_json(bundle.map.field)
+    verified = bundle.verify()
+    return (0 if verified else 3), {
+        "status": "verified" if verified else "broken",
+        "name": bundle.name,
+        "description": bundle.description,
+        "mode": bundle.map.mode,
+        "evidence": {
+            "qualifier": bundle.evidence.qualifier,
+            "pairs_checked": bundle.evidence.pairs_checked,
+            "ok": bundle.evidence.ok,
+        },
+        "non_additivity": _json_safe(bundle.non_additivity),
+        "non_constancy": _json_safe(bundle.non_constancy),
+        "extra": _json_safe(bundle.extra),
+    }
 
 
-def cmd_suite(args):
-    from .suite import run_all
+def cmd_suite(args, report):
+    from . import suite  # imported here: suite imports this module
 
-    t0 = time.monotonic()
-    report = _base_report("suite", args)
-    results = run_all(seed=args.seed)
+    results = suite.run_all(seed=args.seed)
     for res in results:
-        sys.stdout.write(res.line() + "\n")
+        sys.stderr.write(res.line() + "\n")
     passed = all(res.passed for res in results)
-    report["outcome"] = {
+    return (0 if passed else 1), {
         "status": "passed" if passed else "failed",
         "criteria": [
             {
@@ -325,13 +300,6 @@ def cmd_suite(args):
             for res in results
         ],
     }
-    report["timing_ms"] = int((time.monotonic() - t0) * 1000)
-    code = 0 if passed else 1
-    report["exit_code"] = code
-    text = dumps(report)
-    if args.out:
-        atomic_write_text(args.out, text)
-    return code
 
 
 def build_parser():
@@ -348,7 +316,7 @@ def build_parser():
     c.add_argument("--random", action="store_true", help="certify a random nonzero matrix")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out", help="write the report here (atomic)")
-    c.set_defaults(fn=cmd_certify)
+    c.set_defaults(core=cmd_certify)
 
     c = sub.add_parser("classify", help="canonical form of a Jordan-multiplicative map")
     c.add_argument("--map", help="path to a map-table JSON file")
@@ -359,7 +327,7 @@ def build_parser():
     c.add_argument("--verify", help="exhaustive or sampled:COUNT:SEED")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_classify)
+    c.set_defaults(core=cmd_classify)
 
     c = sub.add_parser("verify", help="replay a certificate or check a form against a map")
     c.add_argument("--certificate", help="path to a certificate JSON file")
@@ -368,7 +336,7 @@ def build_parser():
     c.add_argument("--verify", dest="verify", help="exhaustive or sampled:COUNT:SEED")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_verify)
+    c.set_defaults(core=cmd_verify)
 
     c = sub.add_parser("counterexample", help="emit a hypothesis-sharpness bundle")
     c.add_argument("--name", required=True, choices=["triangular", "char2", "block_embedding"])
@@ -376,18 +344,17 @@ def build_parser():
     c.add_argument("--n", type=int, default=2)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_counterexample)
+    c.set_defaults(core=cmd_counterexample)
 
     c = sub.add_parser("suite", help="run the acceptance criteria")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_suite)
+    c.set_defaults(core=cmd_suite)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    return _run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -575,11 +575,6 @@ class RingEndo:
 # -- module-level operations -------------------------------------------------
 
 
-def field_make(kind, p=0, k=1, modulus=None):
-    """Construct and validate a field (primality and irreducibility checked)."""
-    return Field(kind, p=p, k=k, modulus=modulus)
-
-
 def rational_field():
     return Field("rational")
 
@@ -590,11 +585,6 @@ def prime_field(p):
 
 def galois_field(p, k, modulus=None):
     return Field("galois", p=p, k=k, modulus=modulus)
-
-
-def endo_apply(omega, a):
-    """Apply a ring endomorphism to a scalar."""
-    return omega(a)
 
 
 def endo_enumerate(field):

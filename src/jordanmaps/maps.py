@@ -81,6 +81,20 @@ def _parse_strategy(text):
     raise UnsupportedInput(f"cannot parse verification strategy {text!r}")
 
 
+def _resolve_strategy(phi, verification):
+    """The strategy to use: `verification` as given (a Strategy or its CLI
+    text), else exhaustive for domains of at most 81 matrices (M_2(F_3)) and
+    1000 seeded samples otherwise."""
+    if verification is None:
+        size = phi.domain_size
+        if size is not None and size <= 81:
+            return Strategy.exhaustive()
+        return Strategy.sampled()
+    if isinstance(verification, str):
+        return _parse_strategy(verification)
+    return verification
+
+
 class JordanMap:
     """A map M_n(F) -> M_m(F) with a declared product mode and domain.
 
@@ -206,16 +220,6 @@ class JordanMap:
         return self._kind
 
     @property
-    def structured_info(self):
-        """Body description for reports, or None for tables/oracles."""
-        if self._kind == "constant":
-            return {"kind": "constant", "value": self._data}
-        if self._kind == "conjugation":
-            t, _, endo, transpose = self._data
-            return {"kind": "conjugation", "t": t, "endo": endo, "transpose": transpose}
-        return None
-
-    @property
     def domain_size(self):
         """Number of domain matrices, or None when the field is infinite."""
         if not self.field.is_finite:
@@ -302,11 +306,6 @@ def _product_table(field, n, mode, domain):
     return mats, {x: i for i, x in enumerate(mats)}, tuple(array("H", r) for r in rows)
 
 
-def eval_map(phi, x):
-    """Evaluate with full input validation (alias for phi(x))."""
-    return phi(x)
-
-
 @dataclass(frozen=True)
 class MultReport:
     """Outcome of a product-preservation check."""
@@ -320,12 +319,13 @@ class MultReport:
         return self.ok
 
 
-def check_multiplicative(phi, strategy=None, max_domain=81):
+def check_multiplicative(phi, strategy=None):
     """Does phi(x * y) = phi(x) * phi(y) for the map's product?
 
-    With no strategy: exhaustive over all ordered pairs when the domain has at
-    most `max_domain` matrices, else 1000 seeded samples. Exhaustive checking
-    refuses domains beyond 10^7 pairs. Returns the first violating pair.
+    With no strategy the default of `_resolve_strategy` applies: every
+    ordered pair of a domain of at most 81 matrices, else 1000 seeded
+    samples. Exhaustive checking refuses domains beyond 10^7 pairs. Returns
+    the first violating pair.
 
     The exhaustive scan reads x * y from a product table built once per
     (field, n, mode, domain) and kept in a cache bounded to 8 tables. Images
@@ -343,12 +343,7 @@ def check_multiplicative(phi, strategy=None, max_domain=81):
     are those of that pair; an accepted scan covers, and reports, all
     size*size ordered pairs.
     """
-    if strategy is None:
-        size = phi.domain_size
-        if size is not None and size <= max_domain:
-            strategy = Strategy.exhaustive()
-        else:
-            strategy = Strategy.sampled()
+    strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
         size = phi.domain_size
         if size is None:

@@ -381,18 +381,24 @@ def _row_echelon(field, rows, ncols):
     return rank
 
 
+def random_mat(field, n, rng):
+    """A seeded random n x n matrix: n*n `field.random_raw` draws, row by row."""
+    if n < 1:
+        raise UnsupportedInput(f"matrix size must be >= 1, got {n}")
+    return Mat._from_raw(
+        field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
+    )
+
+
 def random_invertible(field, n, rng):
     """(m, m^-1) for a seeded random invertible n x n matrix.
 
-    Draws n*n entries with `field.random_raw` per try, row by row, until one
-    is invertible. Over F_q a draw is singular with probability below
-    1 - prod(1 - q^-i) < 0.712, so 400 tries all fail with probability below
-    1e-59 (below 1e-142 for q >= 3).
+    Draws `random_mat` until one is invertible. Over F_q a draw is singular
+    with probability below 1 - prod(1 - q^-i) < 0.712, so 400 tries all fail
+    with probability below 1e-59 (below 1e-142 for q >= 3).
     """
     for _ in range(400):
-        m = Mat._from_raw(
-            field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
-        )
+        m = random_mat(field, n, rng)
         try:
             return m, m.inverse()
         except ValueError:
@@ -465,26 +471,6 @@ def jordan_circ(x, y):
     if f.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
     return Mat._from_raw(f, _jordan_raw(f, x.rows, y.rows, True))
-
-
-def mat_rank(x):
-    return x.rank()
-
-
-def mat_inverse(x):
-    return x.inverse()
-
-
-def mat_transpose(x):
-    return x.transpose()
-
-
-def mat_support(x):
-    return x.support()
-
-
-def mat_apply_endo(omega, x):
-    return x.apply_endo(omega)
 
 
 def is_idempotent(x):

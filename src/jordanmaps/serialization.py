@@ -7,11 +7,11 @@ are row-major entry lists with explicit dimensions. Loaders validate
 structure and raise UnsupportedInput on anything malformed.
 """
 
+import json
 from fractions import Fraction
 
-from ._util import canonical_json
 from .errors import UnsupportedInput
-from .exact_fields import RingEndo, Scalar, field_make
+from .exact_fields import Field, RingEndo, Scalar
 from .generation import Certificate
 from .maps import CIRC, DIAMOND, JordanMap
 from .matrices import Mat
@@ -47,14 +47,12 @@ def field_to_json(field):
 def field_from_json(obj):
     kind = _need(obj, "kind", str)
     if kind == "rational":
-        return field_make("rational")
+        return Field("rational")
     if kind == "prime":
-        return field_make("prime", p=_need(obj, "p", int))
+        return Field("prime", p=_need(obj, "p", int))
     if kind == "galois":
         modulus = obj.get("modulus")
-        return field_make(
-            "galois", p=_need(obj, "p", int), k=_need(obj, "k", int), modulus=modulus
-        )
+        return Field("galois", p=_need(obj, "p", int), k=_need(obj, "k", int), modulus=modulus)
     raise UnsupportedInput(f"unknown field kind {kind!r}")
 
 
@@ -233,5 +231,6 @@ def form_from_json(obj):
 
 
 def dumps(obj):
-    """Canonical text for any of the JSON documents above."""
-    return canonical_json(obj)
+    """Canonical text for any of the JSON documents above: sorted keys,
+    two-space indent, trailing newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

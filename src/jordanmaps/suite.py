@@ -36,6 +36,7 @@ from .matrices import (
     mat_unit,
     mat_zero,
     random_invertible,
+    random_mat,
 )
 from .serialization import certificate_from_json, dumps, mat_to_json
 
@@ -56,12 +57,6 @@ class CriterionResult:
         )
 
 
-def _random_mat(field, n, rng):
-    return Mat._from_raw(
-        field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
-    )
-
-
 def _units(field, n, entries):
     """Sum of value * E_ij from a {(i, j): value} dict."""
     out = mat_zero(field, n)
@@ -80,9 +75,9 @@ def crit_rational_walkthrough(seed):
     f = rational_field()
     n = 5
     rng = random.Random(seed)
-    x = _random_mat(f, n, rng)
+    x = random_mat(f, n, rng)
     while x.is_zero:
-        x = _random_mat(f, n, rng)
+        x = random_mat(f, n, rng)
     with tempfile.TemporaryDirectory() as tmp:
         mat_path = os.path.join(tmp, "matrix.json")
         rep_path = os.path.join(tmp, "report.json")
@@ -444,10 +439,6 @@ _CRITERIA = [
     ("rectangular_constancy", crit_rectangular, 1.0),
     ("frobenius_recovery", crit_frobenius_recovery, 5.0),
 ]
-
-
-def criterion_names():
-    return [name for name, _, _ in _CRITERIA]
 
 
 def run_one(name, seed=0):

@@ -29,6 +29,7 @@ from jordanmaps import (
 Q = rational_field()
 F3 = preset_field("F3")
 F5 = preset_field("F5")
+F7 = preset_field("F7")
 F9 = preset_field("F9")
 
 
@@ -36,6 +37,50 @@ def as_table(base):
     return JordanMap.from_table(
         base.field, base.n, {x: base(x) for x in base.domain_iter()}, mode=base.mode
     )
+
+
+def single_point(base, x0, value):
+    """`base` everywhere except at x0, which maps to `value`."""
+    return JordanMap.from_oracle(base.field, base.n, lambda x: value if x == x0 else base(x))
+
+
+T3 = [[1, 2, 0], [0, 1, 3], [4, 0, 1]]
+
+STAGE_DETAILS = {
+    "constant": "map is not constant although its value at 0 is nonzero",
+    "zero": "map vanishes at E_11 but not everywhere",
+    "unit_images": "image of E_22 does not have rank 1",
+    "orientation": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
+    "scaling": "unit scalings at (1,2) and (2,1) do not cancel",
+    "scaling_chain": "unit scalings do not chain across (1,2,3)",
+}
+
+
+def stage_map(field, stage):
+    """A map on M_3(field) that passes a sampled pre-check and breaks at
+    `stage` (a key of STAGE_DETAILS)."""
+    conj = JordanMap.conjugation(Mat(field, T3))
+
+    def e(i, j):
+        return mat_unit(field, 3, i, j)
+
+    zero = mat_zero(field, 3)
+    if stage == "constant":
+        return single_point(JordanMap.constant(field, 3, e(1, 1)), e(1, 2), zero)
+    if stage == "zero":
+        return single_point(conj, e(1, 1), zero)
+    if stage == "unit_images":
+        return single_point(conj, e(2, 2), zero)
+    if stage == "orientation":
+        return single_point(conj, e(1, 2), conj(e(1, 2) + e(1, 3)))
+    if stage == "scaling":
+        return single_point(conj, e(1, 2), conj(e(1, 2)).scale(2))
+    return single_point(conj, e(1, 3), conj(e(1, 3)).scale(2))
+
+
+def assert_breaks_law(phi, witness):
+    x, y = witness
+    assert phi(phi.product(x, y)) != phi.product(phi(x), phi(y))
 
 
 class TestConstantAndZero:
@@ -169,8 +214,39 @@ class TestRejection:
         phi = JordanMap.from_oracle(field, 3, fn)
         with pytest.raises(NotJordanMultiplicative) as exc:
             classify(phi, verification=f"sampled:50:{seed}")
-        x, y = exc.value.witness
-        assert phi(phi.product(x, y)) != phi.product(phi(x), phi(y))
+        assert_breaks_law(phi, exc.value.witness)
+
+    @pytest.mark.parametrize("field", [F7, Q], ids=["F7", "Q"])
+    @pytest.mark.parametrize("stage", list(STAGE_DETAILS))
+    def test_stage_rejects_with_targeted_witness(self, field, stage):
+        # each map is wrong at one unit, which the sampled pre-check misses;
+        # the stage's targeted pairs must supply the witness
+        phi = stage_map(field, stage)
+        with pytest.raises(NotJordanMultiplicative) as exc:
+            classify(phi, verification="sampled:40:0")
+        assert exc.value.detail == STAGE_DETAILS[stage]
+        assert_breaks_law(phi, exc.value.witness)
+
+    @pytest.mark.parametrize("field", [F7, Q], ids=["F7", "Q"])
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("base", ["zero", "conjugation"])
+    def test_wrong_only_at_identity(self, field, seed, base):
+        # the zero map or a conjugation, except phi(I) = T E_11 T^-1 (T = I
+        # for the zero map): I arises only as (2I) o (I/2) among the targeted
+        # pairs of the zero and final stages
+        if base == "zero":
+            t, good = mat_identity(field, 3), JordanMap.zero(field, 3)
+            detail = "map vanishes at E_11 but not everywhere"
+        else:
+            t = Mat(field, T3)
+            good = JordanMap.conjugation(t)
+            detail = "map disagrees with the reconstructed form"
+        value = t @ mat_unit(field, 3, 1, 1) @ t.inverse()
+        phi = single_point(good, mat_identity(field, 3), value)
+        with pytest.raises(NotJordanMultiplicative) as exc:
+            classify(phi, verification=f"sampled:40:{seed}")
+        assert exc.value.detail == detail
+        assert_breaks_law(phi, exc.value.witness)
 
 
 class TestGuards:

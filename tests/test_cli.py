@@ -9,7 +9,7 @@ from jordanmaps import (
     mat_zero,
     preset_field,
 )
-from jordanmaps import cli
+from jordanmaps import cli, suite
 from jordanmaps.serialization import (
     certificate_to_json,
     dumps,
@@ -172,6 +172,45 @@ def test_stdout_when_no_out_flag(capsys):
     assert cli.main(["certify", "--field", "F5", "--n", "2", "--random", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["outcome"]["status"] == "certified"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--random", "--n", "0"],
+        ["certify", "--random", "--n", "-2"],
+        ["classify", "--random", "--n", "0"],
+    ],
+)
+def test_bad_size_exits_4_with_report(argv, capsys):
+    assert cli.main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 4
+    assert report["outcome"]["status"] == "unsupported"
+
+
+def test_suite_report_on_stdout_and_ledger_on_stderr(tmp_path, monkeypatch, capsys):
+    fake = [
+        suite.CriterionResult("first", True, "fine", 0.25, 1.0),
+        suite.CriterionResult("second", False, "broken", 0.5, 2.0),
+    ]
+    monkeypatch.setattr(suite, "run_all", lambda seed=0: fake)
+    assert cli.main(["suite", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["command"] == "suite"
+    assert report["seed"] == 3
+    assert report["exit_code"] == 1
+    assert report["outcome"]["status"] == "failed"
+    assert [c["name"] for c in report["outcome"]["criteria"]] == ["first", "second"]
+    assert captured.err.splitlines() == [res.line() for res in fake]
+
+    out = tmp_path / "suite.json"
+    assert cli.main(["suite", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert read(out)["outcome"]["criteria"][1]["detail"] == "broken"
+    assert captured.err.splitlines() == [res.line() for res in fake]
 
 
 def test_unknown_subcommand_errors():

@@ -12,7 +12,6 @@ from jordanmaps import (
     block_embedding_example,
     check_multiplicative,
     diamond_to_circ,
-    eval_map,
     jordan_circ,
     jordan_diamond,
     mat_identity,
@@ -262,12 +261,6 @@ class TestDiamondToCirc:
         phi = JordanMap.from_oracle(F2, 2, lambda x: x, mode=DIAMOND)
         with pytest.raises(UnsupportedInput):
             diamond_to_circ(phi)
-
-
-def test_eval_map_alias():
-    phi = JordanMap.from_oracle(F5, 2, lambda x: x.transpose())
-    x = Mat(F5, [[1, 2], [3, 4]])
-    assert eval_map(phi, x) == x.transpose()
 
 
 class TestStrategy:
