@@ -1,5 +1,5 @@
-"""Classification of Jordan-product-preserving maps on M_n(F), n >= 2,
-char(F) != 2.
+"""Classification of Jordan-product-preserving maps M_n(F) -> M_m(F),
+n >= 2, m <= n, char(F) != 2.
 
 Every such map is exactly one of:
 
@@ -8,18 +8,22 @@ Every such map is exactly one of:
     half an idempotent),
   * X |-> T w(X) T^-1 or X |-> T w(X)^t T^-1 with T invertible and w a ring
     monomorphism applied entrywise (a Frobenius power on finite fields, the
-    identity on Q and prime fields).
+    identity on Q and prime fields); only when m = n.
 
-`classify` reconstructs the witnessing data (T, w, transpose flag)
-constructively and verifies the result against the map. Maps that are not
-Jordan multiplicative are rejected with a concrete witness pair whenever one
-can be found (NotJordanMultiplicative); structural failures where no witness
-pair surfaced within budget raise InvariantViolation tagged with the stage
-that broke.
+One pipeline, `classify_with_report`, serves every m <= n: a map into a
+smaller algebra ends at its constant or zero stage. It reconstructs the
+witnessing data (T, w, transpose flag) constructively and verifies the
+result against the map. Maps that are not Jordan multiplicative are rejected
+with a concrete witness pair whenever one can be found
+(NotJordanMultiplicative): each stage that finds a fault tries pairs aimed
+at it, then seeded random pairs, through the one pair scan
+`maps._first_violation`. Structural failures where no witness pair surfaced
+within budget raise InvariantViolation tagged with the stage that broke.
 """
 
 import random
 from dataclasses import dataclass
+from itertools import chain, permutations
 
 from .errors import (
     InvariantViolation,
@@ -27,12 +31,14 @@ from .errors import (
     UnsupportedInput,
     UnsupportedSize,
 )
-from .exact_fields import Scalar, endo_enumerate
+from .exact_fields import RingEndo, Scalar, endo_enumerate
 from .jordan_order import jordan_perp, simultaneous_diagonalizer
 from .maps import (
     CIRC,
     DIAMOND,
+    _first_violation,
     _resolve_strategy,
+    _sampled_pairs,
     check_multiplicative,
     diamond_to_circ,
 )
@@ -41,6 +47,7 @@ from .matrices import (
     is_idempotent,
     is_proportional,
     jordan_circ,
+    mat_diag_idempotent,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -70,6 +77,8 @@ class CanonicalForm:
         if self.m is None:
             object.__setattr__(self, "m", self.n)
         if self.variant == "conjugation":
+            if self.omega is None:
+                object.__setattr__(self, "omega", RingEndo(self.field))
             object.__setattr__(self, "_t_inv", self.t.inverse())
 
     @staticmethod
@@ -108,7 +117,7 @@ class CanonicalForm:
             if self.mode == DIAMOND:
                 return self.idempotent.scale(self.field.scalar(1).halve())
             return self.idempotent
-        y = x if self.omega is None or self.omega.is_identity else x.apply_endo(self.omega)
+        y = x.apply_endo(self.omega)
         if self.transpose:
             y = y.transpose()
         return self.t @ y @ self._t_inv
@@ -119,67 +128,37 @@ class CanonicalForm:
             out["m"] = self.m
         if self.variant == "conjugation":
             out["transpose"] = self.transpose
-            out["omega"] = self.omega.describe() if self.omega is not None else {"kind": "identity"}
+            out["omega"] = self.omega.describe()
         return out
 
 
-class OrientationSet:
-    """Which off-diagonal units map straight (E_rs -> c E_rs) vs flipped
-    (E_rs -> c E_sr), after diagonalizing the unit idempotents.
+def _orientation_violation(n, straight, flipped):
+    """The first broken orientation rule, as (rule, where), or None.
 
-    For a Jordan multiplicative map the set is forced to be uniform: any two
-    pairs sharing an index must agree (E_rs o E_su = E_ru / 2 couples them),
-    and (r,s) always agrees with (s,r). `violations` reports every broken
-    rule; `transpose_needed` is meaningful only when consistent.
+    After diagonalizing the unit idempotents each off-diagonal unit maps
+    straight (E_rs -> c E_rs) or flipped (E_rs -> c E_sr). For a Jordan
+    multiplicative map the choice is uniform: (r,s) agrees with (s,r)
+    (symmetry, checked over the sorted straight pairs), and any two pairs
+    sharing an index agree, since E_rs o E_su = E_ru / 2 couples them
+    (completion).
     """
-
-    def __init__(self, n, straight, flipped, factors):
-        self.n = n
-        self.straight = frozenset(straight)
-        self.flipped = frozenset(flipped)
-        self.factors = dict(factors)
-
-    @property
-    def consistent(self):
-        return not self.violations()
-
-    @property
-    def transpose_needed(self):
-        return bool(self.flipped) and not self.straight
-
-    def violations(self):
-        out = []
-        for r, s in sorted(self.straight):
-            if (s, r) in self.flipped:
-                out.append(("symmetry", (r, s)))
-        for r in range(1, self.n + 1):
-            for s in range(1, self.n + 1):
-                for u in range(1, self.n + 1):
-                    if len({r, s, u}) != 3:
-                        continue
-                    a, b = (r, s), (s, u)
-                    if (a in self.straight) != (b in self.straight):
-                        out.append(("completion", (r, s, u)))
-        return out
-
-
-def _violates(phi, x, y):
-    """A concrete multiplicativity failure of phi at the ordered pair (x, y)."""
-    return phi(phi.product(x, y)) != phi.product(phi(x), phi(y))
+    for r, s in sorted(straight):
+        if (s, r) in flipped:
+            return "symmetry", (r, s)
+    for r, s, u in permutations(range(1, n + 1), 3):
+        if ((r, s) in straight) != ((s, u) in straight):
+            return "completion", (r, s, u)
+    return None
 
 
 def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
     """Reject the map: try the targeted pairs, then seeded random pairs. A
     confirmed pair raises NotJordanMultiplicative; otherwise the structural
     failure is raised with its stage tag."""
-    for x, y in targeted:
-        if _violates(phi, x, y):
-            raise NotJordanMultiplicative(detail, witness=(x, y))
-    rng = random.Random(seed + 1)
-    for _ in range(_SCAN_BUDGET):
-        x, y = phi.sample_domain(rng), phi.sample_domain(rng)
-        if _violates(phi, x, y):
-            raise NotJordanMultiplicative(detail, witness=(x, y))
+    pairs = chain(targeted, _sampled_pairs(phi, seed + 1, _SCAN_BUDGET))
+    _, witness = _first_violation(phi, pairs)
+    if witness is not None:
+        raise NotJordanMultiplicative(detail, witness=witness)
     raise InvariantViolation(stage, detail, witness=culprit)
 
 
@@ -214,6 +193,17 @@ def _verification_points(phi, strategy):
         yield phi.sample_domain(rng)
 
 
+def _first_mismatch(phi, expected, strategy):
+    """The first verification point x with phi(x) != expected(x), or None,
+    and the number of points checked."""
+    points = 0
+    for x in _verification_points(phi, strategy):
+        points += 1
+        if phi(x) != expected(x):
+            return x, points
+    return None, points
+
+
 def _normalize_t(t):
     """Scale so the first nonzero entry (row-major) is 1; conjugation by T is
     insensitive to scaling, so this fixes a unique representative."""
@@ -231,19 +221,20 @@ def classify(phi, verification=None):
 
 
 def classify_with_report(phi, verification=None):
-    """Run the full pipeline; returns (CanonicalForm, report dict).
+    """Run the full pipeline on a map M_n -> M_m with m <= n; returns
+    (CanonicalForm, report dict).
 
-    The report records the strategy, per-stage outcomes, and check counts;
-    it contains no matrices, so it serializes directly.
+    A map into a smaller algebra (m < n) can only be constant at an
+    idempotent or zero, so it ends at the constant or zero stage. The report
+    records the strategy, per-stage outcomes, and check counts; it contains
+    no matrices, so it serializes directly.
     """
     if phi.domain != "full":
         raise UnsupportedInput("classification needs a map defined on all of M_n")
     if phi.n < 2:
         raise UnsupportedSize("classification needs n >= 2")
-    if phi.m != phi.n:
-        raise UnsupportedSize(
-            "classification needs m = n (rectangular maps: classify_rectangular)"
-        )
+    if phi.m > phi.n:
+        raise UnsupportedSize("classification needs m <= n")
     if phi.field.char2:
         raise UnsupportedInput("classification needs characteristic != 2")
     strategy = _resolve_strategy(phi, verification)
@@ -269,28 +260,34 @@ def classify_with_report(phi, verification=None):
         if not is_idempotent(z):
             _reject(phi, "constant", "value at 0 is not compatible with squaring",
                     targeted=[(zero_mat, zero_mat)], culprit=z, seed=seed)
-        for x in _verification_points(phic, strategy):
-            if phic(x) != z:
-                _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
-                        targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
+        x, _ = _first_mismatch(phic, lambda _: z, strategy)
+        if x is not None:
+            _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
+                    targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
         report["stages"].append("constant")
         report["variant"] = "constant_idempotent"
         return CanonicalForm.constant_form(z, n, mode=phi.mode), report
 
-    if phic(mat_unit(f, n, 1, 1)).is_zero:
+    if phi.m < n or phic(mat_unit(f, n, 1, 1)).is_zero:
         # zero branch: E_11 generates I under the circ product, so a vanishing
-        # image there forces the whole map to vanish.
-        for x in _verification_points(phic, strategy):
-            if not phic(x).is_zero:
-                _reject(phi, "zero", "map vanishes at E_11 but not everywhere",
-                        targeted=[(x, x), (x, zero_mat), _through(x), (mat_unit(f, n, 1, 1), x)],
-                        culprit=x, seed=seed)
+        # image there forces the whole map to vanish; a map into a smaller
+        # algebra that vanishes at 0 must vanish everywhere.
+        zero_image = mat_zero(f, phi.m)
+        x, _ = _first_mismatch(phic, lambda _: zero_image, strategy)
+        if x is not None:
+            at = "0" if phi.m < n else "E_11"
+            _reject(phi, "zero", f"map vanishes at {at} but not everywhere",
+                    targeted=[(x, x), (x, zero_mat), _through(x), (mat_unit(f, n, 1, 1), x)],
+                    culprit=x, seed=seed)
         report["stages"].append("zero")
         report["variant"] = "zero"
-        return CanonicalForm.zero_form(f, n, mode=phi.mode), report
+        return CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m), report
 
-    # unit idempotent images: a rank-one orthogonal family summing to I.
+    # unit idempotent images: a rank-one orthogonal family. E_kk o I = E_kk,
+    # so phi(I) must absorb each image: the pairs (E_kk, I) tie a wrong image
+    # to the image of I.
     q = [phic(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
+    absorbed = [(mat_unit(f, n, k, k), mat_identity(f, n)) for k in range(1, n + 1)]
     for j, qj in enumerate(q, start=1):
         if not is_idempotent(qj):
             what = "is not idempotent"
@@ -301,20 +298,17 @@ def classify_with_report(phi, verification=None):
         ejj = mat_unit(f, n, j, j)
         row = [(j, k) for k in range(1, n + 1) if k != j]
         _reject(phi, "unit_images", f"image of E_{j}{j} {what}",
-                targeted=[(ejj, ejj)] + _anchored(f, n, row), culprit=qj, seed=seed)
+                targeted=[(ejj, ejj)] + _anchored(f, n, row) + absorbed, culprit=qj, seed=seed)
     for i in range(n):
         for j in range(i + 1, n):
             if not jordan_perp(q[i], q[j]):
                 _reject(phi, "unit_images",
                         f"images of E_{i + 1}{i + 1} and E_{j + 1}{j + 1} are not orthogonal",
-                        targeted=[(mat_unit(f, n, i + 1, i + 1), mat_unit(f, n, j + 1, j + 1))],
+                        targeted=[(mat_unit(f, n, i + 1, i + 1), mat_unit(f, n, j + 1, j + 1))]
+                        + absorbed,
                         culprit=(q[i], q[j]), seed=seed)
-    total = q[0]
-    for qj in q[1:]:
-        total = total + qj
-    if not total.is_identity:
-        _reject(phi, "unit_images", "images of the diagonal units do not sum to I",
-                culprit=total, seed=seed)
+    # n orthogonal rank-one idempotents sum to an idempotent of rank n, which
+    # is I: no check of the sum is needed
     t1 = simultaneous_diagonalizer(q)
     t1_inv = t1.inverse()
     report["stages"].append("diagonalizer")
@@ -325,40 +319,32 @@ def classify_with_report(phi, verification=None):
     # orientation: each off-diagonal unit must land on a scaled unit at the
     # same position (straight) or the transposed one (flipped), uniformly.
     straight, flipped, factors = set(), set(), {}
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            if r == s:
-                continue
-            e_rs = mat_unit(f, n, r, s)
-            image = phi1(e_rs)
-            c_straight = is_proportional(image, e_rs)
-            c_flip = is_proportional(image, mat_unit(f, n, s, r))
-            if isinstance(c_straight, Scalar):
-                straight.add((r, s))
-                factors[(r, s)] = c_straight
-            elif isinstance(c_flip, Scalar):
-                flipped.add((r, s))
-                factors[(r, s)] = c_flip
-            else:
-                _reject(phi, "orientation",
-                        f"image of E_{r}{s} is not a scaled unit at ({r},{s}) or ({s},{r})",
-                        targeted=[(e_rs, e_rs), (e_rs, mat_unit(f, n, s, r)),
-                                  (mat_unit(f, n, r, r), e_rs)],
-                        culprit=image, seed=seed)
-    orientation = OrientationSet(n, straight, flipped, factors)
-    bad = orientation.violations()
-    if bad:
-        rule, where = bad[0]
-        if rule == "completion":
-            r, s, u = where
-            targeted = [(mat_unit(f, n, r, s), mat_unit(f, n, s, u))]
+    for r, s in permutations(range(1, n + 1), 2):
+        e_rs = mat_unit(f, n, r, s)
+        image = phi1(e_rs)
+        c_straight = is_proportional(image, e_rs)
+        c_flip = is_proportional(image, mat_unit(f, n, s, r))
+        if isinstance(c_straight, Scalar):
+            straight.add((r, s))
+            factors[(r, s)] = c_straight
+        elif isinstance(c_flip, Scalar):
+            flipped.add((r, s))
+            factors[(r, s)] = c_flip
         else:
-            r, s = where
-            targeted = [(mat_unit(f, n, r, s), mat_unit(f, n, s, r))]
+            _reject(phi, "orientation",
+                    f"image of E_{r}{s} is not a scaled unit at ({r},{s}) or ({s},{r})",
+                    targeted=[(e_rs, e_rs), (e_rs, mat_unit(f, n, s, r)),
+                              (mat_unit(f, n, r, r), e_rs)],
+                    culprit=image, seed=seed)
+    bad = _orientation_violation(n, straight, flipped)
+    if bad:
+        rule, where = bad
+        r, s = where[:2]
+        u = where[2] if rule == "completion" else r
         _reject(phi, "orientation", f"orientation is inconsistent ({rule} rule at {where})",
-                targeted=targeted, culprit=(sorted(orientation.straight),
-                                            sorted(orientation.flipped)), seed=seed)
-    transpose_flag = orientation.transpose_needed
+                targeted=[(mat_unit(f, n, r, s), mat_unit(f, n, s, u))],
+                culprit=(sorted(straight), sorted(flipped)), seed=seed)
+    transpose_flag = bool(flipped) and not straight
     report["stages"].append("orientation")
     report["transpose"] = transpose_flag
 
@@ -425,12 +411,14 @@ def classify_with_report(phi, verification=None):
     observed = {raw: omega_hat(raw) for raw in probes}
     for a, b in zip(probes, probes[1:] + probes[:1]):
         lam_a, lam_b = mat_unit(f, n, 1, 1, Scalar(f, a)), mat_unit(f, n, 1, 1, Scalar(f, b))
-        if omega_hat(f.mul(a, b)) != f.mul(observed[a], observed[b]):
-            _reject(phi, "endomorphism", "recovered scalar action is not multiplicative",
-                    targeted=[(lam_a, lam_b)] + line_pairs, culprit=(a, b), seed=seed)
-        if omega_hat(f.add(a, b)) != f.add(observed[a], observed[b]):
-            _reject(phi, "endomorphism", "recovered scalar action is not additive",
-                    targeted=[(lam_a, lam_b)] + line_pairs, culprit=(a, b), seed=seed)
+        for what, op in (("multiplicative", f.mul), ("additive", f.add)):
+            c = op(a, b)
+            if omega_hat(c) != op(observed[a], observed[b]):
+                # a map wrong only at c E_11 breaks the law on (2I, c E_11 / 2)
+                _reject(phi, "endomorphism", f"recovered scalar action is not {what}",
+                        targeted=[(lam_a, lam_b)] + line_pairs
+                        + [_through(mat_unit(f, n, 1, 1, Scalar(f, c)))],
+                        culprit=(a, b), seed=seed)
     survivors = [
         e for e in endo_enumerate(f)
         if all(e.apply_raw(raw) == w for raw, w in observed.items())
@@ -455,14 +443,12 @@ def classify_with_report(phi, verification=None):
     form = CanonicalForm.conjugation_form(
         _normalize_t(t), omega=omega, transpose=transpose_flag, mode=phi.mode
     )
-    points = 0
-    for x in _verification_points(phi, strategy):
-        points += 1
-        if phi(x) != form.evaluate(x):
-            _reject(phi, "final", "map disagrees with the reconstructed form",
-                    targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]
-                    + line_pairs + [_through(x)],
-                    culprit=x, seed=seed)
+    x, points = _first_mismatch(phi, form.evaluate, strategy)
+    if x is not None:
+        _reject(phi, "final", "map disagrees with the reconstructed form",
+                targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]
+                + line_pairs + [_through(x)],
+                culprit=x, seed=seed)
     report["stages"].append("final")
     report["points_checked"] = points
     report["variant"] = "conjugation"
@@ -478,11 +464,7 @@ def forms_equivalent(a, b):
         return True
     if a.variant == "constant_idempotent":
         return a.idempotent == b.idempotent
-    if a.transpose != b.transpose:
-        return False
-    id_a = a.omega is None or a.omega.is_identity
-    id_b = b.omega is None or b.omega.is_identity
-    if id_a != id_b or (not id_a and a.omega != b.omega):
+    if a.transpose != b.transpose or a.omega != b.omega:
         return False
     return isinstance(is_proportional(a.t, b.t), Scalar)
 
@@ -492,31 +474,7 @@ def classify_rectangular(phi, verification=None):
     maps are the constants at an idempotent (including zero)."""
     if phi.m >= phi.n:
         raise UnsupportedSize("rectangular classification needs m < n")
-    if phi.n < 2:
-        raise UnsupportedSize("classification needs n >= 2")
-    if phi.domain != "full":
-        raise UnsupportedInput("classification needs a map defined on all of M_n")
-    if phi.field.char2:
-        raise UnsupportedInput("classification needs characteristic != 2")
-    strategy = _resolve_strategy(phi, verification)
-    seed = strategy.seed
-    pre = check_multiplicative(phi, strategy)
-    if not pre:
-        raise NotJordanMultiplicative("multiplicativity pre-check failed", witness=pre.witness)
-    f, n = phi.field, phi.n
-    zero_mat = mat_zero(f, n)
-    c = phi(zero_mat)
-    p = c if phi.mode == CIRC else c.scale(2)
-    if not c.is_zero and not is_idempotent(p):
-        _reject(phi, "rectangular", "value at 0 is not compatible with squaring",
-                targeted=[(zero_mat, zero_mat)], culprit=c, seed=seed)
-    for x in _verification_points(phi, strategy):
-        if phi(x) != c:
-            _reject(phi, "rectangular", "map into a smaller algebra is not constant",
-                    targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
-    if c.is_zero:
-        return CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m)
-    return CanonicalForm.constant_form(p, n, mode=phi.mode)
+    return classify(phi, verification)
 
 
 # -- preservation suite -------------------------------------------------------
@@ -543,18 +501,6 @@ class SuiteReport:
 
     def failing(self):
         return [item for item in self.items if not item.ok and not item.skipped]
-
-
-def _diag_idem(field, n, lo, hi):
-    """Idempotent with ones at diagonal positions lo+1..hi."""
-    one, zero = field.one, field.zero
-    return Mat._from_raw(
-        field,
-        tuple(
-            tuple(one if (i == j and lo <= i < hi) else zero for j in range(n))
-            for i in range(n)
-        ),
-    )
 
 
 def preservation_suite(phi, samples=20, seed=0):
@@ -598,20 +544,20 @@ def preservation_suite(phi, samples=20, seed=0):
 
     def idem(rank):
         s, s_inv = random_invertible(f, n, rng)
-        return s @ _diag_idem(f, n, 0, rank) @ s_inv
+        return s @ mat_diag_idempotent(f, n, 0, rank) @ s_inv
 
     def idem_chain(lo_rank, hi_rank):
         s, s_inv = random_invertible(f, n, rng)
         return (
-            s @ _diag_idem(f, n, 0, lo_rank) @ s_inv,
-            s @ _diag_idem(f, n, 0, hi_rank) @ s_inv,
+            s @ mat_diag_idempotent(f, n, 0, lo_rank) @ s_inv,
+            s @ mat_diag_idempotent(f, n, 0, hi_rank) @ s_inv,
         )
 
     def idem_orth(parts):
         s, s_inv = random_invertible(f, n, rng)
         out, lo = [], 0
         for width in parts:
-            out.append(s @ _diag_idem(f, n, lo, lo + width) @ s_inv)
+            out.append(s @ mat_diag_idempotent(f, n, lo, lo + width) @ s_inv)
             lo += width
         return out
 

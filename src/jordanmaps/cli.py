@@ -27,8 +27,7 @@ import time
 
 from .classifier import (
     CanonicalForm,
-    _verification_points,
-    classify_rectangular,
+    _first_mismatch,
     classify_with_report,
     forms_equivalent,
 )
@@ -193,7 +192,7 @@ def _load_or_random_map(args, report):
         planted = CanonicalForm.conjugation_form(t, omega=endo, transpose=transpose, mode=mode)
         report["random_map"] = {
             "t": mat_to_json(t),
-            "omega": {"kind": "identity"} if endo.is_identity else {"kind": "frobenius", "e": e},
+            "omega": endo.describe(),
             "transpose": transpose,
             "mode": mode,
         }
@@ -206,11 +205,7 @@ def cmd_classify(args, report):
     strategy = _parse_strategy(args.verify) if args.verify else None
     if strategy is not None:
         report["strategy"] = strategy.describe()
-    if phi.m < phi.n:
-        form = classify_rectangular(phi, strategy)
-        detail = {"variant": form.variant, "rectangular": True}
-    else:
-        form, detail = classify_with_report(phi, strategy)
+    form, detail = classify_with_report(phi, strategy)
     outcome = {"status": "classified", "form": form_to_json(form), "report": detail}
     if planted is not None:
         outcome["roundtrip"] = forms_equivalent(form, planted)
@@ -243,11 +238,9 @@ def cmd_verify(args, report):
             raise UnsupportedInput("form and map disagree on field, size, or mode")
         strategy = _parse_strategy(args.verify or "exhaustive")
         report["strategy"] = strategy.describe()
-        points = 0
-        for x in _verification_points(phi, strategy):
-            points += 1
-            if phi(x) != form.evaluate(x):
-                return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
+        x, points = _first_mismatch(phi, form.evaluate, strategy)
+        if x is not None:
+            return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
         return 0, {"status": "verified", "points": points}
     raise UnsupportedInput("verify needs --certificate FILE, or --form FILE with --map FILE")
 

@@ -12,16 +12,17 @@ Internal raw-value model (the matrix layer computes on raw values directly):
               sum(c_i * p^i), i.e. base-p digits in ascending power order
 
 The public `Scalar` wrapper pairs a raw value with its owning field and
-supports the usual operators. Galois multiplication uses discrete log/antilog
-tables (built once per field for orders up to `_LOG_TABLE_LIMIT`), falling
-back to polynomial arithmetic modulo the field's irreducible modulus.
+supports the usual operators. Galois fields have order at most
+`_LOG_TABLE_LIMIT` (4096); larger orders are refused at construction. Every
+Galois field builds discrete log/antilog tables once, by polynomial
+arithmetic modulo its irreducible modulus, and multiplies, inverts and
+raises to powers through them.
 
-Galois addition in odd characteristic uses a Zech table built next to the
-log tables: for a generator g, `_zech[d]` is the log of 1 + g^d, or -1 when
-1 + g^d = 0, so g^s + g^t = g^(s + zech[t - s]) with exponents mod q - 1.
-The matrix kernels accumulate whole dot products this way, on logs.
-Characteristic-2 fields add by XOR; fields without log tables add base-p
-digit by digit (`_digit_add`, which also builds the Zech table).
+Next to the log tables sits a Zech table: for a generator g, `_zech[d]` is
+the log of 1 + g^d, or -1 when 1 + g^d = 0, so g^s + g^t = g^(s + zech[t - s])
+with exponents mod q - 1. Odd-characteristic fields add through it, and the
+matrix kernels accumulate whole dot products this way, on logs, in every
+characteristic. Characteristic-2 fields add by XOR.
 """
 
 from fractions import Fraction
@@ -29,7 +30,6 @@ from fractions import Fraction
 from .errors import UnsupportedInput
 
 _LOG_TABLE_LIMIT = 4096
-_IRREDUCIBILITY_SCAN_LIMIT = 100_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -97,8 +97,6 @@ def is_irreducible(modulus, p):
     if k == 1:
         return True
     for d in range(1, k // 2 + 1):
-        if p ** d > _IRREDUCIBILITY_SCAN_LIMIT:
-            raise ValueError(f"irreducibility scan too large for p={p}, degree {d}")
         for tail in range(p ** d):
             div = _digits(tail, p, d) + [1]
             _, rem = _poly_divmod(coeffs, div, p)
@@ -125,11 +123,11 @@ def _undigits(digits, p):
 class Field:
     """An exact field: Q (`rational`), F_p (`prime`), or F_{p^k} (`galois`).
 
-    Galois fields are polynomial residues modulo a caller-supplied monic
-    irreducible; there is no built-in polynomial table, every modulus is
-    checked at construction. Characteristic-2 fields are constructible (the
-    diamond product is meaningful there) but every halving operation — and
-    with it the circ product — rejects them.
+    Galois fields are polynomial residues modulo a monic irreducible, given
+    by the caller or found by search; every modulus is checked at
+    construction, and orders above 4096 are refused. Characteristic-2
+    fields are constructible (the diamond product is meaningful there) but
+    every halving operation — and with it the circ product — rejects them.
     """
 
     def __init__(self, kind, p=0, k=1, modulus=None):
@@ -151,6 +149,10 @@ class Field:
                 raise ValueError(f"p={p} is not prime")
             if k < 2:
                 raise ValueError("galois fields need extension degree k >= 2")
+            if p ** k > _LOG_TABLE_LIMIT:
+                raise UnsupportedInput(
+                    f"F_{p}^{k} has order {p ** k}; galois fields are capped at {_LOG_TABLE_LIMIT}"
+                )
             if modulus is None:
                 modulus = _find_irreducible(p, k)
             modulus = [c % p for c in modulus]
@@ -169,7 +171,7 @@ class Field:
         self._exp = None
         self._zech = None
         self._frob_cache = {}
-        if kind == "galois" and self.order <= _LOG_TABLE_LIMIT:
+        if kind == "galois":
             self._build_log_tables()
 
     # -- identity / hashing -------------------------------------------------
@@ -215,16 +217,13 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        zech = self._zech
-        if zech is None:
-            return self._digit_add(a, b)
         if not a:
             return b
         if not b:
             return a
         log = self._log
         la = log[a]
-        z = zech[(log[b] - la) % (self.order - 1)]
+        z = self._zech[(log[b] - la) % (self.order - 1)]
         return self._exp[la + z] if z >= 0 else 0
 
     def _digit_add(self, a, b):
@@ -243,15 +242,8 @@ class Field:
             return -a % self.p
         if self.p == 2:
             return a
-        if self._zech is not None:
-            # -1 = g^((q-1)/2)
-            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += (-a % p) * mult
-            a //= p
-            mult *= p
-        return out
+        # -1 = g^((q-1)/2)
+        return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -261,11 +253,9 @@ class Field:
             return a * b
         if self.kind == "prime":
             return a * b % self.p
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._poly_mul(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a):
         if not a:
@@ -274,9 +264,7 @@ class Field:
             return 1 / a
         if self.kind == "prime":
             return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.pow_raw(a, self.order - 2)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -304,15 +292,9 @@ class Field:
             return a ** e
         if self.kind == "prime":
             return pow(a, e, self.p)
-        if self._exp is not None and a:
-            return self._exp[self._log[a] * e % (self.order - 1)]
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def _poly_mul(self, a, b):
         p, k = self.p, self.k
@@ -346,9 +328,8 @@ class Field:
             exp[i] = exp[i - (q - 1)]
         self._exp = exp
         self._log = log
-        if self.p != 2:
-            sums = (self._digit_add(1, exp[d]) for d in range(q - 1))
-            self._zech = [log[v] if v else -1 for v in sums]
+        sums = (self._digit_add(1, exp[d]) for d in range(q - 1))
+        self._zech = [log[v] if v else -1 for v in sums]
 
     def _find_generator(self):
         q = self.order

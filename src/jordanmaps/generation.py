@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InvariantViolation, UnsupportedInput
 from .exact_fields import Scalar
-from .matrices import Mat, jordan_circ, mat_unit
+from .matrices import Mat, jordan_circ, mat_diag_idempotent, mat_unit
 
 
 def p_sequence(j):
@@ -40,15 +40,6 @@ class LadderCoefficients:
     b: Mat
     c: Mat
     d: Mat
-
-
-def _diag_prefix(field, n, r):
-    """D_r = E_11 + ... + E_rr inside M_n."""
-    one, zero = field.one, field.zero
-    return Mat._from_raw(
-        field,
-        tuple(tuple(one if (i == j and i < r) else zero for j in range(n)) for i in range(n)),
-    )
 
 
 def ladder(f, n, r):
@@ -104,7 +95,7 @@ def ladder(f, n, r):
     p_vals = tuple(Scalar(f, of(p_sequence(j))) for j in range(1, (r + 1) // 2 + 1))
     freeze = lambda m: Mat._from_raw(f, tuple(tuple(row) for row in m))
     return LadderCoefficients(
-        r=r, p_values=p_vals, a=freeze(a), b=freeze(b), c=freeze(c), d=_diag_prefix(f, n, r)
+        r=r, p_values=p_vals, a=freeze(a), b=freeze(b), c=freeze(c), d=mat_diag_idempotent(f, n, 0, r)
     )
 
 
@@ -242,7 +233,7 @@ def certify_identity(x):
         _extend(x, steps, y, expected)
     for r in range(2, n + 1):
         coeffs = ladder(f, n, r)
-        d_prev = _diag_prefix(f, n, r - 1)
+        d_prev = mat_diag_idempotent(f, n, 0, r - 1)
         y_a = coeffs.a.scale(2) - (d_prev @ coeffs.a @ d_prev)
         if jordan_circ(d_prev, y_a) != coeffs.a:
             raise InvariantViolation(

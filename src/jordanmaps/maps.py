@@ -123,13 +123,7 @@ class JordanMap:
     @classmethod
     def from_table(cls, field, n, entries, mode=CIRC, domain="full"):
         """Explicit map given as (x, fx) pairs covering the whole domain."""
-        if not field.is_finite:
-            raise UnsupportedInput("map tables require a finite field")
-        size = _domain_size(field, n, domain)
-        if size > _TABLE_CAP:
-            raise UnsupportedInput(
-                f"domain has {size} matrices; tables are capped at {_TABLE_CAP}"
-            )
+        size = _table_size(field, n, domain)
         items = entries.items() if isinstance(entries, dict) else entries
         table = {}
         m = None
@@ -269,6 +263,24 @@ def _domain_size(field, n, domain):
     return field.order ** len(_free_positions(n, domain))
 
 
+def _table_size(field, n, domain):
+    """The number of matrices a map table on this domain lists. Refuses a
+    domain that no table may cover before anything is built."""
+    if domain not in ("full", "upper_triangular"):
+        raise UnsupportedInput(f"unknown domain {domain!r}")
+    if not field.is_finite:
+        raise UnsupportedInput("map tables require a finite field")
+    # a field has at least 2 elements, so either domain of M_n has at least
+    # 2^n matrices: past the cap once 2^n > _TABLE_CAP, without forming q^(n*n)
+    limit = _TABLE_CAP.bit_length()
+    if not 1 <= n < limit:
+        raise UnsupportedInput(f"map tables need 1 <= n < {limit}, got {n}")
+    size = _domain_size(field, n, domain)
+    if size > _TABLE_CAP:
+        raise UnsupportedInput(f"domain has {size} matrices; tables are capped at {_TABLE_CAP}")
+    return size
+
+
 def _domain_matrices(field, n, domain):
     """Domain matrices of a finite field in row-major base-q code order."""
     q = field.order
@@ -304,6 +316,25 @@ def _product_table(field, n, mode, domain):
         for b in range(a, len(raws)):
             row[b] = rows[b][a] = raw_index[_jordan_raw(field, x, raws[b], circ)]
     return mats, {x: i for i, x in enumerate(mats)}, tuple(array("H", r) for r in rows)
+
+
+def _sampled_pairs(phi, seed, count):
+    """`count` seeded random domain pairs, each drawn x first, then y."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        x = phi.sample_domain(rng)
+        yield x, phi.sample_domain(rng)
+
+
+def _first_violation(phi, pairs):
+    """Scan `pairs` for the first (x, y) with phi(x * y) != phi(x) * phi(y);
+    returns (pairs checked, that pair or None)."""
+    checked = 0
+    for x, y in pairs:
+        checked += 1
+        if phi(phi.product(x, y)) != phi.product(phi(x), phi(y)):
+            return checked, (x, y)
+    return checked, None
 
 
 @dataclass(frozen=True)
@@ -387,14 +418,9 @@ def check_multiplicative(phi, strategy=None):
                 if not ok:
                     return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
         return MultReport(True, size * size, "exhaustive")
-    rng = random.Random(strategy.seed)
-    budget = strategy.pair_budget
-    for checked in range(1, budget + 1):
-        x = phi.sample_domain(rng)
-        y = phi.sample_domain(rng)
-        if phi(phi.product(x, y)) != phi.product(phi(x), phi(y)):
-            return MultReport(False, checked, strategy.describe(), (x, y))
-    return MultReport(True, budget, strategy.describe())
+    pairs = _sampled_pairs(phi, strategy.seed, strategy.pair_budget)
+    checked, witness = _first_violation(phi, pairs)
+    return MultReport(witness is None, checked, strategy.describe(), witness)
 
 
 def diamond_to_circ(phi):

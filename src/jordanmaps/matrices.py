@@ -11,8 +11,9 @@ Both Jordan products live here:
     jordan_diamond(X, Y) =  XY + YX
 
 Products over Q lift each operand to integers over one common denominator
-and build a `Fraction` only per result entry; products over F_{p^k} sum in
-the log domain through the field's Zech table (see exact_fields).
+and build a `Fraction` only per result entry; products over F_{p^k}, in
+every characteristic, sum in the log domain through the field's Zech table
+(see exact_fields).
 
 Rank and inverse share one exact Gauss-Jordan elimination with first-nonzero
 pivoting (no magnitude heuristics, so results are deterministic), run per
@@ -273,25 +274,11 @@ def _rational_products(rows, cols, den):
 def _galois_products(field, rows, cols, scale):
     """Rows of (rows @ cols) * scale over F_{p^k}, for a nonzero raw `scale`.
 
-    With a Zech table each entry is summed on discrete logs: a term x*y is
-    g^(log x + log y), and g^s + g^t = g^(s + zech[t - s]). Without one
-    (characteristic 2, or no log tables) the terms go through the field.
+    Each entry is summed on discrete logs: a term x*y is g^(log x + log y),
+    and g^s + g^t = g^(s + zech[t - s]). Every Galois field has these tables,
+    characteristic 2 included.
     """
-    zech = field._zech
-    if zech is None:
-        add, mul_, zero, one = field.add, field.mul, field.zero, field.one
-        out = []
-        for row in rows:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for x, y in zip(row, col):
-                    if x and y:
-                        acc = add(acc, mul_(x, y))
-                out_row.append(acc if scale == one else mul_(acc, scale))
-            out.append(tuple(out_row))
-        return tuple(out)
-    log, exp, q1 = field._log, field._exp, field.order - 1
+    zech, log, exp, q1 = field._zech, field._log, field._exp, field.order - 1
     shift = log[scale]
     log_rows = [[(t, log[x]) for t, x in enumerate(row) if x] for row in rows]
     log_cols = [[log[y] if y else None for y in col] for col in cols]
@@ -416,9 +403,19 @@ def mat_zero(field, n, m=None):
 
 
 def mat_identity(field, n):
+    return mat_diag_idempotent(field, n, 0, n)
+
+
+def mat_diag_idempotent(field, n, lo, hi):
+    """E_{lo+1,lo+1} + ... + E_{hi,hi} inside M_n: ones on the diagonal
+    positions lo+1..hi (1-based), zeros elsewhere."""
     one, zero = field.one, field.zero
     return Mat._from_raw(
-        field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        field,
+        tuple(
+            tuple(one if (i == j and lo <= i < hi) else zero for j in range(n))
+            for i in range(n)
+        ),
     )
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import UnsupportedInput
 from .exact_fields import Field, RingEndo, Scalar
 from .generation import Certificate
-from .maps import CIRC, DIAMOND, JordanMap
+from .maps import CIRC, DIAMOND, JordanMap, _table_size
 from .matrices import Mat
 
 SCHEMA = "1"
@@ -156,7 +156,10 @@ def map_from_json(obj):
     if mode not in (CIRC, DIAMOND):
         raise UnsupportedInput(f"unknown product mode {mode!r}")
     domain = obj.get("domain", "full")
+    size = _table_size(field, n, domain)
     entries = _need(obj, "entries", list)
+    if len(entries) != size:
+        raise UnsupportedInput(f"table lists {len(entries)} entries for {size} domain matrices")
     pairs = []
     for entry in entries:
         x = mat_from_json(field, _need(entry, "x", dict))
@@ -169,9 +172,7 @@ def map_from_json(obj):
 
 
 def endo_to_json(endo):
-    if endo is None or endo.is_identity:
-        return {"kind": "identity"}
-    return {"kind": "frobenius", "e": endo.e}
+    return {"kind": "identity"} if endo is None else endo.describe()
 
 
 def endo_from_json(field, obj):

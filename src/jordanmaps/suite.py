@@ -32,6 +32,7 @@ from .matrices import (
     is_idempotent,
     is_proportional,
     jordan_circ,
+    mat_diag_idempotent,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -324,13 +325,7 @@ def crit_preservation_suite(seed):
 
 def _random_idem(field, n, rng):
     s, s_inv = random_invertible(field, n, rng)
-    r = rng.randint(0, n)
-    one, zero = field.one, field.zero
-    d = Mat._from_raw(
-        field,
-        tuple(tuple(one if (i == j and i < r) else zero for j in range(n)) for i in range(n)),
-    )
-    return s @ d @ s_inv
+    return s @ mat_diag_idempotent(field, n, 0, rng.randint(0, n)) @ s_inv
 
 
 # -- criteria 7 and 8 ------------------------------------------------------------

@@ -9,7 +9,6 @@ from jordanmaps import (
     JordanMap,
     Mat,
     NotJordanMultiplicative,
-    OrientationSet,
     RingEndo,
     UnsupportedInput,
     UnsupportedSize,
@@ -25,6 +24,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
+from jordanmaps.classifier import _orientation_violation
 
 Q = rational_field()
 F3 = preset_field("F3")
@@ -41,7 +41,9 @@ def as_table(base):
 
 def single_point(base, x0, value):
     """`base` everywhere except at x0, which maps to `value`."""
-    return JordanMap.from_oracle(base.field, base.n, lambda x: value if x == x0 else base(x))
+    return JordanMap.from_oracle(
+        base.field, base.n, lambda x: value if x == x0 else base(x), m=base.m
+    )
 
 
 T3 = [[1, 2, 0], [0, 1, 3], [4, 0, 1]]
@@ -53,6 +55,14 @@ STAGE_DETAILS = {
     "orientation": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
     "scaling": "unit scalings at (1,2) and (2,1) do not cancel",
     "scaling_chain": "unit scalings do not chain across (1,2,3)",
+    "unit_idempotent": "image of E_22 is not idempotent",
+    "unit_absorbed": "image of E_22 does not have rank 1",
+    "unit_orthogonal": "images of E_11 and E_22 are not orthogonal",
+    "orientation_symmetry": "orientation is inconsistent (symmetry rule at (1, 2))",
+    "orientation_completion": "orientation is inconsistent (completion rule at (1, 2, 3))",
+    "endomorphism_additive": "recovered scalar action is not additive",
+    "rectangular_zero": "map vanishes at 0 but not everywhere",
+    "rectangular_constant": "map is not constant although its value at 0 is nonzero",
 }
 
 
@@ -75,7 +85,29 @@ def stage_map(field, stage):
         return single_point(conj, e(1, 2), conj(e(1, 2) + e(1, 3)))
     if stage == "scaling":
         return single_point(conj, e(1, 2), conj(e(1, 2)).scale(2))
-    return single_point(conj, e(1, 3), conj(e(1, 3)).scale(2))
+    if stage == "scaling_chain":
+        return single_point(conj, e(1, 3), conj(e(1, 3)).scale(2))
+    if stage == "unit_idempotent":
+        return single_point(conj, e(2, 2), conj(e(2, 2)).scale(2))
+    if stage == "unit_absorbed":
+        # (E_11, I) is the only targeted pair that sees phi(E_11) != 0
+        return single_point(JordanMap.zero(field, 3), e(1, 1), e(1, 1))
+    if stage == "unit_orthogonal":
+        return single_point(conj, e(2, 2), conj(e(1, 1)))
+    if stage == "orientation_symmetry":
+        return single_point(conj, e(2, 1), conj(e(1, 2)))
+    if stage == "orientation_completion":
+        swapped = single_point(conj, e(2, 3), conj(e(3, 2)))
+        return single_point(swapped, e(3, 2), conj(e(2, 3)))
+    if stage == "endomorphism_additive":
+        # wrong only at 3 E_11; over Q no probe pair multiplies to 3, and
+        # (2/3, 7/3) is the first that sums to it
+        three = e(1, 1).scale(3)
+        return single_point(conj, three, conj(three).scale(2))
+    one, nought = Mat(field, [[1]]), Mat(field, [[0]])
+    if stage == "rectangular_zero":
+        return single_point(JordanMap.zero(field, 3, m=1), e(1, 2), one)
+    return single_point(JordanMap.constant(field, 3, one), e(1, 2), nought)
 
 
 def assert_breaks_law(phi, witness):
@@ -219,13 +251,14 @@ class TestRejection:
     @pytest.mark.parametrize("field", [F7, Q], ids=["F7", "Q"])
     @pytest.mark.parametrize("stage", list(STAGE_DETAILS))
     def test_stage_rejects_with_targeted_witness(self, field, stage):
-        # each map is wrong at one unit, which the sampled pre-check misses;
-        # the stage's targeted pairs must supply the witness
+        # each map is wrong at one or two points, which the sampled pre-check
+        # misses; the stage's targeted pairs must supply the witness
         phi = stage_map(field, stage)
-        with pytest.raises(NotJordanMultiplicative) as exc:
-            classify(phi, verification="sampled:40:0")
-        assert exc.value.detail == STAGE_DETAILS[stage]
-        assert_breaks_law(phi, exc.value.witness)
+        for seed in (0, 1):
+            with pytest.raises(NotJordanMultiplicative) as exc:
+                classify(phi, verification=f"sampled:40:{seed}")
+            assert exc.value.detail == STAGE_DETAILS[stage]
+            assert_breaks_law(phi, exc.value.witness)
 
     @pytest.mark.parametrize("field", [F7, Q], ids=["F7", "Q"])
     @pytest.mark.parametrize("seed", range(3))
@@ -344,28 +377,20 @@ class TestRectangular:
 
 
 class TestOrientation:
+    PAIRS = {(r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r != s}
+
     def test_uniform_straight(self):
-        pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r != s]
-        o = OrientationSet(3, pairs, [], {p: F5.scalar(1) for p in pairs})
-        assert o.consistent
-        assert not o.transpose_needed
+        assert _orientation_violation(3, self.PAIRS, set()) is None
 
     def test_uniform_flipped(self):
-        pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r != s]
-        o = OrientationSet(3, [], pairs, {p: F5.scalar(1) for p in pairs})
-        assert o.consistent
-        assert o.transpose_needed
+        assert _orientation_violation(3, set(), self.PAIRS) is None
 
     def test_symmetry_violation(self):
-        o = OrientationSet(2, [(1, 2)], [(2, 1)], {})
-        assert ("symmetry", (1, 2)) in o.violations()
+        assert _orientation_violation(2, {(1, 2)}, {(2, 1)}) == ("symmetry", (1, 2))
 
     def test_completion_violation(self):
-        pairs = [(r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r != s]
-        straight = [p for p in pairs if p != (1, 2)]
-        o = OrientationSet(3, straight, [(1, 2)], {})
-        kinds = {kind for kind, _ in o.violations()}
-        assert "completion" in kinds
+        flipped = {(2, 3), (3, 2)}
+        assert _orientation_violation(3, self.PAIRS - flipped, flipped) == ("completion", (1, 2, 3))
 
 
 class TestPreservationSuite:

@@ -106,6 +106,21 @@ def test_classify_table_map(tmp_path):
     assert form["transpose"] is False
 
 
+@pytest.mark.parametrize("value, variant", [(1, "constant_idempotent"), (0, "zero")])
+def test_classify_rectangular_table(tmp_path, value, variant):
+    base = JordanMap.zero(F3, 2)
+    phi = JordanMap.from_table(F3, 2, {x: Mat(F3, [[value]]) for x in base.domain_iter()})
+    mp = write(tmp_path / "map.json", table_to_json(phi))
+    out = tmp_path / "r.json"
+    assert cli.main(["classify", "--map", mp, "--out", str(out)]) == 0
+    outcome = read(out)["outcome"]
+    assert (outcome["form"]["variant"], outcome["form"]["m"]) == (variant, 1)
+    assert outcome["report"] == {
+        "mode": "circ", "strategy": "exhaustive", "pairs_checked": 81 * 81,
+        "stages": ["precheck", "constant" if value else "zero"], "variant": variant,
+    }
+
+
 def test_classify_corrupted_map_exits_2(tmp_path):
     phi = conjugation_table(
         F3, Mat(F3, [[1, 1], [0, 1]]), corrupt=Mat(F3, [[1, 0], [0, 2]])
@@ -180,6 +195,7 @@ def test_stdout_when_no_out_flag(capsys):
         ["certify", "--random", "--n", "0"],
         ["certify", "--random", "--n", "-2"],
         ["classify", "--random", "--n", "0"],
+        ["certify", "--random", "--field", "gf:3:8"],
     ],
 )
 def test_bad_size_exits_4_with_report(argv, capsys):

@@ -153,6 +153,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             galois_field(3, 2, modulus=(2, 0, 1))
 
+    def test_order_above_4096_refused(self):
+        with pytest.raises(UnsupportedInput):
+            galois_field(3, 8)
+
     def test_constructor_matches_presets(self):
         assert Field("prime", p=5) == prime_field(5)
         assert Field("rational") == rational_field()

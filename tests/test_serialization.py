@@ -141,6 +141,26 @@ def test_table_map_roundtrip_triangular_domain():
     assert back.domain_size == 125
 
 
+@pytest.mark.parametrize(
+    "n, domain, count, detail",
+    [
+        (3, "full", 20_000, "domain has 19683 matrices; tables are capped at 10000"),
+        (2, "lower", 81, "unknown domain 'lower'"),
+        (2, "full", 3, "table lists 3 entries for 81 domain matrices"),
+        (10**9, "full", 0, "map tables need 1 <= n < 14, got 1000000000"),
+    ],
+    ids=["oversized", "unknown_domain", "short", "huge_n"],
+)
+def test_table_shape_checked_before_decoding(n, domain, count, detail):
+    # the entries are not matrices: a loader that decoded them first would
+    # fail on the first one with a different message
+    blob = {"schema": "1", "field": {"kind": "prime", "p": 3}, "n": n, "mode": "circ",
+            "domain": domain, "entries": [None] * count}
+    with pytest.raises(UnsupportedInput) as exc:
+        map_from_json(blob)
+    assert str(exc.value) == detail
+
+
 def test_table_to_json_requires_table_body():
     with pytest.raises(UnsupportedInput):
         table_to_json(JordanMap.conjugation(mat_identity(F5, 2)))
