@@ -249,18 +249,20 @@ def classify_with_report(phi, verification=None):
         )
     report["stages"].append("precheck")
 
-    phic = diamond_to_circ(phi) if phi.mode == DIAMOND else phi
     f, n = phi.field, phi.n
     zero_mat = mat_zero(f, n)
 
-    z = phic(zero_mat)
-    if not z.is_zero:
-        # constant branch: the adapted value at 0 must be idempotent and the
-        # map must take it everywhere.
+    # the constant and zero stages compare phi against its own value at 0,
+    # so every verification point is a point of phi itself
+    c = phi(zero_mat)
+    if not c.is_zero:
+        # constant branch: the value at 0, doubled for the diamond product,
+        # must be idempotent and the map must take it everywhere.
+        z = c if phi.mode == CIRC else c.scale(2)
         if not is_idempotent(z):
             _reject(phi, "constant", "value at 0 is not compatible with squaring",
                     targeted=[(zero_mat, zero_mat)], culprit=z, seed=seed)
-        x, _ = _first_mismatch(phic, lambda _: z, strategy)
+        x, _ = _first_mismatch(phi, lambda _: c, strategy)
         if x is not None:
             _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
                     targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
@@ -268,12 +270,14 @@ def classify_with_report(phi, verification=None):
         report["variant"] = "constant_idempotent"
         return CanonicalForm.constant_form(z, n, mode=phi.mode), report
 
+    # a map into a smaller algebra never needs the circ adapter
+    if phi.m == n:
+        phic = diamond_to_circ(phi) if phi.mode == DIAMOND else phi
     if phi.m < n or phic(mat_unit(f, n, 1, 1)).is_zero:
         # zero branch: E_11 generates I under the circ product, so a vanishing
         # image there forces the whole map to vanish; a map into a smaller
         # algebra that vanishes at 0 must vanish everywhere.
-        zero_image = mat_zero(f, phi.m)
-        x, _ = _first_mismatch(phic, lambda _: zero_image, strategy)
+        x, _ = _first_mismatch(phi, lambda _: c, strategy)
         if x is not None:
             at = "0" if phi.m < n else "E_11"
             _reject(phi, "zero", f"map vanishes at {at} but not everywhere",

@@ -149,9 +149,11 @@ class Field:
                 raise ValueError(f"p={p} is not prime")
             if k < 2:
                 raise ValueError("galois fields need extension degree k >= 2")
-            if p ** k > _LOG_TABLE_LIMIT:
+            # p >= 2, so k beyond the cap's bit length is refused before
+            # p ** k, which could be huge, is formed
+            if k > _LOG_TABLE_LIMIT.bit_length() or p ** k > _LOG_TABLE_LIMIT:
                 raise UnsupportedInput(
-                    f"F_{p}^{k} has order {p ** k}; galois fields are capped at {_LOG_TABLE_LIMIT}"
+                    f"F_{p}^{k} exceeds order {_LOG_TABLE_LIMIT}; galois fields are capped there"
                 )
             if modulus is None:
                 modulus = _find_irreducible(p, k)

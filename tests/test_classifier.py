@@ -10,6 +10,7 @@ from jordanmaps import (
     Mat,
     NotJordanMultiplicative,
     RingEndo,
+    Scalar,
     UnsupportedInput,
     UnsupportedSize,
     classify,
@@ -42,7 +43,7 @@ def as_table(base):
 def single_point(base, x0, value):
     """`base` everywhere except at x0, which maps to `value`."""
     return JordanMap.from_oracle(
-        base.field, base.n, lambda x: value if x == x0 else base(x), m=base.m
+        base.field, base.n, lambda x: value if x == x0 else base(x), mode=base.mode, m=base.m
     )
 
 
@@ -63,6 +64,10 @@ STAGE_DETAILS = {
     "endomorphism_additive": "recovered scalar action is not additive",
     "rectangular_zero": "map vanishes at 0 but not everywhere",
     "rectangular_constant": "map is not constant although its value at 0 is nonzero",
+    "constant_diamond": "map is not constant although its value at 0 is nonzero",
+    "zero_diamond": "map vanishes at E_11 but not everywhere",
+    "rectangular_zero_diamond": "map vanishes at 0 but not everywhere",
+    "rectangular_constant_diamond": "map is not constant although its value at 0 is nonzero",
 }
 
 
@@ -104,9 +109,22 @@ def stage_map(field, stage):
         # (2/3, 7/3) is the first that sums to it
         three = e(1, 1).scale(3)
         return single_point(conj, three, conj(three).scale(2))
+    half = Scalar(field, field.half_one)
+    if stage == "constant_diamond":
+        # a diamond constant is half an idempotent; the stage must scan phi
+        # itself, not its circ adapter, to reach the one wrong point E_12
+        value = e(1, 1).scale(half)
+        return single_point(JordanMap.constant(field, 3, value, mode=DIAMOND), e(1, 2), zero)
+    if stage == "zero_diamond":
+        return single_point(JordanMap.zero(field, 3, mode=DIAMOND), e(1, 2), e(1, 2))
     one, nought = Mat(field, [[1]]), Mat(field, [[0]])
     if stage == "rectangular_zero":
         return single_point(JordanMap.zero(field, 3, m=1), e(1, 2), one)
+    if stage == "rectangular_zero_diamond":
+        return single_point(JordanMap.zero(field, 3, mode=DIAMOND, m=1), e(1, 2), one)
+    if stage == "rectangular_constant_diamond":
+        value = one.scale(half)
+        return single_point(JordanMap.constant(field, 3, value, mode=DIAMOND), e(1, 2), nought)
     return single_point(JordanMap.constant(field, 3, one), e(1, 2), nought)
 
 

@@ -153,9 +153,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             galois_field(3, 2, modulus=(2, 0, 1))
 
-    def test_order_above_4096_refused(self):
-        with pytest.raises(UnsupportedInput):
-            galois_field(3, 8)
+    @pytest.mark.parametrize("p, k", [(3, 8), (2, 13), (3, 10_000)])
+    def test_order_above_4096_refused(self, p, k):
+        # a degree whose order has thousands of digits is refused the same way
+        with pytest.raises(UnsupportedInput, match=f"F_{p}\\^{k} exceeds order 4096"):
+            galois_field(p, k)
 
     def test_constructor_matches_presets(self):
         assert Field("prime", p=5) == prime_field(5)
