@@ -11,14 +11,17 @@ Every such map is exactly one of:
     identity on Q and prime fields); only when m = n.
 
 One pipeline, `classify_with_report`, serves every m <= n: a map into a
-smaller algebra ends at its constant or zero stage. It reconstructs the
-witnessing data (T, w, transpose flag) constructively and verifies the
-result against the map. Maps that are not Jordan multiplicative are rejected
-with a concrete witness pair whenever one can be found
-(NotJordanMultiplicative): each stage that finds a fault tries pairs aimed
-at it, then seeded random pairs, through the one pair scan
-`maps._first_violation`. Structural failures where no witness pair surfaced
-within budget raise InvariantViolation tagged with the stage that broke.
+smaller algebra ends at its constant or zero stage. For a conjugation the
+stages read psi (phi, or for the diamond product its circ adapter
+2 phi(x/2)) at the matrix units and on the line through E_11, build
+(T, w, transpose flag) from what they read, check the form against psi at
+those points and then verify it against phi. Maps that are not Jordan
+multiplicative are rejected with a concrete witness pair whenever one can
+be found (NotJordanMultiplicative): each stage that finds a fault tries
+pairs aimed at it (halved when a diamond map's pairs aim at psi), then
+seeded random pairs, through the one pair scan `maps._first_violation`.
+Structural failures where no witness pair surfaced within budget raise
+InvariantViolation tagged with the stage that broke.
 """
 
 import random
@@ -132,25 +135,6 @@ class CanonicalForm:
         return out
 
 
-def _orientation_violation(n, straight, flipped):
-    """The first broken orientation rule, as (rule, where), or None.
-
-    After diagonalizing the unit idempotents each off-diagonal unit maps
-    straight (E_rs -> c E_rs) or flipped (E_rs -> c E_sr). For a Jordan
-    multiplicative map the choice is uniform: (r,s) agrees with (s,r)
-    (symmetry, checked over the sorted straight pairs), and any two pairs
-    sharing an index agree, since E_rs o E_su = E_ru / 2 couples them
-    (completion).
-    """
-    for r, s in sorted(straight):
-        if (s, r) in flipped:
-            return "symmetry", (r, s)
-    for r, s, u in permutations(range(1, n + 1), 3):
-        if ((r, s) in straight) != ((s, u) in straight):
-            return "completion", (r, s, u)
-    return None
-
-
 def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
     """Reject the map: try the targeted pairs, then seeded random pairs. A
     confirmed pair raises NotJordanMultiplicative; otherwise the structural
@@ -193,15 +177,15 @@ def _verification_points(phi, strategy):
         yield phi.sample_domain(rng)
 
 
-def _first_mismatch(phi, expected, strategy):
-    """The first verification point x with phi(x) != expected(x), or None,
+def _first_mismatch(phi, expected, points):
+    """The first of the given points x with phi(x) != expected(x), or None,
     and the number of points checked."""
-    points = 0
-    for x in _verification_points(phi, strategy):
-        points += 1
+    checked = 0
+    for x in points:
+        checked += 1
         if phi(x) != expected(x):
-            return x, points
-    return None, points
+            return x, checked
+    return None, checked
 
 
 def _normalize_t(t):
@@ -262,7 +246,7 @@ def classify_with_report(phi, verification=None):
         if not is_idempotent(z):
             _reject(phi, "constant", "value at 0 is not compatible with squaring",
                     targeted=[(zero_mat, zero_mat)], culprit=z, seed=seed)
-        x, _ = _first_mismatch(phi, lambda _: c, strategy)
+        x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
         if x is not None:
             _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
                     targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
@@ -277,7 +261,7 @@ def classify_with_report(phi, verification=None):
         # zero branch: E_11 generates I under the circ product, so a vanishing
         # image there forces the whole map to vanish; a map into a smaller
         # algebra that vanishes at 0 must vanish everywhere.
-        x, _ = _first_mismatch(phi, lambda _: c, strategy)
+        x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
         if x is not None:
             at = "0" if phi.m < n else "E_11"
             _reject(phi, "zero", f"map vanishes at {at} but not everywhere",
@@ -287,8 +271,19 @@ def classify_with_report(phi, verification=None):
         report["variant"] = "zero"
         return CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m), report
 
+    # From here the stages read psi = phic. A pair aimed at psi reaches
+    # _reject as a pair of phi: the circ adapter 2 phi(x/2) of a diamond map
+    # breaks the circ law on (x, y) exactly when phi breaks the diamond law
+    # on (x/2, y/2).
+    half = Scalar(f, f.half_one)
+
+    def reject_psi(stage, detail, targeted, culprit):
+        if phi.mode == DIAMOND:
+            targeted = [(x.scale(half), y.scale(half)) for x, y in targeted]
+        _reject(phi, stage, detail, targeted=targeted, culprit=culprit, seed=seed)
+
     # unit idempotent images: a rank-one orthogonal family. E_kk o I = E_kk,
-    # so phi(I) must absorb each image: the pairs (E_kk, I) tie a wrong image
+    # so psi(I) must absorb each image: the pairs (E_kk, I) tie a wrong image
     # to the image of I.
     q = [phic(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
     absorbed = [(mat_unit(f, n, k, k), mat_identity(f, n)) for k in range(1, n + 1)]
@@ -301,16 +296,16 @@ def classify_with_report(phi, verification=None):
             continue
         ejj = mat_unit(f, n, j, j)
         row = [(j, k) for k in range(1, n + 1) if k != j]
-        _reject(phi, "unit_images", f"image of E_{j}{j} {what}",
-                targeted=[(ejj, ejj)] + _anchored(f, n, row) + absorbed, culprit=qj, seed=seed)
+        reject_psi("unit_images", f"image of E_{j}{j} {what}",
+                   [(ejj, ejj)] + _anchored(f, n, row) + absorbed, culprit=qj)
     for i in range(n):
         for j in range(i + 1, n):
             if not jordan_perp(q[i], q[j]):
-                _reject(phi, "unit_images",
-                        f"images of E_{i + 1}{i + 1} and E_{j + 1}{j + 1} are not orthogonal",
-                        targeted=[(mat_unit(f, n, i + 1, i + 1), mat_unit(f, n, j + 1, j + 1))]
-                        + absorbed,
-                        culprit=(q[i], q[j]), seed=seed)
+                reject_psi("unit_images",
+                           f"images of E_{i + 1}{i + 1} and E_{j + 1}{j + 1} are not orthogonal",
+                           [(mat_unit(f, n, i + 1, i + 1), mat_unit(f, n, j + 1, j + 1))]
+                           + absorbed,
+                           culprit=(q[i], q[j]))
     # n orthogonal rank-one idempotents sum to an idempotent of rank n, which
     # is I: no check of the sum is needed
     t1 = simultaneous_diagonalizer(q)
@@ -321,80 +316,49 @@ def classify_with_report(phi, verification=None):
         return t1_inv @ phic(x) @ t1
 
     # orientation: each off-diagonal unit must land on a scaled unit at the
-    # same position (straight) or the transposed one (flipped), uniformly.
-    straight, flipped, factors = set(), set(), {}
+    # same position (straight) or the transposed one (flipped). The form
+    # check below rejects a mixed orientation.
+    straight, factors = True, {}
     for r, s in permutations(range(1, n + 1), 2):
         e_rs = mat_unit(f, n, r, s)
         image = phi1(e_rs)
         c_straight = is_proportional(image, e_rs)
         c_flip = is_proportional(image, mat_unit(f, n, s, r))
         if isinstance(c_straight, Scalar):
-            straight.add((r, s))
             factors[(r, s)] = c_straight
         elif isinstance(c_flip, Scalar):
-            flipped.add((r, s))
             factors[(r, s)] = c_flip
+            straight = False
         else:
-            _reject(phi, "orientation",
-                    f"image of E_{r}{s} is not a scaled unit at ({r},{s}) or ({s},{r})",
-                    targeted=[(e_rs, e_rs), (e_rs, mat_unit(f, n, s, r)),
-                              (mat_unit(f, n, r, r), e_rs)],
-                    culprit=image, seed=seed)
-    bad = _orientation_violation(n, straight, flipped)
-    if bad:
-        rule, where = bad
-        r, s = where[:2]
-        u = where[2] if rule == "completion" else r
-        _reject(phi, "orientation", f"orientation is inconsistent ({rule} rule at {where})",
-                targeted=[(mat_unit(f, n, r, s), mat_unit(f, n, s, u))],
-                culprit=(sorted(straight), sorted(flipped)), seed=seed)
-    transpose_flag = bool(flipped) and not straight
+            reject_psi("orientation",
+                       f"image of E_{r}{s} is not a scaled unit at ({r},{s}) or ({s},{r})",
+                       [(e_rs, e_rs), (e_rs, mat_unit(f, n, s, r)), (mat_unit(f, n, r, r), e_rs)],
+                       culprit=image)
+    transpose_flag = not straight
     report["stages"].append("orientation")
     report["transpose"] = transpose_flag
 
-    # scaling factors g(i,j) for the straightened map; they must be
-    # multiplicative along index chains, which makes diag(g(i,1)) absorb them.
-    def g(i, j):
-        return factors[(j, i)] if transpose_flag else factors[(i, j)]
-
-    one = f.scalar(1)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            if g(i, j) * g(j, i) != one:
-                _reject(phi, "scaling", f"unit scalings at ({i},{j}) and ({j},{i}) do not cancel",
-                        targeted=[(mat_unit(f, n, i, j), mat_unit(f, n, j, i))],
-                        culprit=(g(i, j), g(j, i)), seed=seed)
-            for k in range(1, n + 1):
-                if k in (i, j):
-                    continue
-                if g(i, j) * g(j, k) != g(i, k):
-                    _reject(phi, "scaling",
-                            f"unit scalings do not chain across ({i},{j},{k})",
-                            targeted=[(mat_unit(f, n, i, j), mat_unit(f, n, j, k))]
-                            + _anchored(f, n, [(i, j), (j, i), (j, k), (k, j), (i, k), (k, i)]),
-                            culprit=(g(i, j), g(j, k), g(i, k)), seed=seed)
+    # scaling: the straightened image of E_i1 is g(i,1) times a unit, so
+    # diag(g(i,1)) absorbs the scalings; the form check below rejects
+    # scalings that do not chain.
     d_rows = []
     for i in range(1, n + 1):
-        di = one if i == 1 else g(i, 1)
+        di = f.scalar(1) if i == 1 else factors[(1, i) if transpose_flag else (i, 1)]
         d_rows.append([di if i == j else f.scalar(0) for j in range(1, n + 1)])
     t = t1 @ Mat(f, d_rows)
-    t_inv = t.inverse()
     report["stages"].append("scaling")
 
-    # entrywise endomorphism: read it off the line through E_11 and match it
-    # against the enumerable endomorphisms of the field.
-    def omega_hat(raw):
-        img = t_inv @ phic(mat_unit(f, n, 1, 1, Scalar(f, raw))) @ t
-        w = img.rows[0][0]
-        if img != mat_unit(f, n, 1, 1, Scalar(f, w)):
-            lam = mat_unit(f, n, 1, 1, Scalar(f, raw))
-            _reject(phi, "endomorphism",
-                    "scalar multiples of E_11 do not map to the line through the image unit",
-                    targeted=[(lam, lam), (lam, mat_unit(f, n, 1, 1))] + line_pairs,
-                    culprit=img, seed=seed)
-        return w
+    # entrywise endomorphism: a Frobenius power is fixed by its value at a
+    # generator of F_{p^k}^x, read at the (1,1) entry of the straightened
+    # image of that multiple of E_11; Q and F_p have only the identity.
+    omega = RingEndo(f)
+    if f.kind == "galois":
+        gen = f._exp[1]
+        w = phi1(mat_unit(f, n, 1, 1, Scalar(f, gen))).rows[0][0]
+        omega = next((e for e in endo_enumerate(f) if e.apply_raw(gen) == w), omega)
+    form = CanonicalForm.conjugation_form(
+        _normalize_t(t), omega=omega, transpose=transpose_flag, mode=phi.mode
+    )
 
     rng = random.Random(seed)
     if f.is_finite and f.order <= 4096:
@@ -412,42 +376,29 @@ def classify_with_report(phi, verification=None):
     # caught by these pairs, not by pairs of multiples of E_11
     e12 = mat_unit(f, n, 1, 2)
     line_pairs = [(mat_unit(f, n, 1, 1, Scalar(f, raw)), e12) for raw in probes[:16]]
-    observed = {raw: omega_hat(raw) for raw in probes}
+    # the form check: psi must agree with the form at every unit and at lam
+    # E_11 for the probes and their consecutive products and sums. At the
+    # units this is a uniform orientation with chained scalings; on the line
+    # it is a scalar action that is the endomorphism omega.
+    line = list(probes)
     for a, b in zip(probes, probes[1:] + probes[:1]):
-        lam_a, lam_b = mat_unit(f, n, 1, 1, Scalar(f, a)), mat_unit(f, n, 1, 1, Scalar(f, b))
-        for what, op in (("multiplicative", f.mul), ("additive", f.add)):
-            c = op(a, b)
-            if omega_hat(c) != op(observed[a], observed[b]):
-                # a map wrong only at c E_11 breaks the law on (2I, c E_11 / 2)
-                _reject(phi, "endomorphism", f"recovered scalar action is not {what}",
-                        targeted=[(lam_a, lam_b)] + line_pairs
-                        + [_through(mat_unit(f, n, 1, 1, Scalar(f, c)))],
-                        culprit=(a, b), seed=seed)
-    survivors = [
-        e for e in endo_enumerate(f)
-        if all(e.apply_raw(raw) == w for raw, w in observed.items())
-    ]
-    tries = 0
-    while len(survivors) > 1 and tries < 200:
-        extra = f.random_raw(rng)
-        w = omega_hat(extra)
-        survivors = [e for e in survivors if e.apply_raw(extra) == w]
-        tries += 1
-    if len(survivors) != 1:
-        _reject(phi, "endomorphism",
-                "scalar action does not match any field endomorphism",
-                targeted=[(mat_unit(f, n, 1, 1, Scalar(f, a)),
-                           mat_unit(f, n, 1, 1, Scalar(f, b)))
-                          for a, b in zip(probes[:10], probes[1:11])] + line_pairs,
-                culprit=dict(list(observed.items())[:4]), seed=seed)
-    omega = survivors[0]
+        line += [f.mul(a, b), f.add(a, b)]
+    units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
+    x, _ = _first_mismatch(phic, form.evaluate, read)
+    if x is not None:
+        # a mixed orientation first disagrees where psi is right and only the
+        # form is wrong; the anchored pairs reach the unit that is wrong
+        reject_psi("endomorphism",
+                   "map disagrees with the reconstructed form at a unit or on the line through E_11",
+                   [(x, x), (x, mat_unit(f, n, 1, 1))]
+                   + _anchored(f, n, permutations(range(1, n + 1), 2))
+                   + line_pairs + [_through(x)],
+                   culprit=x)
     report["stages"].append("endomorphism")
     report["omega"] = omega.describe()
 
-    form = CanonicalForm.conjugation_form(
-        _normalize_t(t), omega=omega, transpose=transpose_flag, mode=phi.mode
-    )
-    x, points = _first_mismatch(phi, form.evaluate, strategy)
+    x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
     if x is not None:
         _reject(phi, "final", "map disagrees with the reconstructed form",
                 targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]

@@ -28,6 +28,7 @@ import time
 from .classifier import (
     CanonicalForm,
     _first_mismatch,
+    _verification_points,
     classify_with_report,
     forms_equivalent,
 )
@@ -105,8 +106,10 @@ def _json_safe(obj):
 
 
 def _attempt(core):
-    """Run `core` (returns (exit_code, outcome dict)); map errors to the
-    documented exit codes with structured outcomes."""
+    """Run `core` (returns (exit_code, outcome dict)); map the package's
+    errors to the documented exit codes with structured outcomes. Only
+    UnsupportedInput (with its subclass UnsupportedSize) exits 4: any other
+    exception is an internal fault and propagates."""
     try:
         return core()
     except NotJordanMultiplicative as exc:
@@ -122,7 +125,7 @@ def _attempt(core):
             "detail": exc.detail,
             "culprit": _json_safe(exc.witness),
         }
-    except (UnsupportedInput, UnsupportedSize, ValueError) as exc:
+    except UnsupportedInput as exc:
         return 4, {"status": "unsupported", "detail": str(exc)}
 
 
@@ -238,7 +241,7 @@ def cmd_verify(args, report):
             raise UnsupportedInput("form and map disagree on field, size, or mode")
         strategy = _parse_strategy(args.verify or "exhaustive")
         report["strategy"] = strategy.describe()
-        x, points = _first_mismatch(phi, form.evaluate, strategy)
+        x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
         if x is not None:
             return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
         return 0, {"status": "verified", "points": points}
@@ -247,6 +250,8 @@ def cmd_verify(args, report):
 
 def cmd_counterexample(args, report):
     name = args.name
+    if args.n < 1:
+        raise UnsupportedSize("counterexamples need n >= 1")
     if name == "triangular":
         bundle = triangular_example(preset_field(args.field), n=args.n)
     elif name == "char2":

@@ -132,23 +132,23 @@ class Field:
 
     def __init__(self, kind, p=0, k=1, modulus=None):
         if kind not in ("rational", "prime", "galois"):
-            raise ValueError(f"unknown field kind {kind!r}")
+            raise UnsupportedInput(f"unknown field kind {kind!r}")
         if kind == "rational":
             if p not in (0, None) or k != 1 or modulus is not None:
-                raise ValueError("rational field takes no p/k/modulus")
+                raise UnsupportedInput("rational field takes no p/k/modulus")
             p, k, modulus = 0, 1, None
         elif kind == "prime":
             if not is_prime(p):
-                raise ValueError(f"p={p} is not prime")
+                raise UnsupportedInput(f"p={p} is not prime")
             if k != 1:
-                raise ValueError("k >= 2 requires kind='galois'")
+                raise UnsupportedInput("k >= 2 requires kind='galois'")
             if modulus is not None:
-                raise ValueError("prime field takes no modulus")
+                raise UnsupportedInput("prime field takes no modulus")
         else:
             if not is_prime(p):
-                raise ValueError(f"p={p} is not prime")
+                raise UnsupportedInput(f"p={p} is not prime")
             if k < 2:
-                raise ValueError("galois fields need extension degree k >= 2")
+                raise UnsupportedInput("galois fields need extension degree k >= 2")
             # p >= 2, so k beyond the cap's bit length is refused before
             # p ** k, which could be huge, is formed
             if k > _LOG_TABLE_LIMIT.bit_length() or p ** k > _LOG_TABLE_LIMIT:
@@ -159,9 +159,9 @@ class Field:
                 modulus = _find_irreducible(p, k)
             modulus = [c % p for c in modulus]
             if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k (ascending coefficients)")
+                raise UnsupportedInput("modulus must be monic of degree k (ascending coefficients)")
             if not is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+                raise UnsupportedInput(f"modulus {modulus} is reducible over F_{p}")
         self.kind = kind
         self.p = p
         self.k = k
@@ -577,6 +577,13 @@ def endo_enumerate(field):
     return [RingEndo(field, 0)]
 
 
+def _preset_int(text):
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UnsupportedInput(str(exc)) from None
+
+
 # Named presets used by the CLI. The F9 and F25 moduli are verified irreducible
 # at construction (x^2+1 has no root mod 3; x^2+2 has no root mod 5).
 def preset_field(name):
@@ -593,10 +600,10 @@ def preset_field(name):
     if name in fixed:
         return fixed[name]()
     if name.startswith("p:"):
-        return prime_field(int(name[2:]))
+        return prime_field(_preset_int(name[2:]))
     if name.startswith("gf:"):
         parts = name.split(":")
         if len(parts) != 3:
-            raise ValueError(f"expected gf:<p>:<k>, got {name!r}")
-        return galois_field(int(parts[1]), int(parts[2]))
-    raise ValueError(f"unknown field preset {name!r}")
+            raise UnsupportedInput(f"expected gf:<p>:<k>, got {name!r}")
+        return galois_field(_preset_int(parts[1]), _preset_int(parts[2]))
+    raise UnsupportedInput(f"unknown field preset {name!r}")

@@ -147,14 +147,6 @@ class Mat:
             raise ValueError("inner dimensions do not match")
         return Mat._from_raw(self.field, _matmul_raw(self.field, self.rows, other.rows))
 
-    def __mul__(self, other):
-        if isinstance(other, Mat):
-            return self.__matmul__(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
     # -- structure queries -------------------------------------------------------
 
     @property

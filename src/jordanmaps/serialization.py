@@ -52,6 +52,10 @@ def field_from_json(obj):
         return Field("prime", p=_need(obj, "p", int))
     if kind == "galois":
         modulus = obj.get("modulus")
+        if modulus is not None and not (
+            isinstance(modulus, list) and all(isinstance(c, int) for c in modulus)
+        ):
+            raise UnsupportedInput("key 'modulus' must be a list of integers")
         return Field("galois", p=_need(obj, "p", int), k=_need(obj, "k", int), modulus=modulus)
     raise UnsupportedInput(f"unknown field kind {kind!r}")
 
@@ -171,10 +175,6 @@ def map_from_json(obj):
 # -- endomorphisms and canonical forms --------------------------------------------
 
 
-def endo_to_json(endo):
-    return {"kind": "identity"} if endo is None else endo.describe()
-
-
 def endo_from_json(field, obj):
     kind = _need(obj, "kind", str)
     if kind == "identity":
@@ -200,7 +200,7 @@ def form_to_json(form):
         out["idempotent"] = mat_to_json(form.idempotent)
     if form.variant == "conjugation":
         out["T"] = mat_to_json(form.t)
-        out["omega"] = endo_to_json(form.omega)
+        out["omega"] = form.omega.describe()
         out["transpose"] = form.transpose
     return out
 

@@ -25,7 +25,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.classifier import _orientation_violation
+from jordanmaps.classifier import _reject
 
 Q = rational_field()
 F3 = preset_field("F3")
@@ -49,25 +49,34 @@ def single_point(base, x0, value):
 
 T3 = [[1, 2, 0], [0, 1, 3], [4, 0, 1]]
 
+# the endomorphism stage's check of the reconstructed form against the map it
+# read covers orientation, scaling and the scalar action on the line
+FORM_CHECK = "map disagrees with the reconstructed form at a unit or on the line through E_11"
+
 STAGE_DETAILS = {
     "constant": "map is not constant although its value at 0 is nonzero",
+    "constant_squaring": "value at 0 is not compatible with squaring",
     "zero": "map vanishes at E_11 but not everywhere",
     "unit_images": "image of E_22 does not have rank 1",
     "orientation": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
-    "scaling": "unit scalings at (1,2) and (2,1) do not cancel",
-    "scaling_chain": "unit scalings do not chain across (1,2,3)",
+    "scaling": FORM_CHECK,
+    "scaling_chain": FORM_CHECK,
     "unit_idempotent": "image of E_22 is not idempotent",
     "unit_absorbed": "image of E_22 does not have rank 1",
     "unit_orthogonal": "images of E_11 and E_22 are not orthogonal",
-    "orientation_symmetry": "orientation is inconsistent (symmetry rule at (1, 2))",
-    "orientation_completion": "orientation is inconsistent (completion rule at (1, 2, 3))",
-    "endomorphism_additive": "recovered scalar action is not additive",
+    "orientation_symmetry": FORM_CHECK,
+    "orientation_completion": FORM_CHECK,
+    "endomorphism_additive": FORM_CHECK,
     "rectangular_zero": "map vanishes at 0 but not everywhere",
     "rectangular_constant": "map is not constant although its value at 0 is nonzero",
     "constant_diamond": "map is not constant although its value at 0 is nonzero",
     "zero_diamond": "map vanishes at E_11 but not everywhere",
     "rectangular_zero_diamond": "map vanishes at 0 but not everywhere",
     "rectangular_constant_diamond": "map is not constant although its value at 0 is nonzero",
+    "unit_idempotent_diamond": "image of E_22 is not idempotent",
+    "unit_orthogonal_diamond": "images of E_11 and E_22 are not orthogonal",
+    "orientation_diamond": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
+    "scaling_diamond": FORM_CHECK,
 }
 
 
@@ -82,6 +91,8 @@ def stage_map(field, stage):
     zero = mat_zero(field, 3)
     if stage == "constant":
         return single_point(JordanMap.constant(field, 3, e(1, 1)), e(1, 2), zero)
+    if stage == "constant_squaring":
+        return single_point(conj, zero, e(1, 1).scale(2))
     if stage == "zero":
         return single_point(conj, e(1, 1), zero)
     if stage == "unit_images":
@@ -117,6 +128,17 @@ def stage_map(field, stage):
         return single_point(JordanMap.constant(field, 3, value, mode=DIAMOND), e(1, 2), zero)
     if stage == "zero_diamond":
         return single_point(JordanMap.zero(field, 3, mode=DIAMOND), e(1, 2), e(1, 2))
+    if stage.endswith("_diamond") and not stage.startswith("rectangular"):
+        # a diamond conjugation wrong only at E_22 / 2 or E_12 / 2, where the
+        # stages read its circ adapter 2 phi(x / 2) at E_22 or E_12
+        dconj = JordanMap.conjugation(Mat(field, T3), mode=DIAMOND)
+        at, value = {
+            "unit_idempotent_diamond": (e(2, 2), dconj(e(2, 2))),
+            "unit_orthogonal_diamond": (e(2, 2), dconj(e(1, 1).scale(half))),
+            "orientation_diamond": (e(1, 2), dconj((e(1, 2) + e(1, 3)).scale(half))),
+            "scaling_diamond": (e(1, 2), dconj(e(1, 2))),
+        }[stage]
+        return single_point(dconj, at.scale(half), value)
     one, nought = Mat(field, [[1]]), Mat(field, [[0]])
     if stage == "rectangular_zero":
         return single_point(JordanMap.zero(field, 3, m=1), e(1, 2), one)
@@ -300,6 +322,18 @@ class TestRejection:
         assert_breaks_law(phi, exc.value.witness)
 
 
+    def test_reject_without_witness_raises_invariant_violation(self):
+        # a genuine map breaks the law on no pair, so with no targeted pairs
+        # the seeded scan finds none and the structural failure is raised
+        phi = JordanMap.conjugation(Mat(F7, T3))
+        culprit = mat_unit(F7, 3, 1, 2)
+        with pytest.raises(InvariantViolation) as exc:
+            _reject(phi, "orientation", "a structural fault", culprit=culprit, seed=3)
+        assert exc.value.stage == "orientation"
+        assert exc.value.detail == "a structural fault"
+        assert exc.value.witness == culprit
+
+
 class TestGuards:
     def test_small_n(self):
         with pytest.raises(UnsupportedSize):
@@ -392,23 +426,6 @@ class TestRectangular:
     def test_square_input_redirected(self):
         with pytest.raises(UnsupportedSize):
             classify_rectangular(JordanMap.zero(F3, 2))
-
-
-class TestOrientation:
-    PAIRS = {(r, s) for r in (1, 2, 3) for s in (1, 2, 3) if r != s}
-
-    def test_uniform_straight(self):
-        assert _orientation_violation(3, self.PAIRS, set()) is None
-
-    def test_uniform_flipped(self):
-        assert _orientation_violation(3, set(), self.PAIRS) is None
-
-    def test_symmetry_violation(self):
-        assert _orientation_violation(2, {(1, 2)}, {(2, 1)}) == ("symmetry", (1, 2))
-
-    def test_completion_violation(self):
-        flipped = {(2, 3), (3, 2)}
-        assert _orientation_violation(3, self.PAIRS - flipped, flipped) == ("completion", (1, 2, 3))
 
 
 class TestPreservationSuite:

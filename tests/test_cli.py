@@ -3,6 +3,7 @@ import json
 import pytest
 
 from jordanmaps import (
+    InvariantViolation,
     JordanMap,
     Mat,
     certify_identity,
@@ -133,6 +134,24 @@ def test_classify_corrupted_map_exits_2(tmp_path):
     assert len(outcome["witness"]) == 2
 
 
+def test_invariant_violation_exits_3(monkeypatch, capsys):
+    culprit = Mat(F5, [[1, 2], [0, 1]])
+
+    def broken(phi, strategy=None):
+        raise InvariantViolation("orientation", "a structural fault", witness=culprit)
+
+    monkeypatch.setattr(cli, "classify_with_report", broken)
+    assert cli.main(["classify", "--random", "--field", "F5"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 3
+    assert report["outcome"] == {
+        "status": "invariant_violation",
+        "stage": "orientation",
+        "detail": "a structural fault",
+        "culprit": mat_to_json(culprit),
+    }
+
+
 def test_classify_char2_diamond_is_unsupported(tmp_path):
     phi = JordanMap.from_table(
         F2,
@@ -203,6 +222,46 @@ def test_bad_size_exits_4_with_report(argv, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["exit_code"] == 4
     assert report["outcome"]["status"] == "unsupported"
+
+
+def _table_over(field):
+    return {"schema": "1", "field": field, "n": 2, "mode": "circ", "entries": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--random", "--field", "F4x"],
+        ["certify", "--random", "--field", "p:4"],
+        ["certify", "--random", "--field", "p:abc"],
+        ["certify", "--random", "--field", "gf:3"],
+        ["certify", "--random", "--field", "gf:4:2"],
+        ["certify", "--random", "--field", "gf:3:1"],
+        ["classify", "--map", {"kind": "prime", "p": 4}],
+        ["classify", "--map", {"kind": "galois", "p": 3, "k": 2, "modulus": [1, 1]}],
+        ["classify", "--map", {"kind": "galois", "p": 3, "k": 2, "modulus": [1, 0, 2]}],
+        ["counterexample", "--name", "triangular", "--n", "0"],
+        ["counterexample", "--name", "char2", "--n", "0"],
+        ["counterexample", "--name", "block_embedding", "--n", "0"],
+    ],
+)
+def test_bad_input_exits_4_with_report(argv, tmp_path, capsys):
+    # a dict stands for a map table over that field, written to a file
+    argv = [write(tmp_path / "map.json", _table_over(a)) if isinstance(a, dict) else a
+            for a in argv]
+    assert cli.main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 4
+    assert report["outcome"]["status"] == "unsupported"
+
+
+def test_internal_value_error_is_not_unsupported(monkeypatch):
+    def broken(phi, strategy=None):
+        raise ValueError("singular matrix")
+
+    monkeypatch.setattr(cli, "classify_with_report", broken)
+    with pytest.raises(ValueError, match="singular matrix"):
+        cli.main(["classify", "--random", "--field", "F5"])
 
 
 def test_suite_report_on_stdout_and_ledger_on_stderr(tmp_path, monkeypatch, capsys):

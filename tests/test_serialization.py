@@ -22,7 +22,6 @@ from jordanmaps.serialization import (
     certificate_to_json,
     dumps,
     endo_from_json,
-    endo_to_json,
     field_from_json,
     field_to_json,
     form_from_json,
@@ -44,6 +43,21 @@ F9 = preset_field("F9")
 @pytest.mark.parametrize("field", [Q, F3, F5, F9, preset_field("F25")], ids=lambda f: f.name())
 def test_field_roundtrip(field):
     assert field_from_json(field_to_json(field)) == field
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "prime", "p": 4},
+        {"kind": "galois", "p": 3, "k": 2, "modulus": [2, 0, 1]},
+        {"kind": "galois", "p": 3, "k": 2, "modulus": ["a", 0, 1]},
+        {"kind": "galois", "p": 3, "k": 2, "modulus": 5},
+    ],
+    ids=["composite_p", "reducible", "string_coefficient", "scalar_modulus"],
+)
+def test_bad_field_is_unsupported(obj):
+    with pytest.raises(UnsupportedInput):
+        field_from_json(obj)
 
 
 def test_scalar_roundtrip_rational():
@@ -170,12 +184,11 @@ def test_table_to_json_requires_table_body():
     "endo", [None, RingEndo(F9, 0), RingEndo(F9, 1)], ids=["none", "id", "frob"]
 )
 def test_endo_roundtrip(endo):
-    blob = endo_to_json(endo)
-    back = endo_from_json(F9, blob)
-    if endo is None or endo.is_identity:
-        assert back is None or back.is_identity
-    else:
-        assert back.e == endo.e
+    # a form built without omega stores the identity
+    form = CanonicalForm.conjugation_form(mat_identity(F9, 2), omega=endo)
+    back = endo_from_json(F9, form_to_json(form)["omega"])
+    assert back == form.omega
+    assert back.is_identity == (endo is None or endo.is_identity)
 
 
 def test_form_roundtrips():
