@@ -47,6 +47,7 @@ from .maps import (
 )
 from .matrices import (
     Mat,
+    conjugator,
     is_idempotent,
     is_proportional,
     jordan_circ,
@@ -82,7 +83,7 @@ class CanonicalForm:
         if self.variant == "conjugation":
             if self.omega is None:
                 object.__setattr__(self, "omega", RingEndo(self.field))
-            object.__setattr__(self, "_t_inv", self.t.inverse())
+            object.__setattr__(self, "_conj", conjugator(self.t, self.t.inverse()))
 
     @staticmethod
     def zero_form(field, n, mode=CIRC, m=None):
@@ -121,9 +122,7 @@ class CanonicalForm:
                 return self.idempotent.scale(self.field.scalar(1).halve())
             return self.idempotent
         y = x.apply_endo(self.omega)
-        if self.transpose:
-            y = y.transpose()
-        return self.t @ y @ self._t_inv
+        return self._conj(y.transpose() if self.transpose else y)
 
     def describe(self):
         out = {"variant": self.variant, "mode": self.mode, "n": self.n}
@@ -284,7 +283,8 @@ def classify_with_report(phi, verification=None):
 
     # unit idempotent images: a rank-one orthogonal family. E_kk o I = E_kk,
     # so psi(I) must absorb each image: the pairs (E_kk, I) tie a wrong image
-    # to the image of I.
+    # to the image of I. E_jk o E_jk = 0 for k != j, so the square-zero pairs
+    # (E_jk, E_jk) tie the units to the image of 0.
     q = [phic(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
     absorbed = [(mat_unit(f, n, k, k), mat_identity(f, n)) for k in range(1, n + 1)]
     for j, qj in enumerate(q, start=1):
@@ -296,8 +296,9 @@ def classify_with_report(phi, verification=None):
             continue
         ejj = mat_unit(f, n, j, j)
         row = [(j, k) for k in range(1, n + 1) if k != j]
+        square_zero = [(e, e) for e in (mat_unit(f, n, j, k) for _, k in row)]
         reject_psi("unit_images", f"image of E_{j}{j} {what}",
-                   [(ejj, ejj)] + _anchored(f, n, row) + absorbed, culprit=qj)
+                   [(ejj, ejj)] + _anchored(f, n, row) + absorbed + square_zero, culprit=qj)
     for i in range(n):
         for j in range(i + 1, n):
             if not jordan_perp(q[i], q[j]):
@@ -309,11 +310,11 @@ def classify_with_report(phi, verification=None):
     # n orthogonal rank-one idempotents sum to an idempotent of rank n, which
     # is I: no check of the sum is needed
     t1 = simultaneous_diagonalizer(q)
-    t1_inv = t1.inverse()
+    straighten = conjugator(t1.inverse(), t1)
     report["stages"].append("diagonalizer")
 
     def phi1(x):
-        return t1_inv @ phic(x) @ t1
+        return straighten(phic(x))
 
     # orientation: each off-diagonal unit must land on a scaled unit at the
     # same position (straight) or the transposed one (flipped). The form
@@ -498,21 +499,20 @@ def preservation_suite(phi, samples=20, seed=0):
     skip_eh = skip_cd if skip_cd else (None if square else "codomain size differs")
 
     def idem(rank):
-        s, s_inv = random_invertible(f, n, rng)
-        return s @ mat_diag_idempotent(f, n, 0, rank) @ s_inv
+        return idem_orth([rank])[0]
 
     def idem_chain(lo_rank, hi_rank):
-        s, s_inv = random_invertible(f, n, rng)
+        conj = conjugator(*random_invertible(f, n, rng))
         return (
-            s @ mat_diag_idempotent(f, n, 0, lo_rank) @ s_inv,
-            s @ mat_diag_idempotent(f, n, 0, hi_rank) @ s_inv,
+            conj(mat_diag_idempotent(f, n, 0, lo_rank)),
+            conj(mat_diag_idempotent(f, n, 0, hi_rank)),
         )
 
     def idem_orth(parts):
-        s, s_inv = random_invertible(f, n, rng)
+        conj = conjugator(*random_invertible(f, n, rng))
         out, lo = [], 0
         for width in parts:
-            out.append(s @ mat_diag_idempotent(f, n, lo, lo + width) @ s_inv)
+            out.append(conj(mat_diag_idempotent(f, n, lo, lo + width)))
             lo += width
         return out
 

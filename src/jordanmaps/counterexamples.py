@@ -17,7 +17,7 @@ everything from scratch.
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .errors import UnsupportedInput
+from .errors import UnsupportedInput, UnsupportedSize
 from .exact_fields import prime_field
 from .maps import CIRC, DIAMOND, JordanMap, MultReport, Strategy, check_multiplicative
 from .matrices import (
@@ -133,11 +133,14 @@ def char2_example(n=2, a=None, b=None):
     0. Since trace(X <> Y) = 2 trace(XY) = 0 over F_2, no diamond product ever
     equals A, so phi(X <> Y) = 0 = phi(X) <> phi(Y) (B <> B = 2B^2 = 0 too).
     """
+    if n < 2:
+        # on M_1(F_2) the map is the identity, which is a conjugation
+        raise UnsupportedSize("the char2 example needs n >= 2")
     f2 = prime_field(2)
     if a is None:
         a = mat_unit(f2, n, 1, 1)
     if b is None:
-        b = mat_unit(f2, n, 1, 2) if n >= 2 else mat_identity(f2, 1)
+        b = mat_unit(f2, n, 1, 2)
     if a.field != f2 or b.field != f2 or a.nrows != n or b.nrows != n:
         raise ValueError("A and B must be n x n matrices over F_2")
     if a.trace() != f2.scalar(1):

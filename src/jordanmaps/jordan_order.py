@@ -14,7 +14,7 @@ agree — a self-test primitive used by the property suite.
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .matrices import Mat, is_idempotent, jordan_circ, mat_identity, mat_unit, mat_zero
+from .matrices import Mat, conjugator, is_idempotent, jordan_circ, mat_identity, mat_unit, mat_zero
 
 
 def _require_idempotent(m, label):
@@ -159,8 +159,9 @@ def simultaneous_diagonalizer(family):
         t_inv = t.inverse()
     except ValueError:
         raise InvariantViolation("diagonalizer", "assembled matrix is singular", t) from None
+    undo = conjugator(t_inv, t)
     for j, q in enumerate(family, start=1):
-        if t_inv @ q @ t != mat_unit(f, n, j, j):
+        if undo(q) != mat_unit(f, n, j, j):
             raise InvariantViolation(
                 "diagonalizer", f"conjugation does not send member {j} to E_{j}{j}", (t, q)
             )

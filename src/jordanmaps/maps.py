@@ -20,13 +20,18 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import UnsupportedInput
-from .matrices import Mat, _jordan_raw, jordan_circ, jordan_diamond, mat_zero
+from .matrices import Mat, _jordan_raw, conjugator, jordan_circ, jordan_diamond, mat_zero
 
 CIRC = "circ"
 DIAMOND = "diamond"
 
 _TABLE_CAP = 10_000
 _PAIR_CAP = 10_000_000
+# evaluations a map remembers before it forgets them all. A default sampled
+# classification stores at most 3 images per pair for its 1000 pairs, the
+# n*n + 2 fixed points and at most 4096 points on the line through E_11
+# (7102 in all on M_3(F_4093)), so it forgets none of them
+_MEMO_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ class JordanMap:
 
     `domain` is "full" or "upper_triangular" (the latter restricts inputs to
     upper-triangular matrices, used by the triangular counterexample).
-    Evaluations of non-table bodies are memoized.
+    Evaluations of conjugation and oracle bodies are memoized by the input's
+    raw rows, up to _MEMO_CAP of them; a full memo is cleared.
     """
 
     def __init__(self, field, n, mode, body, m=None, domain="full"):
@@ -160,7 +166,7 @@ class JordanMap:
         field, n = t.field, t.nrows
         if endo is not None and endo.field != field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")
-        return cls(field, n, mode, ("conjugation", (t, t_inv, endo, bool(transpose))))
+        return cls(field, n, mode, ("conjugation", (conjugator(t, t_inv), endo, bool(transpose))))
 
     @classmethod
     def constant(cls, field, n, value, mode=CIRC, m=None):
@@ -191,20 +197,21 @@ class JordanMap:
             return self._data[x]
         if kind == "constant":
             return self._data
-        cached = self._memo.get(x)
+        memo = self._memo
+        cached = memo.get(x.rows)
         if cached is not None:
             return cached
         if kind == "conjugation":
-            t, t_inv, endo, transpose = self._data
+            conj, endo, transpose = self._data
             y = x if endo is None else x.apply_endo(endo)
-            if transpose:
-                y = y.transpose()
-            out = t @ y @ t_inv
+            out = conj(y.transpose() if transpose else y)
         else:
             out = self._data(x)
             if not isinstance(out, Mat) or out.field != self.field or out.nrows != self.m:
                 raise UnsupportedInput("oracle returned a value outside M_m(F)")
-        self._memo[x] = out
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[x.rows] = out
         return out
 
     # -- domain handling ------------------------------------------------------
@@ -227,13 +234,19 @@ class JordanMap:
         return _domain_matrices(self.field, self.n, self.domain)
 
     def sample_domain(self, rng):
+        """A seeded random domain matrix: one draw per free position, row by
+        row; `rng.randrange(q)` over F_q, `Field.random_raw` over Q."""
         f, n = self.field, self.n
-        positions = _free_positions(n, self.domain)
-        zero = f.zero
-        rows = [[zero] * n for _ in range(n)]
-        for i, j in positions:
-            rows[i][j] = f.random_raw(rng)
-        return Mat._from_raw(f, tuple(tuple(r) for r in rows))
+        if f.is_finite:
+            draw = functools.partial(rng.randrange, f.order)
+        else:
+            draw = functools.partial(f.random_raw, rng)
+        if self.domain == "full":
+            rows = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
+        else:
+            zero = f.zero
+            rows = tuple(tuple(draw() if j >= i else zero for j in range(n)) for i in range(n))
+        return Mat._from_raw(f, rows)
 
     def product(self, x, y):
         """The Jordan product this map is expected to preserve."""

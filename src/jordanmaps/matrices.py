@@ -10,16 +10,23 @@ Both Jordan products live here:
     jordan_circ(X, Y)    = (XY + YX) / 2      (requires characteristic != 2)
     jordan_diamond(X, Y) =  XY + YX
 
-Products over Q lift each operand to integers over one common denominator
+Products over Q lift each operand to integers over its common denominator
 and build a `Fraction` only per result entry; products over F_{p^k}, in
 every characteristic, sum in the log domain through the field's Zech table
 (see exact_fields).
 
+`conjugator(a, b)` prepares the map x -> a @ x @ b once for fixed a and b,
+the shape of every conjugation T w(X) T^-1 the package evaluates. Over F_p
+it reduces mod p once per result entry; over Q it lifts a and b when it is
+prepared, so each call lifts only x and builds one `Fraction` per result
+entry over a single common denominator; over F_{p^k} it runs two log-domain
+product passes on raw rows.
+
 Rank and inverse share one exact Gauss-Jordan elimination with first-nonzero
 pivoting (no magnitude heuristics, so results are deterministic), run per
 field kind: mod-p arithmetic on ints over F_p, fraction-free (Bareiss)
-elimination of the lifted integer matrix over Q, and field arithmetic over
-F_{p^k}.
+elimination of the lifted integer matrix over Q, and elimination on
+discrete logs through the Zech table over F_{p^k}.
 """
 
 from fractions import Fraction
@@ -219,9 +226,52 @@ class Mat:
 
     def conjugate_by(self, t, t_inv=None):
         """t^-1 @ self @ t (t_inv may be supplied to avoid recomputation)."""
+        self._check_same_shape(t)
         if t_inv is None:
             t_inv = t.inverse()
-        return t_inv @ self @ t
+        return conjugator(t_inv, t)(self)
+
+
+def conjugator(a, b):
+    """The map x -> a @ x @ b for fixed square a and b of one size over one
+    field, prepared once; x must be a square matrix of that size and field."""
+    if a.field != b.field:
+        raise ValueError("matrices over different fields")
+    if not (a.is_square and b.is_square) or a.nrows != b.nrows:
+        raise ValueError("conjugator needs square matrices of equal size")
+    f, kind = a.field, a.field.kind
+    b_cols = tuple(zip(*b.rows))
+    if kind == "prime":
+        p, a_rows = f.p, a.rows
+
+        def apply(x):
+            x_cols = tuple(zip(*x.rows))
+            ax = [[sum(map(mul, r, c)) for c in x_cols] for r in a_rows]
+            return Mat._from_raw(
+                f, tuple(tuple(sum(map(mul, r, c)) % p for c in b_cols) for r in ax)
+            )
+
+    elif kind == "rational":
+        da, a_int = _lift(a.rows)
+        db, b_int = _lift(b_cols)
+
+        def apply(x):
+            dx, x_int = _lift(x.rows)
+            x_cols = tuple(zip(*x_int))
+            ax = [[sum(map(mul, r, c)) for c in x_cols] for r in a_int]
+            d = da * dx * db
+            return Mat._from_raw(
+                f, tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in b_int) for r in ax)
+            )
+
+    else:
+        a_rows, one = a.rows, f.one
+
+        def apply(x):
+            ax = _galois_products(f, a_rows, tuple(zip(*x.rows)), one)
+            return Mat._from_raw(f, _galois_products(f, ax, b_cols, one))
+
+    return apply
 
 
 def _matmul_raw(field, a_rows, b_rows):
@@ -231,21 +281,27 @@ def _matmul_raw(field, a_rows, b_rows):
         p = field.p
         return tuple(tuple(sum(map(mul, row, col)) % p for col in b_cols) for row in a_rows)
     if kind == "rational":
-        return _rational_products(a_rows, b_cols, 1)
+        (da, a), (db, b) = _lift(a_rows), _lift(b_cols)
+        d = da * db
+        return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in b) for r in a)
     return _galois_products(field, a_rows, b_cols, field.one)
 
 
 def _jordan_raw(field, a_rows, b_rows, circ):
     """Rows of ab + ba for square a, b of one size, halved when `circ`."""
+    kind = field.kind
+    if kind == "rational":
+        # products over Q run on the lifted integers, each operand lifted once
+        (da, a_rows), (db, b_rows) = _lift(a_rows), _lift(b_rows)
     # ab + ba = [a | b] @ [b ; a]
     rows = [ra + rb for ra, rb in zip(a_rows, b_rows)]
     cols = [cb + ca for cb, ca in zip(zip(*b_rows), zip(*a_rows))]
-    kind = field.kind
     if kind == "prime":
         p, h = field.p, field.half_one if circ else 1
         return tuple(tuple(sum(map(mul, r, c)) * h % p for c in cols) for r in rows)
     if kind == "rational":
-        return _rational_products(rows, cols, 2 if circ else 1)
+        d = da * db * (2 if circ else 1)
+        return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in cols) for r in rows)
     return _galois_products(field, rows, cols, field.half_one if circ else field.one)
 
 
@@ -253,14 +309,6 @@ def _lift(rows):
     """(d, integer rows of d * rows) for rational rows, d the lcm of their denominators."""
     d = lcm(*[x.denominator for row in rows for x in row])
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
-def _rational_products(rows, cols, den):
-    """Rows of (rows @ cols) / den over Q, multiplied on the lifted integers."""
-    da, a = _lift(rows)
-    db, b = _lift(cols)
-    d = da * db * den
-    return tuple(tuple(Fraction(sum(map(mul, ra, cb)), d) for cb in b) for ra in a)
 
 
 def _galois_products(field, rows, cols, scale):
@@ -303,11 +351,11 @@ def _eliminate(field, rows, ncols):
     and scales pivots to 1. Q runs fraction-free (Bareiss) on the integer
     rows from `_lift`: with pivot c and previous pivot c0, every other row r
     becomes (c*r - r[col]*pivot_row) / c0, an exact division, so `pivot` is
-    the last pivot. F_{p^k} runs `_row_echelon` on field arithmetic.
+    the last pivot. F_{p^k} runs `_eliminate_logs`.
     """
     kind = field.kind
     if kind == "galois":
-        return _row_echelon(field, rows, ncols), field.one
+        return _eliminate_logs(field, rows, ncols), field.one
     p, nrows = field.p, len(rows)
     rank, prev = 0, 1
     for col in range(ncols):
@@ -336,27 +384,45 @@ def _eliminate(field, rows, ncols):
     return rank, prev
 
 
-def _row_echelon(field, rows, ncols):
-    """Gauss-Jordan elimination on field arithmetic over the first `ncols`
-    columns, pivots scaled to 1; returns the rank."""
-    add, mul_ = field.add, field.mul
-    nrows = len(rows)
+def _eliminate_logs(field, rows, ncols):
+    """`_eliminate` over F_{p^k}, pivots scaled to 1; returns the rank.
+
+    Entries are held as discrete logs, None for 0, and converted back at the
+    end. The update v - f*w is v + g^(log f + log(-1) + log w), summed
+    through the Zech table as in `_galois_products`; log(-1) is (q-1)/2 in
+    odd characteristic and 0 in characteristic 2.
+    """
+    zech, log, exp, q1 = field._zech, field._log, field._exp, field.order - 1
+    neg = 0 if field.char2 else q1 // 2
+    logs = [[log[v] if v else None for v in row] for row in rows]
+    nrows = len(logs)
     rank = 0
     for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
+        at = next((r for r in range(rank, nrows) if logs[r][col] is not None), None)
+        if at is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        top = rows[rank] = [mul_(inv, v) for v in rows[rank]]
+        logs[rank], logs[at] = logs[at], logs[rank]
+        lc = logs[rank][col]
+        top = logs[rank] = [None if w is None else (w - lc) % q1 for w in logs[rank]]
         for r in range(nrows):
-            factor = rows[r][col]
-            if factor and r != rank:
-                neg = field.neg(factor)
-                rows[r] = [add(v, mul_(neg, w)) for v, w in zip(rows[r], top)]
+            lf = logs[r][col]
+            if lf is None or r == rank:
+                continue
+            shift = lf + neg
+            row = logs[r]
+            for t, w in enumerate(top):
+                if w is None:
+                    continue
+                v = row[t]
+                if v is None:
+                    row[t] = (shift + w) % q1
+                else:
+                    z = zech[(shift + w - v) % q1]
+                    row[t] = (v + z) % q1 if z >= 0 else None
         rank += 1
         if rank == nrows:
             break
+    rows[:] = [[0 if v is None else exp[v] for v in row] for row in logs]
     return rank
 
 

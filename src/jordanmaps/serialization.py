@@ -216,7 +216,10 @@ def form_from_json(obj):
     field = field_from_json(_need(obj, "field", dict))
     n = _need(obj, "n", int)
     if variant == "zero":
-        return CanonicalForm.zero_form(field, n, mode=mode, m=obj.get("m"))
+        m = _need(obj, "m", int) if "m" in obj else n
+        if not 1 <= m <= n:
+            raise UnsupportedInput(f"zero form needs 1 <= m <= n, got m={m}, n={n}")
+        return CanonicalForm.zero_form(field, n, mode=mode, m=m)
     if variant == "constant_idempotent":
         idem = mat_from_json(field, _need(obj, "idempotent", dict))
         return CanonicalForm.constant_form(idem, n, mode=mode)

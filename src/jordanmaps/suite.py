@@ -29,6 +29,7 @@ from .generation import certify_identity, ladder, replay
 from .maps import CIRC, JordanMap, Strategy, _domain_matrices
 from .matrices import (
     Mat,
+    conjugator,
     is_idempotent,
     is_proportional,
     jordan_circ,
@@ -324,8 +325,8 @@ def crit_preservation_suite(seed):
 
 
 def _random_idem(field, n, rng):
-    s, s_inv = random_invertible(field, n, rng)
-    return s @ mat_diag_idempotent(field, n, 0, rng.randint(0, n)) @ s_inv
+    conj = conjugator(*random_invertible(field, n, rng))
+    return conj(mat_diag_idempotent(field, n, 0, rng.randint(0, n)))
 
 
 # -- criteria 7 and 8 ------------------------------------------------------------

@@ -77,6 +77,8 @@ STAGE_DETAILS = {
     "unit_orthogonal_diamond": "images of E_11 and E_22 are not orthogonal",
     "orientation_diamond": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
     "scaling_diamond": FORM_CHECK,
+    "unit_square_zero": "image of E_11 does not have rank 1",
+    "unit_square_zero_diamond": "image of E_11 does not have rank 1",
 }
 
 
@@ -121,6 +123,13 @@ def stage_map(field, stage):
         three = e(1, 1).scale(3)
         return single_point(conj, three, conj(three).scale(2))
     half = Scalar(field, field.half_one)
+    if stage.startswith("unit_square_zero"):
+        # the identity's circ constant everywhere except phi(0) = 0: every
+        # unit image is I, and only a pair whose product is 0, such as the
+        # square-zero (E_12, E_12), sees the value at 0
+        mode = DIAMOND if stage.endswith("_diamond") else "circ"
+        value = mat_identity(field, 3).scale(half if mode == DIAMOND else 1)
+        return single_point(JordanMap.constant(field, 3, value, mode=mode), zero, zero)
     if stage == "constant_diamond":
         # a diamond constant is half an idempotent; the stage must scan phi
         # itself, not its circ adapter, to reach the one wrong point E_12

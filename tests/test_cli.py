@@ -192,6 +192,19 @@ def test_verify_form_against_map(tmp_path):
     assert read(out)["outcome"]["status"] == "mismatch"
 
 
+def test_verify_zero_form_with_bad_size_exits_4(tmp_path, capsys):
+    from jordanmaps import CanonicalForm
+
+    phi = conjugation_table(F3, Mat(F3, [[1, 1], [0, 1]]))
+    mp = write(tmp_path / "map.json", table_to_json(phi))
+    blob = form_to_json(CanonicalForm.zero_form(F3, 2))
+    blob["m"] = 0
+    form = write(tmp_path / "form.json", blob)
+    assert cli.main(["verify", "--form", form, "--map", mp]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["outcome"]["status"] == "unsupported"
+
+
 @pytest.mark.parametrize("name", ["triangular", "char2", "block_embedding"])
 def test_counterexample_bundles(tmp_path, name):
     out = tmp_path / "r.json"
@@ -242,6 +255,7 @@ def _table_over(field):
         ["classify", "--map", {"kind": "galois", "p": 3, "k": 2, "modulus": [1, 0, 2]}],
         ["counterexample", "--name", "triangular", "--n", "0"],
         ["counterexample", "--name", "char2", "--n", "0"],
+        ["counterexample", "--name", "char2", "--n", "1"],
         ["counterexample", "--name", "block_embedding", "--n", "0"],
     ],
 )

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -18,7 +19,9 @@ from jordanmaps import (
     mat_unit,
     mat_zero,
     preset_field,
+    rational_field,
 )
+from jordanmaps.maps import _MEMO_CAP
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -101,6 +104,36 @@ def test_oracle_calls_are_memoized():
     assert phi(x) == x
     assert phi(x) == x
     assert len(calls) == 1
+
+
+def test_memo_stays_bounded_on_long_sampled_runs():
+    # every pair evaluates three new points over Q, so this run stores more
+    # images than the cap allows; CPU time, so other processes do not count
+    q = rational_field()
+    phi = JordanMap.conjugation(Mat(q, [[1, 2], [3, 4]]))
+    pairs = _MEMO_CAP // 3 + 100
+    start = time.process_time()
+    report = check_multiplicative(phi, Strategy.sampled(count=pairs, seed=1))
+    elapsed = time.process_time() - start
+    assert report.ok and report.pairs_checked == pairs
+    assert 0 < len(phi._memo) <= _MEMO_CAP
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("domain", ["full", "upper_triangular"])
+@pytest.mark.parametrize("field", [F5, preset_field("F9"), rational_field()],
+                         ids=["F5", "F9", "Q"])
+def test_sample_domain_draw_order(field, domain):
+    # one Field.random_raw draw per free position, row by row
+    phi = JordanMap.from_oracle(field, 3, lambda x: x, domain=domain)
+    rng, twin = random.Random(7), random.Random(7)
+    for _ in range(5):
+        expected = [[field.zero] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i if domain == "upper_triangular" else 0, 3):
+                expected[i][j] = field.random_raw(twin)
+        assert phi.sample_domain(rng).rows == tuple(map(tuple, expected))
+    assert rng.random() == twin.random()
 
 
 def test_call_validates_input():

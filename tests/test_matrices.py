@@ -24,7 +24,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.matrices import _row_echelon, random_invertible
+from jordanmaps.matrices import conjugator, random_invertible
 
 F5 = preset_field("F5")
 F2 = preset_field("F2")
@@ -119,6 +119,32 @@ def _reference_ops(field):
     return add, field._poly_mul
 
 
+def _row_echelon(field, rows, ncols):
+    """Gauss-Jordan elimination on field arithmetic over the first `ncols`
+    columns, pivots scaled to 1; returns the rank. The reference for rank
+    and inverse: the same pivoting as the kernels, one `Field` call per
+    entry update."""
+    add, mul_ = field.add, field.mul
+    nrows = len(rows)
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        top = rows[rank] = [mul_(inv, v) for v in rows[rank]]
+        for r in range(nrows):
+            factor = rows[r][col]
+            if factor and r != rank:
+                neg = field.neg(factor)
+                rows[r] = [add(v, mul_(neg, w)) for v, w in zip(rows[r], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
 def _reference_matmul(field, a, b):
     add, mul = _reference_ops(field)
     n = len(b)
@@ -194,6 +220,22 @@ def test_jordan_products_match_reference(field, n, data):
         else:
             inv = z.inverse()
             assert inv.rows == expected and _canonical(field, inv)
+
+
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS.values()), ids=list(KERNEL_FIELDS))
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_conjugator_matches_products(field, n, data):
+    """The prepared kernel x -> a @ x @ b equals the two products, for any
+    a and b (singular ones too), over every kernel field."""
+    rows = _kernel_mats(field, n)
+    a, b = Mat(field, data.draw(rows)), Mat(field, data.draw(rows))
+    conj = conjugator(a, b)
+    for _ in range(2):
+        x = Mat(field, data.draw(rows))
+        out = conj(x)
+        assert out.rows == (a @ x @ b).rows and _canonical(field, out)
 
 
 def test_random_invertible_draw_order():

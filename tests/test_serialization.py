@@ -209,6 +209,14 @@ def test_form_roundtrips():
         assert back.evaluate(x) == form.evaluate(x)
 
 
+@pytest.mark.parametrize("m", [0, -1, 3])
+def test_zero_form_size_checked(m):
+    blob = form_to_json(CanonicalForm.zero_form(F5, 2))
+    blob["m"] = m
+    with pytest.raises(UnsupportedInput, match="zero form needs 1 <= m <= n"):
+        form_from_json(blob)
+
+
 def test_form_with_singular_t_rejected():
     blob = form_to_json(CanonicalForm.conjugation_form(Mat(F5, [[1, 2], [0, 1]])))
     blob["T"]["entries"] = ["1", "2", "2", "4"]
