@@ -12,10 +12,12 @@ Every such map is exactly one of:
 
 One pipeline, `classify_with_report`, serves every m <= n: a map into a
 smaller algebra ends at its constant or zero stage. For a conjugation the
-stages read psi (phi, or for the diamond product its circ adapter
-2 phi(x/2)) at the matrix units and on the line through E_11, build
-(T, w, transpose flag) from what they read, check the form against psi at
-those points and then verify it against phi. Maps that are not Jordan
+classifier reads psi (phi, or for the diamond product its circ adapter
+2 phi(x/2)): the columns of T off psi(E_11) and the images of E_i1 (of E_1i
+when psi(E_21) psi(E_11) = 0, which sets the transpose flag), and w off the
+image of a generator times E_11. One check of that form against psi at
+every matrix unit and on the line through E_11 judges the reconstruction;
+the form is then verified against phi. Maps that are not Jordan
 multiplicative are rejected with a concrete witness pair whenever one can
 be found (NotJordanMultiplicative): each stage that finds a fault tries
 pairs aimed at it (halved when a diamond map's pairs aim at psi), then
@@ -35,7 +37,6 @@ from .errors import (
     UnsupportedSize,
 )
 from .exact_fields import RingEndo, Scalar, endo_enumerate
-from .jordan_order import jordan_perp, simultaneous_diagonalizer
 from .maps import (
     CIRC,
     DIAMOND,
@@ -152,12 +153,6 @@ def _through(x):
     return mat_identity(f, n).scale(2), x.scale(Scalar(f, f.half_one))
 
 
-def _anchored(f, n, positions):
-    """Pairs (E_aa, E_ab), whose circ product is E_ab / 2: each checks the
-    image of E_ab against the image of its row idempotent."""
-    return [(mat_unit(f, n, a, a), mat_unit(f, n, a, b)) for a, b in positions]
-
-
 def _verification_points(phi, strategy):
     """Domain points used to confirm a candidate form against the map."""
     if strategy.kind == "exhaustive":
@@ -234,6 +229,7 @@ def classify_with_report(phi, verification=None):
 
     f, n = phi.field, phi.n
     zero_mat = mat_zero(f, n)
+    e11 = mat_unit(f, n, 1, 1)
 
     # the constant and zero stages compare phi against its own value at 0,
     # so every verification point is a point of phi itself
@@ -248,7 +244,8 @@ def classify_with_report(phi, verification=None):
         x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
         if x is not None:
             _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
-                    targeted=[(x, zero_mat), (x, x), (zero_mat, x)], culprit=x, seed=seed)
+                    targeted=[(x, zero_mat), (x, x), (x, mat_identity(f, n)), _through(x)],
+                    culprit=x, seed=seed)
         report["stages"].append("constant")
         report["variant"] = "constant_idempotent"
         return CanonicalForm.constant_form(z, n, mode=phi.mode), report
@@ -256,7 +253,7 @@ def classify_with_report(phi, verification=None):
     # a map into a smaller algebra never needs the circ adapter
     if phi.m == n:
         phic = diamond_to_circ(phi) if phi.mode == DIAMOND else phi
-    if phi.m < n or phic(mat_unit(f, n, 1, 1)).is_zero:
+    if phi.m < n or phic(e11).is_zero:
         # zero branch: E_11 generates I under the circ product, so a vanishing
         # image there forces the whole map to vanish; a map into a smaller
         # algebra that vanishes at 0 must vanish everywhere.
@@ -264,7 +261,7 @@ def classify_with_report(phi, verification=None):
         if x is not None:
             at = "0" if phi.m < n else "E_11"
             _reject(phi, "zero", f"map vanishes at {at} but not everywhere",
-                    targeted=[(x, x), (x, zero_mat), _through(x), (mat_unit(f, n, 1, 1), x)],
+                    targeted=[(x, x), (x, zero_mat), _through(x), (e11, x)],
                     culprit=x, seed=seed)
         report["stages"].append("zero")
         report["variant"] = "zero"
@@ -281,85 +278,28 @@ def classify_with_report(phi, verification=None):
             targeted = [(x.scale(half), y.scale(half)) for x, y in targeted]
         _reject(phi, stage, detail, targeted=targeted, culprit=culprit, seed=seed)
 
-    # unit idempotent images: a rank-one orthogonal family. E_kk o I = E_kk,
-    # so psi(I) must absorb each image: the pairs (E_kk, I) tie a wrong image
-    # to the image of I. E_jk o E_jk = 0 for k != j, so the square-zero pairs
-    # (E_jk, E_jk) tie the units to the image of 0.
-    q = [phic(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
-    absorbed = [(mat_unit(f, n, k, k), mat_identity(f, n)) for k in range(1, n + 1)]
-    for j, qj in enumerate(q, start=1):
-        if not is_idempotent(qj):
-            what = "is not idempotent"
-        elif qj.rank() != 1:
-            what = "does not have rank 1"
-        else:
-            continue
-        ejj = mat_unit(f, n, j, j)
-        row = [(j, k) for k in range(1, n + 1) if k != j]
-        square_zero = [(e, e) for e in (mat_unit(f, n, j, k) for _, k in row)]
-        reject_psi("unit_images", f"image of E_{j}{j} {what}",
-                   [(ejj, ejj)] + _anchored(f, n, row) + absorbed + square_zero, culprit=qj)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not jordan_perp(q[i], q[j]):
-                reject_psi("unit_images",
-                           f"images of E_{i + 1}{i + 1} and E_{j + 1}{j + 1} are not orthogonal",
-                           [(mat_unit(f, n, i + 1, i + 1), mat_unit(f, n, j + 1, j + 1))]
-                           + absorbed,
-                           culprit=(q[i], q[j]))
-    # n orthogonal rank-one idempotents sum to an idempotent of rank n, which
-    # is I: no check of the sum is needed
-    t1 = simultaneous_diagonalizer(q)
-    straighten = conjugator(t1.inverse(), t1)
-    report["stages"].append("diagonalizer")
+    # reconstruction: psi(E_i1) = t_i r_1 (psi(E_1i) when the map transposes)
+    # for t_i column i of T and r_1 row 1 of T^-1, so column col of it is
+    # r_1[col] t_i, where col is the first nonzero column of psi(E_11) = t_1 r_1.
+    # Without a transpose psi(E_21) psi(E_11) = t_2 r_1 t_1 r_1 is t_2 r_1,
+    # with one it is t_1 r_2 t_1 r_1 = 0.
+    p11 = phic(e11)
+    transpose = (phic(mat_unit(f, n, 2, 1)) @ p11).is_zero
+    col = min(j for _, j in p11.support()) - 1
+    images = [phic(mat_unit(f, n, 1, i) if transpose else mat_unit(f, n, i, 1))
+              for i in range(1, n + 1)]
+    t = Mat._from_raw(f, tuple(tuple(img.rows[r][col] for img in images) for r in range(n)))
+    report["transpose"] = transpose
 
-    def phi1(x):
-        return straighten(phic(x))
-
-    # orientation: each off-diagonal unit must land on a scaled unit at the
-    # same position (straight) or the transposed one (flipped). The form
-    # check below rejects a mixed orientation.
-    straight, factors = True, {}
-    for r, s in permutations(range(1, n + 1), 2):
-        e_rs = mat_unit(f, n, r, s)
-        image = phi1(e_rs)
-        c_straight = is_proportional(image, e_rs)
-        c_flip = is_proportional(image, mat_unit(f, n, s, r))
-        if isinstance(c_straight, Scalar):
-            factors[(r, s)] = c_straight
-        elif isinstance(c_flip, Scalar):
-            factors[(r, s)] = c_flip
-            straight = False
-        else:
-            reject_psi("orientation",
-                       f"image of E_{r}{s} is not a scaled unit at ({r},{s}) or ({s},{r})",
-                       [(e_rs, e_rs), (e_rs, mat_unit(f, n, s, r)), (mat_unit(f, n, r, r), e_rs)],
-                       culprit=image)
-    transpose_flag = not straight
-    report["stages"].append("orientation")
-    report["transpose"] = transpose_flag
-
-    # scaling: the straightened image of E_i1 is g(i,1) times a unit, so
-    # diag(g(i,1)) absorbs the scalings; the form check below rejects
-    # scalings that do not chain.
-    d_rows = []
-    for i in range(1, n + 1):
-        di = f.scalar(1) if i == 1 else factors[(1, i) if transpose_flag else (i, 1)]
-        d_rows.append([di if i == j else f.scalar(0) for j in range(1, n + 1)])
-    t = t1 @ Mat(f, d_rows)
-    report["stages"].append("scaling")
-
-    # entrywise endomorphism: a Frobenius power is fixed by its value at a
-    # generator of F_{p^k}^x, read at the (1,1) entry of the straightened
-    # image of that multiple of E_11; Q and F_p have only the identity.
+    # entrywise endomorphism: psi(g E_11) = w(g) psi(E_11), and a Frobenius
+    # power is fixed by its value at a generator g of F_{p^k}^x; Q and F_p
+    # have only the identity.
     omega = RingEndo(f)
     if f.kind == "galois":
         gen = f._exp[1]
-        w = phi1(mat_unit(f, n, 1, 1, Scalar(f, gen))).rows[0][0]
-        omega = next((e for e in endo_enumerate(f) if e.apply_raw(gen) == w), omega)
-    form = CanonicalForm.conjugation_form(
-        _normalize_t(t), omega=omega, transpose=transpose_flag, mode=phi.mode
-    )
+        pg = phic(mat_unit(f, n, 1, 1, Scalar(f, gen)))
+        omega = next((e for e in endo_enumerate(f)
+                      if p11.scale(Scalar(f, e.apply_raw(gen))) == pg), omega)
 
     rng = random.Random(seed)
     if f.is_finite and f.order <= 4096:
@@ -379,21 +319,34 @@ def classify_with_report(phi, verification=None):
     line_pairs = [(mat_unit(f, n, 1, 1, Scalar(f, raw)), e12) for raw in probes[:16]]
     # the form check: psi must agree with the form at every unit and at lam
     # E_11 for the probes and their consecutive products and sums. At the
-    # units this is a uniform orientation with chained scalings; on the line
-    # it is a scalar action that is the endomorphism omega.
+    # units this is a family of orthogonal rank-one idempotents, a uniform
+    # orientation and chained scalings; on the line it is a scalar action
+    # that is the endomorphism omega. A singular T fails it at E_11.
     line = list(probes)
     for a, b in zip(probes, probes[1:] + probes[:1]):
         line += [f.mul(a, b), f.add(a, b)]
-    units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
-    x, _ = _first_mismatch(phic, form.evaluate, read)
+    x = e11
+    if t.rank() == n:
+        form = CanonicalForm.conjugation_form(
+            _normalize_t(t), omega=omega, transpose=transpose, mode=phi.mode
+        )
+        units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
+        x, _ = _first_mismatch(phic, form.evaluate, read)
     if x is not None:
-        # a mixed orientation first disagrees where psi is right and only the
-        # form is wrong; the anchored pairs reach the unit that is wrong
+        # the pair (x, E_11) and the anchored pairs (E_aa, E_ab), whose circ
+        # product is E_ab / 2, reach a wrong unit when the form is wrong where
+        # psi is right; (E_kk, I), the square-zero pairs (E_jk, E_jk) and
+        # (E_ii, E_jj) tie the unit images to the images of I and 0
+        off = list(permutations(range(1, n + 1), 2))
+        eye = mat_identity(f, n)
         reject_psi("endomorphism",
                    "map disagrees with the reconstructed form at a unit or on the line through E_11",
-                   [(x, x), (x, mat_unit(f, n, 1, 1))]
-                   + _anchored(f, n, permutations(range(1, n + 1), 2))
+                   [(x, x), (x, e11)]
+                   + [(mat_unit(f, n, a, a), mat_unit(f, n, a, b)) for a, b in off]
+                   + [(mat_unit(f, n, k, k), eye) for k in range(1, n + 1)]
+                   + [(mat_unit(f, n, j, k), mat_unit(f, n, j, k)) for j, k in off]
+                   + [(mat_unit(f, n, i, i), mat_unit(f, n, j, j)) for i, j in off if i < j]
                    + line_pairs + [_through(x)],
                    culprit=x)
     report["stages"].append("endomorphism")
@@ -402,7 +355,7 @@ def classify_with_report(phi, verification=None):
     x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
     if x is not None:
         _reject(phi, "final", "map disagrees with the reconstructed form",
-                targeted=[(x, x), (x, mat_identity(f, n)), (x, mat_unit(f, n, 1, 1))]
+                targeted=[(x, x), (x, mat_identity(f, n)), (x, e11)]
                 + line_pairs + [_through(x)],
                 culprit=x, seed=seed)
     report["stages"].append("final")

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInput, UnsupportedSize
 from .exact_fields import prime_field
-from .maps import CIRC, DIAMOND, JordanMap, MultReport, Strategy, check_multiplicative
+from .maps import (
+    CIRC,
+    DIAMOND,
+    JordanMap,
+    MultReport,
+    Strategy,
+    _table_size,
+    check_multiplicative,
+)
 from .matrices import (
     Mat,
     block_diag,
@@ -137,6 +145,8 @@ def char2_example(n=2, a=None, b=None):
         # on M_1(F_2) the map is the identity, which is a conjugation
         raise UnsupportedSize("the char2 example needs n >= 2")
     f2 = prime_field(2)
+    # refuse a domain no table may cover before enumerating it
+    _table_size(f2, n, "full")
     if a is None:
         a = mat_unit(f2, n, 1, 1)
     if b is None:

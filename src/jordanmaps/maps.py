@@ -452,11 +452,10 @@ def diamond_to_circ(phi):
         # 2 T w(x/2)^t T^-1 = T w(x)^t T^-1: endomorphisms fix the prime
         # subfield, so the halving and doubling cancel exactly.
         return JordanMap(f, phi.n, CIRC, ("conjugation", phi._data), m=phi.m)
+    # a table is read through the same lazy oracle adapter: the classifier
+    # reads psi at a few dozen points, not the whole domain
     half = f.scalar(1) / f.scalar(2)
-    if phi._kind == "table":
-        table = {x: phi(x.scale(half)).scale(2) for x in phi.domain_iter()}
-        return JordanMap(f, phi.n, CIRC, ("table", table), m=phi.m, domain=phi.domain)
-    fn = phi._data
+    fn = phi._data.__getitem__ if phi._kind == "table" else phi._data
     return JordanMap(
         f,
         phi.n,

@@ -16,6 +16,7 @@ from jordanmaps import (
     classify,
     classify_rectangular,
     classify_with_report,
+    endo_enumerate,
     forms_equivalent,
     jordan_circ,
     mat_identity,
@@ -25,7 +26,8 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.classifier import _reject
+from jordanmaps.classifier import _normalize_t, _reject
+from jordanmaps.matrices import mat_diag_idempotent, random_invertible
 
 Q = rational_field()
 F3 = preset_field("F3")
@@ -56,14 +58,15 @@ FORM_CHECK = "map disagrees with the reconstructed form at a unit or on the line
 STAGE_DETAILS = {
     "constant": "map is not constant although its value at 0 is nonzero",
     "constant_squaring": "value at 0 is not compatible with squaring",
+    "constant_to_identity": "map is not constant although its value at 0 is nonzero",
     "zero": "map vanishes at E_11 but not everywhere",
-    "unit_images": "image of E_22 does not have rank 1",
-    "orientation": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
+    "unit_images": FORM_CHECK,
+    "orientation": FORM_CHECK,
     "scaling": FORM_CHECK,
     "scaling_chain": FORM_CHECK,
-    "unit_idempotent": "image of E_22 is not idempotent",
-    "unit_absorbed": "image of E_22 does not have rank 1",
-    "unit_orthogonal": "images of E_11 and E_22 are not orthogonal",
+    "unit_idempotent": FORM_CHECK,
+    "unit_absorbed": FORM_CHECK,
+    "unit_orthogonal": FORM_CHECK,
     "orientation_symmetry": FORM_CHECK,
     "orientation_completion": FORM_CHECK,
     "endomorphism_additive": FORM_CHECK,
@@ -73,12 +76,12 @@ STAGE_DETAILS = {
     "zero_diamond": "map vanishes at E_11 but not everywhere",
     "rectangular_zero_diamond": "map vanishes at 0 but not everywhere",
     "rectangular_constant_diamond": "map is not constant although its value at 0 is nonzero",
-    "unit_idempotent_diamond": "image of E_22 is not idempotent",
-    "unit_orthogonal_diamond": "images of E_11 and E_22 are not orthogonal",
-    "orientation_diamond": "image of E_12 is not a scaled unit at (1,2) or (2,1)",
+    "unit_idempotent_diamond": FORM_CHECK,
+    "unit_orthogonal_diamond": FORM_CHECK,
+    "orientation_diamond": FORM_CHECK,
     "scaling_diamond": FORM_CHECK,
-    "unit_square_zero": "image of E_11 does not have rank 1",
-    "unit_square_zero_diamond": "image of E_11 does not have rank 1",
+    "unit_square_zero": FORM_CHECK,
+    "unit_square_zero_diamond": FORM_CHECK,
 }
 
 
@@ -93,6 +96,11 @@ def stage_map(field, stage):
     zero = mat_zero(field, 3)
     if stage == "constant":
         return single_point(JordanMap.constant(field, 3, e(1, 1)), e(1, 2), zero)
+    if stage == "constant_to_identity":
+        # constant at a rank-2 idempotent P except phi(E_11) = I: only pairs
+        # through E_11 such as (E_11, I), where I o P = P != I, see it
+        constant = JordanMap.constant(field, 3, mat_diag_idempotent(field, 3, 0, 2))
+        return single_point(constant, e(1, 1), mat_identity(field, 3))
     if stage == "constant_squaring":
         return single_point(conj, zero, e(1, 1).scale(2))
     if stage == "zero":
@@ -241,6 +249,41 @@ class TestConjugationRecovery:
         form = classify(JordanMap.conjugation(t.scale(2)), verification="exhaustive")
         planted = CanonicalForm.conjugation_form(t)
         assert forms_equivalent(form, planted)
+
+    def test_report_shape(self):
+        phi = JordanMap.conjugation(Mat(F9, T3), endo=RingEndo(F9, 1), transpose=True)
+        _, report = classify_with_report(phi, verification="sampled:40:0")
+        report.pop("timing_ms", None)
+        assert report == {
+            "mode": "circ",
+            "strategy": "sampled:40:0",
+            "stages": ["precheck", "endomorphism", "final"],
+            "pairs_checked": 40,
+            "transpose": True,
+            "omega": {"kind": "frobenius", "e": 1},
+            "points_checked": 9 + 2 + 40,
+            "variant": "conjugation",
+        }
+        assert list(report) == [
+            "mode", "strategy", "stages", "pairs_checked",
+            "transpose", "omega", "points_checked", "variant",
+        ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", ["circ", DIAMOND])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["straight", "transposed"])
+    @pytest.mark.parametrize("field", [F3, F7, F9, Q], ids=["F3", "F7", "F9", "Q"])
+    def test_t_is_the_normalized_planted_t(self, field, transpose, mode, n):
+        # T is read off the unit images up to a scalar; the normalized
+        # representative is the planted one's, entry for entry
+        rng = random.Random(n)
+        verification = "exhaustive" if field is F3 and n == 2 else f"sampled:30:{n}"
+        for omega in endo_enumerate(field):
+            t, _ = random_invertible(field, n, rng)
+            phi = JordanMap.conjugation(t, endo=omega, transpose=transpose, mode=mode)
+            form = classify(phi, verification=verification)
+            assert form.t == _normalize_t(t)
+            assert (form.omega, form.transpose, form.mode) == (omega, transpose, mode)
 
     def test_table_body_roundtrips(self):
         t = Mat(F3, [[1, 0], [2, 1]])

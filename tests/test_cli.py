@@ -256,6 +256,7 @@ def _table_over(field):
         ["counterexample", "--name", "triangular", "--n", "0"],
         ["counterexample", "--name", "char2", "--n", "0"],
         ["counterexample", "--name", "char2", "--n", "1"],
+        ["counterexample", "--name", "char2", "--n", "5"],
         ["counterexample", "--name", "block_embedding", "--n", "0"],
     ],
 )
