@@ -19,9 +19,11 @@ image of a generator times E_11. One check of that form against psi at
 every matrix unit and on the line through E_11 judges the reconstruction;
 the form is then verified against phi. Maps that are not Jordan
 multiplicative are rejected with a concrete witness pair whenever one can
-be found (NotJordanMultiplicative): each stage that finds a fault tries
-pairs aimed at it (halved when a diamond map's pairs aim at psi), then
-seeded random pairs, through the one pair scan `maps._first_violation`.
+be found (NotJordanMultiplicative): each stage that finds psi wrong at a
+point x (for the diamond product a point x of phi is the point 2x of psi)
+tries the one list `_aimed` of circ pairs aimed at x, halved for a diamond
+map so that each is a pair of phi in its own product, then seeded random
+pairs, through the one pair scan `maps._first_violation`.
 Structural failures where no witness pair surfaced within budget raise
 InvariantViolation tagged with the stage that broke.
 """
@@ -146,11 +148,43 @@ def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
     raise InvariantViolation(stage, detail, witness=culprit)
 
 
-def _through(x):
-    """The pair (2I, x/2), whose circ product is x: a map that is wrong only
-    at x breaks the law on it."""
+def _probes(f, seed):
+    """Scalars probed on the line through E_11: every element of a field of
+    order at most 4096, else fixed small values and seeded random draws."""
+    rng = random.Random(seed)
+    if f.is_finite and f.order <= 4096:
+        probes = list(f.elements())
+    elif f.is_finite:
+        probes = [f.zero, f.one, f.of(-1), f.of(2), f.of(3)]
+        probes += [f.random_raw(rng) for _ in range(48)]
+    else:
+        probes = [f.of(x) for x in ("0", "1", "-1", "2", "-2")]
+        probes += [f.of(x) for x in ("1/2", "-1/2", "2/3", "7/3", "-22/7")]
+        probes += [f.random_raw(rng) for _ in range(16)]
+    return list(dict.fromkeys(probes))
+
+
+def _aimed(x, probes):
+    """Circ pairs aimed at a point x of psi, in order: (x, x), (x, 0), (x, I),
+    (x, E_11) and the through-pair (2I, x/2), whose circ product is x, so a
+    map wrong only at x breaks the law on it; the anchored pairs (E_aa, E_ab),
+    whose product is E_ab / 2, then (E_kk, I), the square-zero pairs
+    (E_jk, E_jk) and (E_ii, E_jj), which tie the unit images to the images
+    of I and 0; and (lam E_11, E_12), whose product is (lam/2) E_12, for the
+    first 16 probes, which ties the line through E_11 to E_12: a scalar
+    action wrong on the line but consistent along it breaks the law there,
+    not on pairs of multiples of E_11."""
     f, n = x.field, x.nrows
-    return mat_identity(f, n).scale(2), x.scale(Scalar(f, f.half_one))
+    unit = lambda i, j, s=1: mat_unit(f, n, i, j, s)
+    eye = mat_identity(f, n)
+    off = list(permutations(range(1, n + 1), 2))
+    yield from [(x, x), (x, mat_zero(f, n)), (x, eye), (x, unit(1, 1)),
+                (eye.scale(2), x.scale(Scalar(f, f.half_one)))]
+    yield from ((unit(a, a), unit(a, b)) for a, b in off)
+    yield from ((unit(k, k), eye) for k in range(1, n + 1))
+    yield from ((unit(j, k), unit(j, k)) for j, k in off)
+    yield from ((unit(i, i), unit(j, j)) for i, j in off if i < j)
+    yield from ((unit(1, 1, Scalar(f, raw)), unit(1, 2)) for raw in probes[:16])
 
 
 def _verification_points(phi, strategy):
@@ -230,6 +264,19 @@ def classify_with_report(phi, verification=None):
     f, n = phi.field, phi.n
     zero_mat = mat_zero(f, n)
     e11 = mat_unit(f, n, 1, 1)
+    half = Scalar(f, f.half_one)
+
+    def reject(stage, detail, x, culprit=None, at_psi=False):
+        # every stage aims at a point x of psi (phi, or for the diamond product
+        # its circ adapter 2 phi(x/2), so a point x of phi is the point 2x of
+        # psi); psi breaks the circ law on (a, b) exactly when phi breaks its
+        # own law on the halved pair (a/2, b/2)
+        if culprit is None:
+            culprit = x
+        pairs = _aimed(x if at_psi or phi.mode == CIRC else x.scale(2), _probes(f, seed))
+        if phi.mode == DIAMOND:
+            pairs = ((a.scale(half), b.scale(half)) for a, b in pairs)
+        _reject(phi, stage, detail, targeted=pairs, culprit=culprit, seed=seed)
 
     # the constant and zero stages compare phi against its own value at 0,
     # so every verification point is a point of phi itself
@@ -239,13 +286,10 @@ def classify_with_report(phi, verification=None):
         # must be idempotent and the map must take it everywhere.
         z = c if phi.mode == CIRC else c.scale(2)
         if not is_idempotent(z):
-            _reject(phi, "constant", "value at 0 is not compatible with squaring",
-                    targeted=[(zero_mat, zero_mat)], culprit=z, seed=seed)
+            reject("constant", "value at 0 is not compatible with squaring", zero_mat, culprit=z)
         x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
         if x is not None:
-            _reject(phi, "constant", "map is not constant although its value at 0 is nonzero",
-                    targeted=[(x, zero_mat), (x, x), (x, mat_identity(f, n)), _through(x)],
-                    culprit=x, seed=seed)
+            reject("constant", "map is not constant although its value at 0 is nonzero", x)
         report["stages"].append("constant")
         report["variant"] = "constant_idempotent"
         return CanonicalForm.constant_form(z, n, mode=phi.mode), report
@@ -260,23 +304,10 @@ def classify_with_report(phi, verification=None):
         x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
         if x is not None:
             at = "0" if phi.m < n else "E_11"
-            _reject(phi, "zero", f"map vanishes at {at} but not everywhere",
-                    targeted=[(x, x), (x, zero_mat), _through(x), (e11, x)],
-                    culprit=x, seed=seed)
+            reject("zero", f"map vanishes at {at} but not everywhere", x)
         report["stages"].append("zero")
         report["variant"] = "zero"
         return CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m), report
-
-    # From here the stages read psi = phic. A pair aimed at psi reaches
-    # _reject as a pair of phi: the circ adapter 2 phi(x/2) of a diamond map
-    # breaks the circ law on (x, y) exactly when phi breaks the diamond law
-    # on (x/2, y/2).
-    half = Scalar(f, f.half_one)
-
-    def reject_psi(stage, detail, targeted, culprit):
-        if phi.mode == DIAMOND:
-            targeted = [(x.scale(half), y.scale(half)) for x, y in targeted]
-        _reject(phi, stage, detail, targeted=targeted, culprit=culprit, seed=seed)
 
     # reconstruction: psi(E_i1) = t_i r_1 (psi(E_1i) when the map transposes)
     # for t_i column i of T and r_1 row 1 of T^-1, so column col of it is
@@ -301,27 +332,12 @@ def classify_with_report(phi, verification=None):
         omega = next((e for e in endo_enumerate(f)
                       if p11.scale(Scalar(f, e.apply_raw(gen))) == pg), omega)
 
-    rng = random.Random(seed)
-    if f.is_finite and f.order <= 4096:
-        probes = list(f.elements())
-    elif f.is_finite:
-        probes = [f.zero, f.one, f.of(-1), f.of(2), f.of(3)]
-        probes += [f.random_raw(rng) for _ in range(48)]
-    else:
-        probes = [f.of(x) for x in ("0", "1", "-1", "2", "-2")]
-        probes += [f.of(x) for x in ("1/2", "-1/2", "2/3", "7/3", "-22/7")]
-        probes += [f.random_raw(rng) for _ in range(16)]
-    probes = list(dict.fromkeys(probes))
-    # (lam E_11) o E_12 = (lam/2) E_12 ties the line through E_11 to E_12: a
-    # scalar action that is wrong on the line but consistent along it is
-    # caught by these pairs, not by pairs of multiples of E_11
-    e12 = mat_unit(f, n, 1, 2)
-    line_pairs = [(mat_unit(f, n, 1, 1, Scalar(f, raw)), e12) for raw in probes[:16]]
     # the form check: psi must agree with the form at every unit and at lam
     # E_11 for the probes and their consecutive products and sums. At the
     # units this is a family of orthogonal rank-one idempotents, a uniform
     # orientation and chained scalings; on the line it is a scalar action
     # that is the endomorphism omega. A singular T fails it at E_11.
+    probes = _probes(f, seed)
     line = list(probes)
     for a, b in zip(probes, probes[1:] + probes[:1]):
         line += [f.mul(a, b), f.add(a, b)]
@@ -334,30 +350,15 @@ def classify_with_report(phi, verification=None):
         read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
         x, _ = _first_mismatch(phic, form.evaluate, read)
     if x is not None:
-        # the pair (x, E_11) and the anchored pairs (E_aa, E_ab), whose circ
-        # product is E_ab / 2, reach a wrong unit when the form is wrong where
-        # psi is right; (E_kk, I), the square-zero pairs (E_jk, E_jk) and
-        # (E_ii, E_jj) tie the unit images to the images of I and 0
-        off = list(permutations(range(1, n + 1), 2))
-        eye = mat_identity(f, n)
-        reject_psi("endomorphism",
-                   "map disagrees with the reconstructed form at a unit or on the line through E_11",
-                   [(x, x), (x, e11)]
-                   + [(mat_unit(f, n, a, a), mat_unit(f, n, a, b)) for a, b in off]
-                   + [(mat_unit(f, n, k, k), eye) for k in range(1, n + 1)]
-                   + [(mat_unit(f, n, j, k), mat_unit(f, n, j, k)) for j, k in off]
-                   + [(mat_unit(f, n, i, i), mat_unit(f, n, j, j)) for i, j in off if i < j]
-                   + line_pairs + [_through(x)],
-                   culprit=x)
+        reject("endomorphism",
+               "map disagrees with the reconstructed form at a unit or on the line through E_11",
+               x, at_psi=True)
     report["stages"].append("endomorphism")
     report["omega"] = omega.describe()
 
     x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
     if x is not None:
-        _reject(phi, "final", "map disagrees with the reconstructed form",
-                targeted=[(x, x), (x, mat_identity(f, n)), (x, e11)]
-                + line_pairs + [_through(x)],
-                culprit=x, seed=seed)
+        reject("final", "map disagrees with the reconstructed form", x)
     report["stages"].append("final")
     report["points_checked"] = points
     report["variant"] = "conjugation"

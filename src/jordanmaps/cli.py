@@ -62,6 +62,18 @@ from .serialization import (
 )
 
 
+# the largest --n that certify --random, classify --random and counterexample
+# build matrices for; at n = 12 the slowest of them, classify --random and the
+# block_embedding bundle over Q, take about 12 s each on a 2-vCPU VM
+_MAX_N = 12
+
+
+def _check_n(n):
+    """Refuse an --n above _MAX_N before any matrix is built."""
+    if n > _MAX_N:
+        raise UnsupportedSize(f"--n {n} exceeds the cap of {_MAX_N}")
+
+
 def _read_json(path):
     try:
         with open(path, "rb") as handle:
@@ -157,6 +169,7 @@ def cmd_certify(args, report):
         if not x.is_square:
             raise UnsupportedInput("certificates need a square matrix")
     elif args.random:
+        _check_n(args.n)
         rng = random.Random(args.seed)
         x = random_mat(field, args.n, rng)
         while x.is_zero:
@@ -181,6 +194,7 @@ def _load_or_random_map(args, report):
         report["field"] = field_to_json(phi.field)
         return phi, None
     if args.random:
+        _check_n(args.n)
         field = preset_field(args.field)
         report["field"] = field_to_json(field)
         rng = random.Random(args.seed)
@@ -252,6 +266,7 @@ def cmd_counterexample(args, report):
     name = args.name
     if args.n < 1:
         raise UnsupportedSize("counterexamples need n >= 1")
+    _check_n(args.n)
     if name == "triangular":
         bundle = triangular_example(preset_field(args.field), n=args.n)
     elif name == "char2":

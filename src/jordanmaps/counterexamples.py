@@ -25,6 +25,8 @@ from .maps import (
     JordanMap,
     MultReport,
     Strategy,
+    _domain_matrices,
+    _resolve_strategy,
     _table_size,
     check_multiplicative,
 )
@@ -62,13 +64,6 @@ class CounterexampleBundle:
             if self.map(x) == self.map(y):
                 return False
         return True
-
-
-def _evidence_strategy(phi, seed=0):
-    size = phi.domain_size
-    if size is not None and size * size <= 100_000:
-        return Strategy.exhaustive()
-    return Strategy.sampled(count=1000, seed=seed)
 
 
 def triangular_example(field, n=2, omega=None):
@@ -113,7 +108,7 @@ def triangular_example(field, n=2, omega=None):
         return Mat(field, rows)
 
     phi = JordanMap.from_oracle(field, n, fn, mode=CIRC, domain="upper_triangular")
-    strategy = _evidence_strategy(phi)
+    strategy = _resolve_strategy(phi)
     evidence = check_multiplicative(phi, strategy)
     a, b = scalar_witness
     x = mat_identity(field, n).scale(a)
@@ -158,10 +153,7 @@ def char2_example(n=2, a=None, b=None):
     if b.is_zero:
         raise ValueError("B must be nonzero for the map to be nonzero")
     zero = mat_zero(f2, n)
-    table = {}
-    probe = JordanMap.from_oracle(f2, n, lambda x: x, mode=DIAMOND)
-    for x in probe.domain_iter():
-        table[x] = b if x == a else zero
+    table = {x: (b if x == a else zero) for x in _domain_matrices(f2, n, "full")}
     phi = JordanMap.from_table(f2, n, table, mode=DIAMOND)
     strategy = Strategy.exhaustive()
     evidence = check_multiplicative(phi, strategy)
@@ -206,7 +198,7 @@ def block_embedding_example(field, n=2, p=None):
         return block_diag(x, p)
 
     phi = JordanMap.from_oracle(field, n, fn, mode=CIRC, m=2 * n)
-    strategy = _evidence_strategy(phi)
+    strategy = _resolve_strategy(phi)
     evidence = check_multiplicative(phi, strategy)
     ident = mat_identity(field, n)
     return CounterexampleBundle(

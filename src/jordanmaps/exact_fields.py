@@ -31,14 +31,19 @@ from .errors import UnsupportedInput
 
 _LOG_TABLE_LIMIT = 4096
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES, the first 13
+# primes (1287836182261 * 2575672364521): below it the test is deterministic
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin for the desk-scale integers used here."""
+    """Deterministic Miller-Rabin below _MR_LIMIT; larger n are refused."""
+    if n >= _MR_LIMIT:
+        raise UnsupportedInput(f"{n} is too large to test for primality (limit {_MR_LIMIT})")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_BASES:
         if n == small:
             return True
         if n % small == 0:

@@ -45,14 +45,11 @@ class LadderCoefficients:
 def ladder(f, n, r):
     """Ladder triple for rank r in M_n(f): D_r = (A_r o B_r) o C_r.
 
-    Even case r = 2k:
-        A = sum_{j<=k} E_jj - 2 * sum_{j<i<=k} E_ij
-        B = -8 E_{k,k+1} + 4 * sum_{1<=i<=j<=k} p_i E_{j, 2k+i-j}
-        C = -E_{k+1,k} + sum_{1<=j<=k-1} E_{2k+1-j, j}
-    Odd case r = 2k+1:
-        A = sum_{j<=k+1} E_jj - 2 * sum_{j<i<=k} E_ij
-        B = -E_{k+1,k+1} + 4 * sum_{1<=i<=j<=k} p_i E_{j, 2k+1+i-j}
-        C = -E_{k+1,k+1} + sum_{1<=j<=k} E_{2k+2-j, j}
+    One formula serves both parities, with r = 2k + odd:
+        A = sum_{j<=k+odd} E_jj - 2 * sum_{j<i<=k} E_ij
+        B = -b E_{k+odd,k+1} + 4 * sum_{1<=i<=j<=k} p_i E_{j, r+i-j}
+        C = -E_{k+1,k+odd} + sum_{1<=j<k+odd} E_{r+1-j, j}
+    where b = 8 for even r and b = 1 for odd r.
 
     A_r is supported in the leading (r-1)x(r-1) block, so A_r o D_{r-1} = A_r.
     """
@@ -64,34 +61,22 @@ def ladder(f, n, r):
     a = [[f.zero] * n for _ in range(n)]
     b = [[f.zero] * n for _ in range(n)]
     c = [[f.zero] * n for _ in range(n)]
-    k = r // 2
-    diag = k if r % 2 == 0 else k + 1
-    for j in range(1, diag + 1):
+    k, odd = divmod(r, 2)
+    for j in range(1, k + odd + 1):
         a[j - 1][j - 1] = f.one
     minus_two = of(-2)
     for j in range(1, k + 1):
         for i in range(j + 1, k + 1):
             a[i - 1][j - 1] = minus_two
-    if r % 2 == 0:
-        b[k - 1][k] = of(-8)
-        for i in range(1, k + 1):
-            four_p = of(4 * p_sequence(i))
-            for j in range(i, k + 1):
-                col = 2 * k + i - j
-                b[j - 1][col - 1] = f.add(b[j - 1][col - 1], four_p)
-        c[k][k - 1] = of(-1)
-        for j in range(1, k):
-            c[2 * k - j][j - 1] = f.one
-    else:
-        b[k][k] = of(-1)
-        for i in range(1, k + 1):
-            four_p = of(4 * p_sequence(i))
-            for j in range(i, k + 1):
-                col = 2 * k + 1 + i - j
-                b[j - 1][col - 1] = f.add(b[j - 1][col - 1], four_p)
-        c[k][k] = of(-1)
-        for j in range(1, k + 1):
-            c[2 * k + 1 - j][j - 1] = f.one
+    b[k - 1 + odd][k] = of(-1 if odd else -8)
+    for i in range(1, k + 1):
+        four_p = of(4 * p_sequence(i))
+        for j in range(i, k + 1):
+            col = r + i - j
+            b[j - 1][col - 1] = f.add(b[j - 1][col - 1], four_p)
+    c[k][k - 1 + odd] = of(-1)
+    for j in range(1, k + odd):
+        c[r - j][j - 1] = f.one
     p_vals = tuple(Scalar(f, of(p_sequence(j))) for j in range(1, (r + 1) // 2 + 1))
     freeze = lambda m: Mat._from_raw(f, tuple(tuple(row) for row in m))
     return LadderCoefficients(
@@ -218,10 +203,9 @@ def certify_identity(x):
 
     Phases: reach_unit, re-anchor at E_11 via spread_units if the reach landed
     elsewhere, then three ladder steps per rank r = 2..n. The multiplier
-    realizing A_r from D_{r-1} is Y_A = 2A_r - D_{r-1} A_r D_{r-1}; since A_r
-    lives in the leading (r-1)-block this reduces to A_r, and the equality
-    D_{r-1} o Y_A = A_r is re-verified at runtime. Total length is at most
-    3 + 6(n-1).
+    realizing A_r from D_{r-1} is A_r itself: A_r lives in the leading
+    (r-1)-block, where D_{r-1} is the identity, so D_{r-1} o A_r = A_r, which
+    `_extend` re-verifies at runtime. Total length is at most 3 + 6(n-1).
     """
     if x.field.char2:
         raise UnsupportedInput("certificates use the circ product: characteristic != 2 required")
@@ -233,13 +217,7 @@ def certify_identity(x):
         _extend(x, steps, y, expected)
     for r in range(2, n + 1):
         coeffs = ladder(f, n, r)
-        d_prev = mat_diag_idempotent(f, n, 0, r - 1)
-        y_a = coeffs.a.scale(2) - (d_prev @ coeffs.a @ d_prev)
-        if jordan_circ(d_prev, y_a) != coeffs.a:
-            raise InvariantViolation(
-                "ladder", f"absorption multiplier failed at rank {r}", (d_prev, y_a, coeffs.a)
-            )
-        _extend(x, steps, y_a, coeffs.a)
+        _extend(x, steps, coeffs.a, coeffs.a)
         _extend(x, steps, coeffs.b)
         _extend(x, steps, coeffs.c, coeffs.d)
     cert = Certificate(start=x, steps=tuple(steps))

@@ -26,6 +26,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
+from jordanmaps import classifier
 from jordanmaps.classifier import _normalize_t, _reject
 from jordanmaps.matrices import mat_diag_idempotent, random_invertible
 
@@ -74,6 +75,8 @@ STAGE_DETAILS = {
     "rectangular_constant": "map is not constant although its value at 0 is nonzero",
     "constant_diamond": "map is not constant although its value at 0 is nonzero",
     "zero_diamond": "map vanishes at E_11 but not everywhere",
+    "diamond_zero_at_e23": "map vanishes at E_11 but not everywhere",
+    "diamond_constant_at_e12": "map is not constant although its value at 0 is nonzero",
     "rectangular_zero_diamond": "map vanishes at 0 but not everywhere",
     "rectangular_constant_diamond": "map is not constant although its value at 0 is nonzero",
     "unit_idempotent_diamond": FORM_CHECK,
@@ -143,6 +146,15 @@ def stage_map(field, stage):
         # itself, not its circ adapter, to reach the one wrong point E_12
         value = e(1, 1).scale(half)
         return single_point(JordanMap.constant(field, 3, value, mode=DIAMOND), e(1, 2), zero)
+    if stage == "diamond_zero_at_e23":
+        # only pairs whose diamond product is E_23, such as (I, E_23 / 2),
+        # see the one wrong point: the circ pair (2I, E_23 / 2) has diamond
+        # product 2 E_23
+        return single_point(JordanMap.zero(field, 3, mode=DIAMOND), e(2, 3), e(2, 3))
+    if stage == "diamond_constant_at_e12":
+        value = e(1, 1).scale(half)
+        constant = JordanMap.constant(field, 3, value, mode=DIAMOND)
+        return single_point(constant, e(1, 2), value + e(2, 3))
     if stage == "zero_diamond":
         return single_point(JordanMap.zero(field, 3, mode=DIAMOND), e(1, 2), e(1, 2))
     if stage.endswith("_diamond") and not stage.startswith("rectangular"):
@@ -373,6 +385,37 @@ class TestRejection:
         assert exc.value.detail == detail
         assert_breaks_law(phi, exc.value.witness)
 
+
+    @pytest.mark.parametrize("mode", ["circ", DIAMOND])
+    @pytest.mark.parametrize("stage", ["constant", "zero", "final"])
+    def test_through_pair_lands_on_the_culprit(self, monkeypatch, stage, mode):
+        # the fifth aimed pair is the through-pair (2I, x/2) at the point of
+        # psi; handed to _reject as a pair of phi, its product under phi's own
+        # law is the point x where the stage found phi wrong
+        f = F7
+        e23 = mat_unit(f, 3, 2, 3)
+        if stage == "constant":
+            value = mat_unit(f, 3, 1, 1, Scalar(f, f.half_one) if mode == DIAMOND else 1)
+            base = JordanMap.constant(f, 3, value, mode=mode)
+            phi, at = single_point(base, e23, value + e23), e23
+        elif stage == "zero":
+            phi, at = single_point(JordanMap.zero(f, 3, mode=mode), e23, e23), e23
+        else:
+            base = JordanMap.conjugation(Mat(f, T3), mode=mode)
+            at = mat_identity(f, 3)
+            phi = single_point(base, at, base(mat_unit(f, 3, 1, 1)))
+        seen = {}
+
+        def capture(phi, stage, detail, targeted=(), culprit=None, seed=0):
+            seen.update(stage=stage, pairs=list(targeted), culprit=culprit)
+            raise InvariantViolation(stage, detail)
+
+        monkeypatch.setattr(classifier, "_reject", capture)
+        with pytest.raises(InvariantViolation):
+            classify(phi, verification="sampled:40:0")
+        a, b = seen["pairs"][4]
+        assert seen["stage"] == stage
+        assert phi.product(a, b) == seen["culprit"] == at
 
     def test_reject_without_witness_raises_invariant_violation(self):
         # a genuine map breaks the law on no pair, so with no targeted pairs

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -237,6 +238,25 @@ def test_bad_size_exits_4_with_report(argv, capsys):
     assert report["outcome"]["status"] == "unsupported"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["certify", "--random", "--field", "Q"],
+        ["classify", "--random", "--field", "Q"],
+        ["counterexample", "--name", "triangular", "--field", "Q"],
+        ["counterexample", "--name", "block_embedding", "--field", "Q"],
+        ["counterexample", "--name", "char2"],
+    ],
+)
+def test_n_above_cap_exits_4_at_once(command, capsys):
+    start = time.monotonic()
+    assert cli.main(command + ["--n", str(cli._MAX_N + 1)]) == 4
+    assert time.monotonic() - start < 1
+    outcome = json.loads(capsys.readouterr().out)["outcome"]
+    assert outcome == {"status": "unsupported",
+                       "detail": f"--n {cli._MAX_N + 1} exceeds the cap of {cli._MAX_N}"}
+
+
 def _table_over(field):
     return {"schema": "1", "field": field, "n": 2, "mode": "circ", "entries": []}
 
@@ -246,6 +266,8 @@ def _table_over(field):
     [
         ["certify", "--random", "--field", "F4x"],
         ["certify", "--random", "--field", "p:4"],
+        ["certify", "--random", "--field", "p:318665857834031151167461"],
+        ["certify", "--random", "--field", "p:3317044064679887385961981"],
         ["certify", "--random", "--field", "p:abc"],
         ["certify", "--random", "--field", "gf:3"],
         ["certify", "--random", "--field", "gf:4:2"],

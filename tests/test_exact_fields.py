@@ -13,6 +13,7 @@ from jordanmaps import (
     prime_field,
     rational_field,
 )
+from jordanmaps.exact_fields import _MR_LIMIT, is_prime
 
 ints = st.integers(min_value=-200, max_value=200)
 
@@ -147,6 +148,26 @@ class TestConstruction:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):
             prime_field(6)
+
+    @pytest.mark.parametrize("kind, k", [("prime", 1), ("galois", 2)])
+    def test_pseudoprime_limit_refused(self, kind, k):
+        # 1287836182261 * 2575672364521 passes Miller-Rabin for every base
+        # up to 41; no p at or above it is trusted to be prime
+        p = 1287836182261 * 2575672364521
+        assert p == _MR_LIMIT
+        with pytest.raises(UnsupportedInput, match="too large to test for primality"):
+            Field(kind, p=p, k=k)
+        with pytest.raises(UnsupportedInput):
+            is_prime(p + 2)
+
+    @pytest.mark.parametrize("kind, k", [("prime", 1), ("galois", 2)])
+    def test_strong_pseudoprime_to_bases_up_to_37_refused(self, kind, k):
+        # 399165290221 * 798330580441 passes Miller-Rabin for every base up
+        # to 37 and is below _MR_LIMIT; base 41 exposes it
+        p = 399165290221 * 798330580441
+        assert not is_prime(p)
+        with pytest.raises(UnsupportedInput, match="is not prime"):
+            Field(kind, p=p, k=k)
 
     def test_reducible_polynomial_rejected(self):
         # x^2 - 1 = (x - 1)(x + 1) over F_3

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -19,11 +20,28 @@ from jordanmaps import (
     replay,
     spread_units,
 )
+from jordanmaps.matrices import random_mat
+from jordanmaps.serialization import certificate_to_json, dumps
 
 Q = rational_field()
 F3 = preset_field("F3")
 F5 = preset_field("F5")
 F7 = preset_field("F7")
+F9 = preset_field("F9")
+
+# sha256 of the canonical JSON of the certificates made by `seeded_certificates`
+CERTIFICATES_DIGEST = "dbf877054755a200a12f7a50d3e6bb9bb258a22b257885fe6eba6d4474eb9cda"
+
+
+def seeded_certificates():
+    for field in (Q, F5, F7, F9):
+        for n in range(2, 7):
+            for seed in range(3):
+                rng = random.Random(seed)
+                x = random_mat(field, n, rng)
+                while x.is_zero:
+                    x = random_mat(field, n, rng)
+                yield certify_identity(x)
 
 
 def test_p_sequence_values():
@@ -151,6 +169,18 @@ class TestCertify:
                 assert cert.start == x
                 assert len(cert) <= 3 + 6 * (n - 1)
                 assert bool(replay(cert))
+                # the climb ends with three steps per rank r = 2..n; the
+                # first of them multiplies by A_r and lands on A_r
+                climb = cert.steps[len(cert.steps) - 3 * (n - 1):]
+                for r in range(2, n + 1):
+                    a = ladder(field, n, r).a
+                    assert climb[3 * (r - 2)] == (a, a)
+
+    def test_certificates_are_frozen(self):
+        digest = hashlib.sha256()
+        for cert in seeded_certificates():
+            digest.update(dumps(certificate_to_json(cert)).encode())
+        assert digest.hexdigest() == CERTIFICATES_DIGEST
 
     def test_zero_rejected(self):
         with pytest.raises(UnsupportedInput):

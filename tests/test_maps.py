@@ -185,9 +185,17 @@ class TestCheckMultiplicative:
 
     def test_large_finite_domain_defaults_to_sampling(self):
         phi = JordanMap.conjugation(Mat(F5, [[1, 1], [0, 1]]))
-        report = check_multiplicative(phi)  # 625 > 81 points
+        report = check_multiplicative(phi)  # 625 > 316 points
         assert report.ok
         assert report.qualifier.startswith("sampled")
+
+    def test_domain_of_at_most_316_points_defaults_to_exhaustive(self):
+        # T_2(F_5) has 125 points, so 15,625 ordered pairs
+        phi = JordanMap.from_oracle(F5, 2, lambda x: x, domain="upper_triangular")
+        report = check_multiplicative(phi)
+        assert report.ok
+        assert report.qualifier == "exhaustive"
+        assert report.pairs_checked == 125 * 125
 
     def test_diamond_mode_over_char2(self):
         phi = JordanMap.from_oracle(F2, 2, lambda x: x, mode=DIAMOND)
