@@ -251,7 +251,7 @@ def cmd_verify(args, report):
         report["inputs"].append({"path": args.map, "sha256": map_digest})
         phi = map_from_json(map_obj)
         report["field"] = field_to_json(phi.field)
-        if (form.field, form.n, form.mode) != (phi.field, phi.n, phi.mode):
+        if (form.field, form.n, form.m, form.mode) != (phi.field, phi.n, phi.m, phi.mode):
             raise UnsupportedInput("form and map disagree on field, size, or mode")
         strategy = _parse_strategy(args.verify or "exhaustive")
         report["strategy"] = strategy.describe()

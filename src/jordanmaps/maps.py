@@ -18,6 +18,7 @@ import functools
 import random
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import UnsupportedInput
 from .matrices import Mat, _jordan_raw, conjugator, jordan_circ, jordan_diamond, mat_zero
@@ -387,6 +388,16 @@ def check_multiplicative(phi, strategy=None):
     order always has b >= a. The witness and `pairs_checked` (a*size + b + 1)
     are those of that pair; an accepted scan covers, and reports, all
     size*size ordered pairs.
+
+    Row 0 (x_0 = 0) visits every b, so it evaluates every image. If every
+    image then lies in the domain, each later row a is compared whole: the
+    ids phi(x_a * x_b) and the ids of phi(x_a) * phi(x_b), for all b, are two
+    gathers through the table, the second kept per image id, so a constant
+    map builds it once. Their first difference lies at some b >= a, by the
+    argument above, so the witness and count are those of the pair-by-pair
+    scan. Scans with an image outside the domain (a block embedding, a map
+    into M_m with m != n, a triangular map with a non-triangular image) go
+    pair by pair throughout.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -415,9 +426,22 @@ def check_multiplicative(phi, strategy=None):
                 image[a] = k
             return k
 
+        images_at = None  # set once every image is known and in the domain
+        rhs_rows = {}
         for a in range(size):
-            fa = image_id(a)
             row = table[a]
+            if images_at is not None:
+                # the whole row at once: ids of phi(x_a * x_b) and phi(x_a) * phi(x_b)
+                lhs = itemgetter(*row)(image)
+                fa = image[a]
+                rhs = rhs_rows.get(fa)
+                if rhs is None:
+                    rhs = rhs_rows[fa] = images_at(table[fa])
+                if lhs != rhs:
+                    b = next(b for b in range(a, size) if lhs[b] != rhs[b])
+                    return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
+                continue
+            fa = image_id(a)
             products = {}
             for b in range(a, size):
                 lhs = image_id(row[b])
@@ -431,6 +455,8 @@ def check_multiplicative(phi, strategy=None):
                     ok = values[lhs] == rhs
                 if not ok:
                     return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
+            if max(image) < size:  # row 0 has evaluated every image
+                images_at = itemgetter(*image)
         return MultReport(True, size * size, "exhaustive")
     pairs = _sampled_pairs(phi, strategy.seed, strategy.pair_budget)
     checked, witness = _first_violation(phi, pairs)

@@ -3,12 +3,14 @@ and canonical forms. Every top-level document carries "schema": "1".
 
 Scalars encode as strings over Q and prime fields ("7/2", "3") and as
 ascending coefficient arrays over galois fields ([2, 1] = 2 + x). Matrices
-are row-major entry lists with explicit dimensions. Loaders validate
-structure and raise UnsupportedInput on anything malformed.
+are row-major entry lists with explicit dimensions. Loaders also read JSON
+integers as scalars, and refuse JSON booleans wherever a number is due. They
+validate structure and raise UnsupportedInput on anything malformed.
 """
 
 import json
 from fractions import Fraction
+from functools import partial
 
 from .errors import UnsupportedInput
 from .exact_fields import Field, RingEndo, Scalar
@@ -23,7 +25,8 @@ def _need(obj, key, kinds=None):
     if not isinstance(obj, dict) or key not in obj:
         raise UnsupportedInput(f"missing key {key!r} in JSON object")
     value = obj[key]
-    if kinds is not None and not isinstance(value, kinds):
+    # JSON true and false are Python bools, which are ints: refuse them as such
+    if kinds is not None and (not isinstance(value, kinds) or isinstance(value, bool)):
         raise UnsupportedInput(f"key {key!r} has unexpected type {type(value).__name__}")
     return value
 
@@ -53,7 +56,7 @@ def field_from_json(obj):
     if kind == "galois":
         modulus = obj.get("modulus")
         if modulus is not None and not (
-            isinstance(modulus, list) and all(isinstance(c, int) for c in modulus)
+            isinstance(modulus, list) and all(type(c) is int for c in modulus)
         ):
             raise UnsupportedInput("key 'modulus' must be a list of integers")
         return Field("galois", p=_need(obj, "p", int), k=_need(obj, "k", int), modulus=modulus)
@@ -70,20 +73,44 @@ def scalar_to_json(s):
     return str(s.value)
 
 
-def scalar_from_json(field, obj):
-    if field.kind == "galois":
-        if isinstance(obj, (list, str, int)):
-            try:
-                return field.scalar(obj if isinstance(obj, list) else int(obj))
-            except (TypeError, ValueError) as exc:
-                raise UnsupportedInput(f"bad galois scalar encoding {obj!r}: {exc}") from exc
-        raise UnsupportedInput(f"bad galois scalar encoding {obj!r}")
-    if isinstance(obj, (str, int)):
+def _decode_raw(field, obj):
+    """The raw value (see exact_fields) of one JSON scalar encoding, decoded
+    once, accepting what `field.of` accepts. Q reads strings and integers as
+    `Fraction` does ("7/2", "-1", 3); F_p and F_{p^k} read them as `int`
+    does, then reduce mod p; F_{p^k} also reads ascending coefficient lists.
+    JSON booleans are refused, also inside a coefficient list."""
+    galois = field.kind == "galois"
+    prefix = "bad galois scalar encoding" if galois else "bad scalar encoding"
+    try:
+        if isinstance(obj, (str, int)) and not isinstance(obj, bool):
+            return Fraction(obj) if field.kind == "rational" else int(obj) % field.p
+        if galois and isinstance(obj, list) and not any(isinstance(c, bool) for c in obj):
+            return field.of(obj)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise UnsupportedInput(f"{prefix} {obj!r}: {exc}") from exc
+    raise UnsupportedInput(f"{prefix} {obj!r}")
+
+
+def _memoized(decode):
+    """`decode` remembering each hashable encoding under (type, value), so
+    that 1, "1" and 1.0 stay apart; coefficient lists decode every time."""
+    memo = {}
+
+    def cached(obj):
+        key = (type(obj), obj)
         try:
-            return field.scalar(Fraction(obj) if field.kind == "rational" else int(obj))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UnsupportedInput(f"bad scalar encoding {obj!r}: {exc}") from exc
-    raise UnsupportedInput(f"bad scalar encoding {obj!r}")
+            return memo[key]
+        except KeyError:
+            raw = memo[key] = decode(obj)
+            return raw
+        except TypeError:
+            return decode(obj)
+
+    return cached
+
+
+def scalar_from_json(field, obj):
+    return Scalar(field, _decode_raw(field, obj))
 
 
 def mat_to_json(m):
@@ -94,15 +121,18 @@ def mat_to_json(m):
     }
 
 
-def mat_from_json(field, obj):
+def mat_from_json(field, obj, decode=None):
+    """The matrix of a `{"n", "m", "entries"}` object. Each entry is decoded
+    once, straight to its raw value, by `decode` (default: `_decode_raw`
+    over `field`), and the raw rows become the matrix as they are."""
     n = _need(obj, "n", int)
     m = _need(obj, "m", int)
     entries = _need(obj, "entries", list)
     if n < 1 or m < 1 or len(entries) != n * m:
         raise UnsupportedInput(f"matrix claims {n}x{m} but carries {len(entries)} entries")
-    scalars = [scalar_from_json(field, e) for e in entries]
-    rows = [scalars[i * m : (i + 1) * m] for i in range(n)]
-    return Mat(field, rows)
+    # m references to one iterator: zip deals its entries out m to a row
+    raw = [map(decode or partial(_decode_raw, field), entries)] * m
+    return Mat._from_raw(field, tuple(zip(*raw)))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -164,11 +194,15 @@ def map_from_json(obj):
     entries = _need(obj, "entries", list)
     if len(entries) != size:
         raise UnsupportedInput(f"table lists {len(entries)} entries for {size} domain matrices")
-    pairs = []
-    for entry in entries:
-        x = mat_from_json(field, _need(entry, "x", dict))
-        fx = mat_from_json(field, _need(entry, "fx", dict))
-        pairs.append((x, fx))
+    # a table repeats few encodings ("0", "1", ...): each is decoded once
+    decode = _memoized(partial(_decode_raw, field))
+    pairs = [
+        (
+            mat_from_json(field, _need(entry, "x", dict), decode),
+            mat_from_json(field, _need(entry, "fx", dict), decode),
+        )
+        for entry in entries
+    ]
     return JordanMap.from_table(field, n, pairs, mode=mode, domain=domain)
 
 

@@ -206,6 +206,41 @@ def test_verify_zero_form_with_bad_size_exits_4(tmp_path, capsys):
     assert report["outcome"]["status"] == "unsupported"
 
 
+def test_verify_form_and_map_into_different_sizes_exits_4(tmp_path, capsys):
+    from jordanmaps import CanonicalForm
+
+    # the constant [1] maps M_2(F_3) into M_1; the tables below map into M_1 and M_2
+    form = write(tmp_path / "form.json",
+                 form_to_json(CanonicalForm.constant_form(Mat(F3, [[1]]), 2)))
+    domain = JordanMap.zero(F3, 2).domain_iter()
+    into_m1 = JordanMap.from_table(F3, 2, {x: Mat(F3, [[1]]) for x in domain})
+    mp = write(tmp_path / "m1.json", table_to_json(into_m1))
+    assert cli.main(["verify", "--form", form, "--map", mp]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"]["status"] == "verified"
+
+    into_m2 = conjugation_table(F3, Mat(F3, [[1, 1], [0, 1]]))
+    mp = write(tmp_path / "m2.json", table_to_json(into_m2))
+    assert cli.main(["verify", "--form", form, "--map", mp]) == 4
+    assert json.loads(capsys.readouterr().out)["outcome"] == {
+        "status": "unsupported", "detail": "form and map disagree on field, size, or mode"}
+
+
+@pytest.mark.parametrize(
+    "where, detail",
+    [("n", "key 'n' has unexpected type bool"), ("entry", "bad scalar encoding True")],
+)
+def test_json_booleans_are_not_numbers(where, detail, tmp_path, capsys):
+    blob = table_to_json(conjugation_table(F3, Mat(F3, [[1, 1], [0, 1]])))
+    if where == "n":
+        blob["n"] = True
+    else:  # the image of E_11 reads true where it read "1"
+        blob["entries"][1]["fx"]["entries"][0] = True
+    mp = write(tmp_path / "map.json", blob)
+    assert cli.main(["classify", "--map", mp]) == 4
+    assert json.loads(capsys.readouterr().out)["outcome"] == {
+        "status": "unsupported", "detail": detail}
+
+
 @pytest.mark.parametrize("name", ["triangular", "char2", "block_embedding"])
 def test_counterexample_bundles(tmp_path, name):
     out = tmp_path / "r.json"

@@ -265,6 +265,50 @@ def test_exhaustive_check_matches_reference_scan(case):
         assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
 
 
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("kind", ["conjugation", "constant"])
+def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode):
+    # every single-entry mutation of an M_2(F_3) table, by two values each,
+    # read through an oracle that counts the points it is asked for
+    if kind == "conjugation":
+        base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]), transpose=True, mode=mode)
+    else:  # the constant E_11 for circ and E_11 / 2 = 2 E_11 for diamond
+        value = mat_unit(F3, 2, 1, 1, 1 if mode == CIRC else 2)
+        base = JordanMap.constant(F3, 2, value, mode=mode)
+    genuine = {x: base(x) for x in base.domain_iter()}
+    size = len(genuine)
+    for x in genuine:
+        for shift in (mat_identity(F3, 2), mat_unit(F3, 2, 1, 2)):
+            entries = dict(genuine)
+            entries[x] = genuine[x] + shift
+            asked = []
+            phi = JordanMap.from_oracle(
+                F3, 2, lambda y, entries=entries: asked.append(y) or entries[y], mode=mode
+            )
+            report = check_multiplicative(phi, Strategy.exhaustive())
+            # images are evaluated once each, when first needed; row 0 is
+            # x_0 = 0, whose products are all 0, so it asks for phi(x_b) in
+            # order and a scan that stops at pair k has asked for min(k, size)
+            assert len(asked) == len(set(asked)) == min(report.pairs_checked, size)
+            assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("value", ["x", "I"])
+def test_exhaustive_check_finds_a_witness_past_row_1(value, mode):
+    # x or I where x_22 != 0, else 0: rows 0-2 pass, so rows 1-3 are read
+    # whole, with images 0 and nonzero among them
+    keep = mat_identity(F3, 2) if value == "I" else None
+    entries = {
+        x: (keep or x) if x.raw(2, 2) else mat_zero(F3, 2)
+        for x in JordanMap.zero(F3, 2).domain_iter()
+    }
+    phi = JordanMap.from_table(F3, 2, entries, mode=mode)
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert report.pairs_checked == 3 * 81 + 9 + 1
+    assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+
+
 class TestDiamondToCirc:
     def test_constant(self):
         # diamond-constant C corresponds to the circ-constant 2C

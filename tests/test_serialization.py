@@ -52,8 +52,9 @@ def test_field_roundtrip(field):
         {"kind": "galois", "p": 3, "k": 2, "modulus": [2, 0, 1]},
         {"kind": "galois", "p": 3, "k": 2, "modulus": ["a", 0, 1]},
         {"kind": "galois", "p": 3, "k": 2, "modulus": 5},
+        {"kind": "galois", "p": 3, "k": 2, "modulus": [True, 0, 1]},
     ],
-    ids=["composite_p", "reducible", "string_coefficient", "scalar_modulus"],
+    ids=["composite_p", "reducible", "string_coefficient", "scalar_modulus", "bool_coefficient"],
 )
 def test_bad_field_is_unsupported(obj):
     with pytest.raises(UnsupportedInput):
@@ -80,6 +81,96 @@ def test_scalar_rejects_garbage():
         scalar_from_json(F5, "socks")
     with pytest.raises(UnsupportedInput):
         scalar_from_json(F9, [0, 1, 2, 3])
+
+
+REFUSED = None
+# each entry's raw value over F5, Q and F9, or REFUSED. Integers and their
+# strings embed through the prime subfield, so "3" is 0 in F9 = F_3[x]/(x^2+1).
+DECODED = [
+    ("3", 3, Fraction(3), 0),
+    (" 3", 3, Fraction(3), 0),
+    ("+3", 3, Fraction(3), 0),
+    ("-1", 4, Fraction(-1), 2),
+    ("1_0", 0, Fraction(10), 1),
+    ("7/2", REFUSED, Fraction(7, 2), REFUSED),
+    ("1/0", REFUSED, REFUSED, REFUSED),
+    ("socks", REFUSED, REFUSED, REFUSED),
+    ("", REFUSED, REFUSED, REFUSED),
+    (3, 3, Fraction(3), 0),
+    (-8, 2, Fraction(-8), 1),
+    (2.0, REFUSED, REFUSED, REFUSED),
+    (None, REFUSED, REFUSED, REFUSED),
+    ([0, 1], REFUSED, REFUSED, 3),
+    ([1, 2, 0], REFUSED, REFUSED, REFUSED),
+    ([], REFUSED, REFUSED, 0),
+    ({}, REFUSED, REFUSED, REFUSED),
+    (True, REFUSED, REFUSED, REFUSED),
+    (False, REFUSED, REFUSED, REFUSED),
+    ([True, 0], REFUSED, REFUSED, REFUSED),
+]
+
+
+@pytest.mark.parametrize("column, field", [(1, F5), (2, Q), (3, F9)], ids=["F5", "Q", "F9"])
+@pytest.mark.parametrize("row", DECODED, ids=[repr(row[0]) for row in DECODED])
+def test_entry_decoding(row, column, field):
+    entry, raw = row[0], row[column]
+    blob = {"n": 1, "m": 1, "entries": [entry]}
+    if raw is REFUSED:
+        with pytest.raises(UnsupportedInput, match="bad (galois )?scalar encoding"):
+            mat_from_json(field, blob)
+        with pytest.raises(UnsupportedInput, match="bad (galois )?scalar encoding"):
+            scalar_from_json(field, entry)
+    else:
+        assert mat_from_json(field, blob).rows == ((raw,),)
+        assert scalar_from_json(field, entry) == Scalar(field, raw)
+
+
+def _respell(entry, i):
+    """The i-th of several encodings of one scalar, so that a table repeats
+    each value under different spellings: "2" may read "2", 2, " 2" or "+2"."""
+    if isinstance(entry, list):
+        return entry if i % 2 else [str(c) for c in entry]
+    return [entry, int(entry), " " + entry, "+" + entry][i % 4]
+
+
+def _decoded_one_by_one(field, blob):
+    scalars = [scalar_from_json(field, e) for e in blob["entries"]]
+    m = blob["m"]
+    return Mat(field, [scalars[i * m : (i + 1) * m] for i in range(blob["n"])])
+
+
+@pytest.mark.parametrize(
+    "field, domain", [(F3, "full"), (F5, "upper_triangular"), (F9, "upper_triangular")],
+    ids=["M2F3", "T2F5", "T2F9"],
+)
+def test_map_from_json_matches_entrywise_decoding(field, domain):
+    t = Mat(field, [[1, 1], [0, 2]])
+    xs = JordanMap.from_oracle(field, 2, None, domain=domain).domain_iter()
+    blob = table_to_json(JordanMap.from_table(field, 2, {x: t @ x for x in xs}, domain=domain))
+    count = 0
+    for entry in blob["entries"]:
+        for mat in entry.values():
+            for k, e in enumerate(mat["entries"]):
+                mat["entries"][k] = _respell(e, count)
+                count += 1
+    expected = {
+        _decoded_one_by_one(field, e["x"]): _decoded_one_by_one(field, e["fx"])
+        for e in blob["entries"]
+    }
+    back = map_from_json(blob)
+    assert {x: back(x) for x in back.domain_iter()} == expected
+
+
+@pytest.mark.parametrize("late", [True, 1.0])
+def test_map_from_json_keeps_encodings_of_one_value_apart(late):
+    # 1 is read first; a later true or 1.0, equal to 1 in Python, is still
+    # refused, not answered from what 1 decoded to
+    zero = JordanMap.zero(F3, 2)
+    blob = table_to_json(JordanMap.from_table(F3, 2, {x: zero(x) for x in zero.domain_iter()}))
+    blob["entries"][0]["fx"]["entries"][0] = 1
+    blob["entries"][-1]["fx"]["entries"][0] = late
+    with pytest.raises(UnsupportedInput, match="bad scalar encoding"):
+        map_from_json(blob)
 
 
 @pytest.mark.parametrize(
