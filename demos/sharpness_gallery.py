@@ -5,16 +5,18 @@
    is not additive — so no conjugation form exists. Full-matrix domains
    matter.
 
-2. char2: over F_2 with the diamond product x <> y = xy + yx, the map
-   X |-> tr(X) A + B can preserve products while being neither constant nor
-   additive. Odd characteristic matters.
+2. char2: over F_2 with the diamond product x <> y = xy + yx, the map that
+   sends one trace-one matrix A to B and every other matrix to 0 preserves
+   products while being neither constant nor additive. Odd characteristic
+   matters.
 
 3. block_embedding: X |-> diag(X, P) into M_{2n} preserves products but is
    not surjective-equivalent to any square-size form. The equal-size
    hypothesis matters.
 
-Each bundle carries seeded preservation evidence plus concrete witness pairs;
-`verify()` re-derives everything from scratch.
+Each bundle carries seeded preservation evidence, from one scan of its map,
+plus concrete witness pairs; `verify()` checks that evidence and replays the
+witness pairs.
 """
 
 from jordanmaps import all_examples

@@ -87,6 +87,12 @@ class CanonicalForm:
             if self.omega is None:
                 object.__setattr__(self, "omega", RingEndo(self.field))
             object.__setattr__(self, "_conj", conjugator(self.t, self.t.inverse()))
+        elif self.variant == "zero":
+            object.__setattr__(self, "_value", mat_zero(self.field, self.m))
+        elif self.mode == DIAMOND:
+            object.__setattr__(self, "_value", self.idempotent.scale(self.field.scalar(1).halve()))
+        else:
+            object.__setattr__(self, "_value", self.idempotent)
 
     @staticmethod
     def zero_form(field, n, mode=CIRC, m=None):
@@ -118,12 +124,8 @@ class CanonicalForm:
         )
 
     def evaluate(self, x):
-        if self.variant == "zero":
-            return mat_zero(self.field, self.m)
-        if self.variant == "constant_idempotent":
-            if self.mode == DIAMOND:
-                return self.idempotent.scale(self.field.scalar(1).halve())
-            return self.idempotent
+        if self.variant != "conjugation":
+            return self._value
         y = x.apply_endo(self.omega)
         return self._conj(y.transpose() if self.transpose else y)
 
@@ -278,8 +280,18 @@ def classify_with_report(phi, verification=None):
             pairs = ((a.scale(half), b.scale(half)) for a, b in pairs)
         _reject(phi, stage, detail, targeted=pairs, culprit=culprit, seed=seed)
 
-    # the constant and zero stages compare phi against its own value at 0,
-    # so every verification point is a point of phi itself
+    def accept(stage, detail, form):
+        # every form is Jordan multiplicative: agreeing with one pointwise settles phi
+        x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
+        if x is not None:
+            reject(stage, detail, x)
+        report["stages"].append(stage)
+        if form.variant == "conjugation":
+            report["points_checked"] = points
+        report["variant"] = form.variant
+        return form, report
+
+    # the constant and zero stages read phi itself: its value at 0 fixes the form
     c = phi(zero_mat)
     if not c.is_zero:
         # constant branch: the value at 0, doubled for the diamond product,
@@ -287,12 +299,8 @@ def classify_with_report(phi, verification=None):
         z = c if phi.mode == CIRC else c.scale(2)
         if not is_idempotent(z):
             reject("constant", "value at 0 is not compatible with squaring", zero_mat, culprit=z)
-        x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
-        if x is not None:
-            reject("constant", "map is not constant although its value at 0 is nonzero", x)
-        report["stages"].append("constant")
-        report["variant"] = "constant_idempotent"
-        return CanonicalForm.constant_form(z, n, mode=phi.mode), report
+        return accept("constant", "map is not constant although its value at 0 is nonzero",
+                      CanonicalForm.constant_form(z, n, mode=phi.mode))
 
     # a map into a smaller algebra never needs the circ adapter
     if phi.m == n:
@@ -301,13 +309,9 @@ def classify_with_report(phi, verification=None):
         # zero branch: E_11 generates I under the circ product, so a vanishing
         # image there forces the whole map to vanish; a map into a smaller
         # algebra that vanishes at 0 must vanish everywhere.
-        x, _ = _first_mismatch(phi, lambda _: c, _verification_points(phi, strategy))
-        if x is not None:
-            at = "0" if phi.m < n else "E_11"
-            reject("zero", f"map vanishes at {at} but not everywhere", x)
-        report["stages"].append("zero")
-        report["variant"] = "zero"
-        return CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m), report
+        at = "0" if phi.m < n else "E_11"
+        return accept("zero", f"map vanishes at {at} but not everywhere",
+                      CanonicalForm.zero_form(f, n, mode=phi.mode, m=phi.m))
 
     # reconstruction: psi(E_i1) = t_i r_1 (psi(E_1i) when the map transposes)
     # for t_i column i of T and r_1 row 1 of T^-1, so column col of it is
@@ -355,14 +359,7 @@ def classify_with_report(phi, verification=None):
                x, at_psi=True)
     report["stages"].append("endomorphism")
     report["omega"] = omega.describe()
-
-    x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
-    if x is not None:
-        reject("final", "map disagrees with the reconstructed form", x)
-    report["stages"].append("final")
-    report["points_checked"] = points
-    report["variant"] = "conjugation"
-    return form, report
+    return accept("final", "map disagrees with the reconstructed form", form)
 
 
 def forms_equivalent(a, b):

@@ -9,9 +9,9 @@
 * X |-> blockdiag(X, P) into M_2n sends 0 to a nonzero idempotent without
   being constant — equal matrix sizes are essential for that dichotomy.
 
-Each bundle carries the map, replayable preservation evidence, and witness
-pairs for the failures (non-additivity, non-constancy); `verify` re-checks
-everything from scratch.
+Each bundle carries the map, witness pairs for the failures (non-additivity,
+non-constancy) and the preservation evidence of its one scan of the map;
+`verify` checks that evidence and replays the witness pairs.
 """
 
 import random
@@ -46,14 +46,17 @@ class CounterexampleBundle:
     description: str
     map: JordanMap
     strategy: Strategy
-    evidence: MultReport
+    evidence: MultReport = dc_field(init=False)
     non_additivity: tuple = None
     non_constancy: tuple = None
     extra: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        object.__setattr__(self, "evidence", check_multiplicative(self.map, self.strategy))
+
     def verify(self):
-        """Re-check the preservation evidence and every witness pair."""
-        if not check_multiplicative(self.map, self.strategy):
+        """Check the bundle's preservation evidence and replay every witness pair."""
+        if not self.evidence:
             return False
         if self.non_additivity is not None:
             x, y = self.non_additivity
@@ -108,8 +111,6 @@ def triangular_example(field, n=2, omega=None):
         return Mat(field, rows)
 
     phi = JordanMap.from_oracle(field, n, fn, mode=CIRC, domain="upper_triangular")
-    strategy = _resolve_strategy(phi)
-    evidence = check_multiplicative(phi, strategy)
     a, b = scalar_witness
     x = mat_identity(field, n).scale(a)
     y = mat_identity(field, n).scale(b)
@@ -121,8 +122,7 @@ def triangular_example(field, n=2, omega=None):
             "without being linear"
         ),
         map=phi,
-        strategy=strategy,
-        evidence=evidence,
+        strategy=_resolve_strategy(phi),
         non_additivity=(x, y),
         non_constancy=(mat_zero(field, n), mat_identity(field, n)),
         extra={"domain": "upper_triangular", "scalar_witness": scalar_witness},
@@ -155,8 +155,6 @@ def char2_example(n=2, a=None, b=None):
     zero = mat_zero(f2, n)
     table = {x: (b if x == a else zero) for x in _domain_matrices(f2, n, "full")}
     phi = JordanMap.from_table(f2, n, table, mode=DIAMOND)
-    strategy = Strategy.exhaustive()
-    evidence = check_multiplicative(phi, strategy)
     y = next(
         x for x in phi.domain_iter() if not x.is_zero and x != a and x + a != a
     )
@@ -168,8 +166,7 @@ def char2_example(n=2, a=None, b=None):
             "zero, constant-idempotent, nor a twisted conjugation"
         ),
         map=phi,
-        strategy=strategy,
-        evidence=evidence,
+        strategy=Strategy.exhaustive(),
         non_additivity=(a, y),
         non_constancy=(a, zero),
         extra={"support": a, "value": b, "trace_condition": "trace(A) = 1"},
@@ -198,8 +195,6 @@ def block_embedding_example(field, n=2, p=None):
         return block_diag(x, p)
 
     phi = JordanMap.from_oracle(field, n, fn, mode=CIRC, m=2 * n)
-    strategy = _resolve_strategy(phi)
-    evidence = check_multiplicative(phi, strategy)
     ident = mat_identity(field, n)
     return CounterexampleBundle(
         name="block_embedding",
@@ -209,8 +204,7 @@ def block_embedding_example(field, n=2, p=None):
             "without being constant"
         ),
         map=phi,
-        strategy=strategy,
-        evidence=evidence,
+        strategy=_resolve_strategy(phi),
         non_additivity=(ident, ident),
         non_constancy=(mat_zero(field, n), ident),
         extra={"corner": p, "codomain_size": 2 * n},

@@ -53,6 +53,8 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "sampled" and self.count < 1:
             raise ValueError("sampled strategy needs count >= 1")
+        if self.pairs is not None and self.pairs < 1:
+            raise ValueError("strategy needs pairs >= 1")
 
     @staticmethod
     def exhaustive():
@@ -209,7 +211,8 @@ class JordanMap:
             out = conj(y.transpose() if transpose else y)
         else:
             out = self._data(x)
-            if not isinstance(out, Mat) or out.field != self.field or out.nrows != self.m:
+            if (not isinstance(out, Mat) or out.field != self.field
+                    or out.nrows != self.m or out.ncols != self.m):
                 raise UnsupportedInput("oracle returned a value outside M_m(F)")
         if len(memo) >= _MEMO_CAP:
             memo.clear()

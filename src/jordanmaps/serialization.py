@@ -256,9 +256,14 @@ def form_from_json(obj):
         return CanonicalForm.zero_form(field, n, mode=mode, m=m)
     if variant == "constant_idempotent":
         idem = mat_from_json(field, _need(obj, "idempotent", dict))
+        if not 1 <= idem.nrows <= n:
+            raise UnsupportedInput(f"constant form needs 1 <= m <= n, got m={idem.nrows}, n={n}")
         return CanonicalForm.constant_form(idem, n, mode=mode)
     if variant == "conjugation":
         t = mat_from_json(field, _need(obj, "T", dict))
+        if (t.nrows, t.ncols) != (n, n):
+            raise UnsupportedInput(
+                f"conjugation form needs an n x n T, got {t.nrows}x{t.ncols}, n={n}")
         omega = endo_from_json(field, _need(obj, "omega", dict))
         transpose = bool(obj.get("transpose", False))
         try:

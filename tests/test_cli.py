@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -8,6 +9,7 @@ from jordanmaps import (
     JordanMap,
     Mat,
     certify_identity,
+    mat_unit,
     mat_zero,
     preset_field,
 )
@@ -206,6 +208,49 @@ def test_verify_zero_form_with_bad_size_exits_4(tmp_path, capsys):
     assert report["outcome"]["status"] == "unsupported"
 
 
+@pytest.mark.parametrize(
+    "variant, n, size, detail",
+    [
+        ("conjugation", 5, 2, "conjugation form needs an n x n T, got 2x2, n=5"),
+        ("constant_idempotent", 0, 3, "constant form needs 1 <= m <= n, got m=3, n=0"),
+        ("constant_idempotent", 2, 3, "constant form needs 1 <= m <= n, got m=3, n=2"),
+    ],
+)
+def test_verify_form_whose_size_disagrees_with_n_exits_4(variant, n, size, detail, tmp_path,
+                                                         capsys):
+    from jordanmaps import CanonicalForm
+
+    # the map matches the form's matrix, so only the declared n is wrong
+    if variant == "conjugation":
+        t = Mat(F3, [[1, 1], [0, 1]])
+        form = CanonicalForm.conjugation_form(t)
+        phi = conjugation_table(F3, t)
+    else:
+        value = mat_unit(F3, size, 1, 1)
+        form = CanonicalForm.constant_form(value, 2)
+        phi = JordanMap.from_table(F3, 2, {x: value for x in JordanMap.zero(F3, 2).domain_iter()})
+    blob = form_to_json(form)
+    blob["n"] = n
+    form_path = write(tmp_path / "form.json", blob)
+    mp = write(tmp_path / "map.json", table_to_json(phi))
+    assert cli.main(["verify", "--form", form_path, "--map", mp]) == 4
+    assert json.loads(capsys.readouterr().out)["outcome"] == {
+        "status": "unsupported", "detail": detail}
+
+
+def test_verify_diamond_constant_over_char2_is_refused_at_decode(tmp_path, capsys):
+    from jordanmaps import CanonicalForm
+
+    blob = form_to_json(CanonicalForm.constant_form(mat_unit(F2, 2, 1, 1), 2))
+    blob["mode"] = "diamond"
+    form = write(tmp_path / "form.json", blob)
+    assert cli.main(["verify", "--form", form, "--map", str(tmp_path / "unread.json")]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert [i["path"] for i in report["inputs"]] == [form]
+    assert report["outcome"] == {
+        "status": "unsupported", "detail": "halving is undefined in characteristic 2"}
+
+
 def test_verify_form_and_map_into_different_sizes_exits_4(tmp_path, capsys):
     from jordanmaps import CanonicalForm
 
@@ -249,6 +294,61 @@ def test_counterexample_bundles(tmp_path, name):
     assert outcome["name"] == name
     assert outcome["status"] == "verified"
     assert outcome["evidence"]["ok"] is True
+
+
+# sha256 of the reports of each group of `frozen_runs`, `timing_ms` dropped
+REPORT_DIGESTS = {
+    "classify_map": "f0c2e21d8c7f644e621758dd59a1809a2ae9387eb574faa5dcf361e05cb4d2d9",
+    "classify_random": "82e88b3966bb485c04eb291792506d6628b8383aab0d9af839dd8f8b8507a6dc",
+    "counterexample": "cbdf92dc0bf68cb5136938b70ae6a2c883feffe19fd441d508d917609d42a0c3",
+}
+
+
+def frozen_runs(group, tmp_path):
+    """The CLI argument lists of one group of pinned runs. Map tables are
+    written into tmp_path and named relative to it, so the reports do not
+    depend on where it lies."""
+    if group == "counterexample":
+        for name in ("triangular", "char2", "block_embedding"):
+            for field in ("F3", "F5", "Q"):
+                yield ["counterexample", "--name", name, "--field", field]
+        yield ["counterexample", "--name", "char2", "--n", "3"]
+    elif group == "classify_random":
+        for field in ("F5", "F9", "Q"):
+            for n in ("2", "3"):
+                for mode in ("circ", "diamond"):
+                    for verify in ([], ["--verify", "sampled:40:3"]):
+                        yield ["classify", "--random", "--field", field, "--n", n,
+                               "--mode", mode, *verify]
+    else:
+        t = Mat(F3, [[1, 1], [0, 1]])
+        domain = list(JordanMap.zero(F3, 2).domain_iter())
+        for mode in ("circ", "diamond"):
+            # the constant at E_11, which for the diamond product is E_11 / 2 = 2 E_11
+            value = mat_unit(F3, 2, 1, 1, 1 if mode == "circ" else 2)
+            tables = {
+                "conjugation": conjugation_table(F3, t, mode),
+                "constant": JordanMap.from_table(F3, 2, {x: value for x in domain}, mode=mode),
+                "zero": JordanMap.from_table(F3, 2, {x: mat_zero(F3, 2) for x in domain},
+                                             mode=mode),
+                "mutated": conjugation_table(F3, t, mode, corrupt=Mat(F3, [[1, 0], [0, 2]])),
+            }
+            for kind, phi in tables.items():
+                name = f"{kind}-{mode}.json"
+                write(tmp_path / name, table_to_json(phi))
+                yield ["classify", "--map", name]
+
+
+@pytest.mark.parametrize("group", sorted(REPORT_DIGESTS))
+def test_reports_are_frozen(group, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in frozen_runs(group, tmp_path):
+        cli.main(argv + ["--out", "report.json"])
+        report = read(tmp_path / "report.json")
+        del report["timing_ms"]
+        digest.update(dumps(report).encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[group]
 
 
 def test_stdout_when_no_out_flag(capsys):

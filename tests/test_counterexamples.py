@@ -1,5 +1,6 @@
 import pytest
 
+from jordanmaps import counterexamples
 from jordanmaps import (
     Mat,
     UnsupportedInput,
@@ -106,3 +107,37 @@ def test_all_examples():
     bundles = all_examples()
     assert [b.name for b in bundles] == ["triangular", "char2", "block_embedding"]
     assert all(b.verify() for b in bundles)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: triangular_example(F5),
+        lambda: triangular_example(rational_field()),
+        lambda: char2_example(n=2),
+        lambda: char2_example(n=3),
+        lambda: block_embedding_example(preset_field("F3")),
+        lambda: block_embedding_example(F5),
+    ],
+    ids=["triangular-F5", "triangular-Q", "char2-2", "char2-3", "block-F3", "block-F5"],
+)
+def test_one_scan_per_bundle(build, monkeypatch):
+    scans = []
+
+    def counted(phi, strategy=None):
+        scans.append(phi)
+        return check_multiplicative(phi, strategy)
+
+    monkeypatch.setattr(counterexamples, "check_multiplicative", counted)
+    bundle = build()
+    assert bundle.verify()
+    assert len(scans) == 1
+    assert bundle.evidence == check_multiplicative(bundle.map, bundle.strategy)
+
+
+def test_evidence_is_not_an_argument():
+    bundle = char2_example()
+    with pytest.raises(TypeError):
+        counterexamples.CounterexampleBundle(
+            name="x", description="x", map=bundle.map, strategy=bundle.strategy,
+            evidence=bundle.evidence)

@@ -12,6 +12,7 @@ from jordanmaps import (
     UnsupportedInput,
     block_embedding_example,
     check_multiplicative,
+    classify_with_report,
     diamond_to_circ,
     jordan_circ,
     jordan_diamond,
@@ -148,6 +149,15 @@ def test_oracle_output_validated():
     phi = JordanMap.from_oracle(F5, 2, lambda x: mat_zero(F3, 2))
     with pytest.raises(UnsupportedInput):
         phi(mat_zero(F5, 2))
+
+
+def test_oracle_output_must_be_square():
+    # rows right, columns wrong: refused at the call, not inside a product
+    phi = JordanMap.from_oracle(F5, 2, lambda x: mat_zero(F5, 2, 3))
+    with pytest.raises(UnsupportedInput, match="oracle returned a value outside M_m"):
+        phi(mat_zero(F5, 2))
+    with pytest.raises(UnsupportedInput, match="oracle returned a value outside M_m"):
+        classify_with_report(phi)
 
 
 def test_product_dispatch():
@@ -358,6 +368,11 @@ class TestStrategy:
             Strategy(kind="clairvoyant")
         with pytest.raises(ValueError):
             Strategy.sampled(count=0)
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_pairs_must_be_positive(self, pairs):
+        with pytest.raises(ValueError, match="pairs >= 1"):
+            Strategy.sampled(count=10, pairs=pairs)
 
     def test_pair_budget(self):
         assert Strategy.sampled(count=100).pair_budget == 100
