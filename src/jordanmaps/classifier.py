@@ -28,6 +28,7 @@ Structural failures where no witness pair surfaced within budget raise
 InvariantViolation tagged with the stage that broke.
 """
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import chain, permutations
@@ -449,20 +450,12 @@ def preservation_suite(phi, samples=20, seed=0):
         skip_cd = "map vanishes on all probes"
     skip_eh = skip_cd if skip_cd else (None if square else "codomain size differs")
 
-    def idem(rank):
-        return idem_orth([rank])[0]
-
-    def idem_chain(lo_rank, hi_rank):
-        conj = conjugator(*random_invertible(f, n, rng))
-        return (
-            conj(mat_diag_idempotent(f, n, 0, lo_rank)),
-            conj(mat_diag_idempotent(f, n, 0, hi_rank)),
-        )
-
-    def idem_orth(parts):
+    def family(widths):
+        """Orthogonal idempotents of the given ranks, in order, under one
+        seeded conjugation."""
         conj = conjugator(*random_invertible(f, n, rng))
         out, lo = [], 0
-        for width in parts:
+        for width in widths:
             out.append(conj(mat_diag_idempotent(f, n, lo, lo + width)))
             lo += width
         return out
@@ -481,17 +474,21 @@ def preservation_suite(phi, samples=20, seed=0):
                                 checked=done, witness=witness))
 
     def body_a():
-        p = idem(rng.randint(1, n))
+        (p,) = family([rng.randint(1, n)])
         log.append(("a", "P", p))
         fp = phi(p)
         return None if is_idempotent(fp) else (p, fp)
 
     def body_b():
-        # Compare the raw circ identity rather than the guarded order
-        # predicate: images of a corrupted map need not be idempotent, and
-        # that case must yield a witness, not an exception.
-        r = rng.randint(1, n - 1) if n > 1 else 1
-        p, qq = idem_chain(rng.randint(1, r), r)
+        # P <= Q is drawn as P and Q = P + P' for an orthogonal pair
+        # (P, P'); conjugation is linear, so Q is the conjugated diagonal
+        # idempotent of rank r. The check is the raw circ identity: images
+        # of a corrupted map need not be idempotent, and that case must
+        # yield a witness, not an exception.
+        r = rng.randint(1, n - 1)
+        lo = rng.randint(1, r)
+        p, rest = family([lo, r - lo])
+        qq = p + rest
         log.append(("b", "P", p))
         log.append(("b", "Q", qq))
         fp = phi(p)
@@ -500,24 +497,23 @@ def preservation_suite(phi, samples=20, seed=0):
     def body_c():
         a = rng.randint(1, n - 1)
         b = rng.randint(1, n - a)
-        p, qq = idem_orth([a, b])
+        p, qq = family([a, b])
         log.append(("c", "P", p))
         log.append(("c", "Q", qq))
         return None if jordan_circ(phi(p), phi(qq)).is_zero else (p, qq)
 
-    def body_de(item):
-        def inner():
-            p = idem(rng.randint(1, n))
+    def rank_body(item, holds):
+        def body():
+            rank = rng.randint(1, n)
+            (p,) = family([rank])
             log.append((item, "P", p))
-            rp, rfp = p.rank(), phi(p).rank()
-            if item == "d":
-                return None if rfp >= rp else (p, phi(p))
-            return None if rfp == rp else (p, phi(p))
+            fp = phi(p)
+            return None if holds(fp.rank(), rank) else (p, fp)
 
-        return inner
+        return body
 
     def body_f():
-        p = idem(rng.randint(1, n - 1)) if n > 1 else idem(1)
+        (p,) = family([rng.randint(1, n - 1)])
         comp = mat_identity(f, n) - p
         log.append(("f", "P", p))
         log.append(("f", "P_perp", comp))
@@ -527,7 +523,7 @@ def preservation_suite(phi, samples=20, seed=0):
     def body_g():
         a = rng.randint(1, n - 1)
         b = rng.randint(1, n - a)
-        p, qq = idem_orth([a, b])
+        p, qq = family([a, b])
         total = p + qq
         log.append(("g", "P", p))
         log.append(("g", "Q", qq))
@@ -536,22 +532,22 @@ def preservation_suite(phi, samples=20, seed=0):
         return None if ok else (p, qq)
 
     def body_h():
-        count = rng.randint(2, n) if n > 1 else 1
+        count = rng.randint(2, n)
         parts, room = [], n
         for idx in range(count):
             width = rng.randint(1, room - (count - idx - 1))
             parts.append(width)
             room -= width
-        family = idem_orth(parts)
+        members = family(parts)
         lams = []
-        for _ in family:
+        for _ in members:
             lam = Scalar(f, f.random_raw(rng))
             while lam.is_zero:
                 lam = Scalar(f, f.random_raw(rng))
             lams.append(lam)
         combo = mat_zero(f, n)
         pieces = []
-        for lam, p in zip(lams, family):
+        for lam, p in zip(lams, members):
             piece = p.scale(lam)
             pieces.append(piece)
             combo = combo + piece
@@ -565,8 +561,8 @@ def preservation_suite(phi, samples=20, seed=0):
     run("a", "idempotents map to idempotents", None, body_a)
     run("b", "domination is preserved", None, body_b)
     run("c", "orthogonality is preserved", skip_cd, body_c)
-    run("d", "rank does not drop", skip_cd, body_de("d"))
-    run("e", "rank is preserved exactly", skip_eh, body_de("e"))
+    run("d", "rank does not drop", skip_cd, rank_body("d", operator.ge))
+    run("e", "rank is preserved exactly", skip_eh, rank_body("e", operator.eq))
     run("f", "complements map to complements", skip_eh, body_f)
     run("g", "orthogonal sums split", skip_eh, body_g)
     run("h", "weighted orthogonal sums split", skip_eh, body_h)

@@ -16,7 +16,10 @@ supports the usual operators. Galois fields have order at most
 `_LOG_TABLE_LIMIT` (4096); larger orders are refused at construction. Every
 Galois field builds discrete log/antilog tables once, by polynomial
 arithmetic modulo its irreducible modulus, and multiplies, inverts and
-raises to powers through them.
+raises to powers through them. The generator g is the least raw value
+whose powers run through all q - 1 units before returning to 1: the raw
+values 2, 3, ... are walked in turn, each walk bounded at q - 1 steps, and
+the first full walk is the antilog table.
 
 Next to the log tables sits a Zech table: for a generator g, `_zech[d]` is
 the log of 1 + g^d, or -1 when 1 + g^d = 0, so g^s + g^t = g^(s + zech[t - s])
@@ -233,15 +236,6 @@ class Field:
         z = self._zech[(log[b] - la) % (self.order - 1)]
         return self._exp[la + z] if z >= 0 else 0
 
-    def _digit_add(self, a, b):
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
     def neg(self, a):
         if self.kind == "rational":
             return -a
@@ -322,48 +316,27 @@ class Field:
         return _undigits(prod[:k], p)
 
     def _build_log_tables(self):
-        q = self.order
-        gen = self._find_generator()
-        exp = [1] * (2 * (q - 1))
+        q, p = self.order, self.p
+        for gen in range(2, q):
+            # walk gen's powers until they return to 1, at most q - 1 steps:
+            # back at 1 after exactly q - 1 steps means gen has order q - 1,
+            # so the walk passed every unit once and gen generates
+            powers, acc = [1], gen
+            while acc != 1 and len(powers) < q - 1:
+                powers.append(acc)
+                acc = self._poly_mul(acc, gen)
+            if acc == 1 and len(powers) == q - 1:
+                break
+        else:
+            raise RuntimeError("no multiplicative generator found (impossible for a field)")
         log = [0] * q
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._poly_mul(acc, gen)
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
-        self._exp = exp
+        for i, v in enumerate(powers):
+            log[v] = i
+        self._exp = powers + powers
         self._log = log
-        sums = (self._digit_add(1, exp[d]) for d in range(q - 1))
+        # adding 1 changes only the lowest base-p digit
+        sums = (v + 1 if v % p != p - 1 else v + 1 - p for v in powers)
         self._zech = [log[v] if v else -1 for v in sums]
-
-    def _find_generator(self):
-        q = self.order
-        factors = set()
-        m = q - 1
-        f = 2
-        while f * f <= m:
-            while m % f == 0:
-                factors.add(f)
-                m //= f
-            f += 1
-        if m > 1:
-            factors.add(m)
-
-        def pw(a, e):
-            result, base = 1, a
-            while e:
-                if e & 1:
-                    result = self._poly_mul(result, base)
-                base = self._poly_mul(base, base)
-                e >>= 1
-            return result
-
-        for cand in range(2, q):
-            if all(pw(cand, (q - 1) // f) != 1 for f in factors):
-                return cand
-        raise RuntimeError("no multiplicative generator found (impossible for a field)")
 
     # -- coercion and element access -----------------------------------------
 

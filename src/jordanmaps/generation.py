@@ -234,7 +234,8 @@ def replay(cert):
     current = cert.start
     total = len(cert.steps)
     for t, (y, expected) in enumerate(cert.steps, start=1):
-        if y.field != current.field or y.nrows != current.nrows or not y.is_square:
+        if (y.field != current.field or not y.is_square
+                or (y.nrows, y.ncols) != (current.nrows, current.ncols)):
             return ReplayResult(False, t, "multiplier shape/field mismatch")
         recomputed = jordan_circ(current, y)
         if recomputed != expected:

@@ -1,84 +1,12 @@
-"""Idempotent order and orthogonality under the circ product, and simultaneous
-diagonalization of complete orthogonal rank-one idempotent families.
+"""Simultaneous diagonalization of complete orthogonal rank-one idempotent
+families: T with T^-1 Q_j T = E_jj for every member.
 
-For idempotents P, Q the associative and Jordan descriptions coincide:
-
-    P <= Q   iff  PQ = QP = P   iff  P o Q = P
-    P perp Q iff  PQ = QP = 0   iff  P o Q = 0
-
-`idempotent_relations` evaluates both sides of four such equivalences
-independently (against an arbitrary second argument) and reports whether they
-agree — a self-test primitive used by the property suite.
+No module of the package calls it. It stays while `perfbench/tracing.py`
+wraps `simultaneous_diagonalizer` by name.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvariantViolation
-from .matrices import Mat, conjugator, is_idempotent, jordan_circ, mat_identity, mat_unit, mat_zero
-
-
-def _require_idempotent(m, label):
-    if not is_idempotent(m):
-        raise ValueError(f"{label} must be idempotent")
-
-
-def jordan_le(p, q):
-    """Order on idempotents: p o q = p (equivalently pq = qp = p)."""
-    _require_idempotent(p, "p")
-    _require_idempotent(q, "q")
-    return jordan_circ(p, q) == p
-
-
-def jordan_perp(p, q):
-    """Orthogonality of idempotents: p o q = 0 (equivalently pq = qp = 0)."""
-    _require_idempotent(p, "p")
-    _require_idempotent(q, "q")
-    return jordan_circ(p, q).is_zero
-
-
-def perp_complement(p):
-    """The complementary idempotent I - p (orthogonal to p, sums to I)."""
-    _require_idempotent(p, "p")
-    return mat_identity(p.field, p.nrows) - p
-
-
-@dataclass(frozen=True)
-class IdempotentRelations:
-    """Agreement flags for four equivalent characterizations relating an
-    idempotent P to an arbitrary A (valid in characteristic != 2):
-
-      annihilation: P o A = 0  <->  PA = AP = PAP = 0
-      absorption:   P o A = A  <->  PA = AP = PAP = A
-      orthogonality:PA = AP = 0  <->  P o A = 0
-      domination:   PA = AP = P  <->  P o A = P
-
-    Each flag is True when the two sides agree on the given pair.
-    """
-
-    annihilation: bool
-    absorption: bool
-    orthogonality: bool
-    domination: bool
-
-    @property
-    def all_agree(self):
-        return self.annihilation and self.absorption and self.orthogonality and self.domination
-
-
-def idempotent_relations(p, a):
-    _require_idempotent(p, "p")
-    if a.field != p.field or (a.nrows, a.ncols) != (p.nrows, p.ncols):
-        raise ValueError("shape or field mismatch")
-    zero = mat_zero(p.field, p.nrows)
-    pa, ap = p @ a, a @ p
-    pap = pa @ p
-    circ = jordan_circ(p, a)
-
-    annihilation = (circ == zero) == (pa == zero and ap == zero and pap == zero)
-    absorption = (circ == a) == (pa == a and ap == a and pap == a)
-    orthogonality = (pa == zero and ap == zero) == (circ == zero)
-    domination = (pa == p and ap == p) == (circ == p)
-    return IdempotentRelations(annihilation, absorption, orthogonality, domination)
+from .matrices import Mat, conjugator, is_idempotent, mat_unit, mat_zero
 
 
 class IdempotentFamily:

@@ -315,7 +315,8 @@ def _domain_matrices(field, n, domain):
 
 @functools.lru_cache(maxsize=8)
 def _product_table(field, n, mode, domain):
-    """Domain matrices in domain_iter order and their product table.
+    """Domain matrices in domain_iter order, the index of each by its raw
+    rows, and their product table.
 
     table[a][b] is the index of x_a * x_b; both domains are closed under both
     products. The products commute, so each unordered pair is computed once,
@@ -333,7 +334,7 @@ def _product_table(field, n, mode, domain):
         row = rows[a]
         for b in range(a, len(raws)):
             row[b] = rows[b][a] = raw_index[_jordan_raw(field, x, raws[b], circ)]
-    return mats, {x: i for i, x in enumerate(mats)}, tuple(array("H", r) for r in rows)
+    return mats, raw_index, tuple(array("H", r) for r in rows)
 
 
 def _sampled_pairs(phi, seed, count):
@@ -413,7 +414,8 @@ def check_multiplicative(phi, strategy=None):
             )
         mats, index, table = _product_table(phi.field, phi.n, phi.mode, phi.domain)
         # ids 0..size-1 are the domain matrices themselves; other images get
-        # the next free id, so two images are equal exactly when their ids are
+        # the next free id, so two images are equal exactly when their ids
+        # are. Every image lies over the map's field, so its raw rows key it.
         ids = dict(index)
         values = list(mats)
         image = [None] * size
@@ -422,9 +424,9 @@ def check_multiplicative(phi, strategy=None):
             k = image[a]
             if k is None:
                 fx = phi(mats[a])
-                k = ids.get(fx)
+                k = ids.get(fx.rows)
                 if k is None:
-                    k = ids[fx] = len(values)
+                    k = ids[fx.rows] = len(values)
                     values.append(fx)
                 image[a] = k
             return k

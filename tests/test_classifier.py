@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -558,6 +559,31 @@ class TestPreservationSuite:
         report = preservation_suite(mutant, samples=6, seed=9)
         assert not report.ok
         assert any(item.witness is not None for item in report.failing())
+
+    def test_reports_are_frozen(self):
+        """Items, witnesses and probe logs of a fixed set of maps and seeds."""
+        digest = hashlib.sha256()
+        for field, n in ((F3, 2), (F5, 3), (F9, 2), (Q, 3)):
+            t = Mat(field, [[j - i + 1 if i <= j else 0 for j in range(n)] for i in range(n)])
+            endo = RingEndo(field, 1) if field is F9 else None
+            base = JordanMap.conjugation(t, endo=endo, transpose=n == 2)
+            target = preservation_suite(base, samples=4, seed=1).probe_log[n][2]
+            twice_i = mat_identity(field, n).scale(2)
+            maps = (
+                base,
+                JordanMap.zero(field, n),
+                JordanMap.constant(field, n, mat_unit(field, n, 1, 1)),
+                JordanMap.from_oracle(field, n, lambda x: twice_i if x == target else base(x)),
+                JordanMap.from_oracle(field, n, lambda x: base(x).scale(2)),
+                JordanMap.from_oracle(
+                    field, n, lambda x: Mat._from_raw(field, tuple(r[:-1] for r in x.rows[:-1])),
+                    m=n - 1),
+            )
+            for phi in maps:
+                for seed in (1, 5):
+                    report = preservation_suite(phi, samples=4, seed=seed)
+                    digest.update(repr((report.items, report.probe_log)).encode())
+        assert digest.hexdigest() == "cc1946c2df54c7cf2d3043ff44ada260c4754026661739de9e8c94c500826c3e"
 
     def test_guards(self):
         with pytest.raises(UnsupportedSize):

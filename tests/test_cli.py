@@ -89,6 +89,21 @@ def test_verify_tampered_certificate(tmp_path):
     assert outcome["failed_step"] == 2
 
 
+def test_verify_certificate_with_non_square_start(tmp_path):
+    blob = certificate_to_json(certify_identity(Mat(F5, [[1, 2], [3, 4]])))
+    blob["start"] = mat_to_json(Mat(F5, [[1, 2, 0], [3, 4, 0]]))
+    blob["steps"] = blob["steps"][:1]
+    cert = write(tmp_path / "cert.json", blob)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--certificate", cert, "--out", str(out)]) == 3
+    outcome = read(out)["outcome"]
+    assert outcome == {
+        "status": "invalid_certificate",
+        "failed_step": 1,
+        "reason": "multiplier shape/field mismatch",
+    }
+
+
 def test_classify_random_conjugation_roundtrip(tmp_path):
     out = tmp_path / "r.json"
     code = cli.main(

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,3 +241,36 @@ def test_random_raw_lands_in_field(f5, qq):
         assert f5.random_raw(rng) in range(5)
     for _ in range(20):
         qq.scalar(qq.random_raw(rng))  # must not raise
+
+
+def _galois_presets():
+    """gf:p:k for every Galois field of order at most 1024, then gf:2:12,
+    F9 and F25."""
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        k = 2
+        while p**k <= 1024:
+            yield f"gf:{p}:{k}"
+            k += 1
+    yield from ("gf:2:12", "F9", "F25")
+
+
+# sha256 over `_galois_presets` of repr((modulus, _exp, _log, _zech))
+GALOIS_TABLES_DIGEST = "8a53ee8f0b7d4d9cc6d1f46202362d3481a0f28c8277367b52d3d7a8499d21d6"
+
+
+def test_galois_tables_are_frozen():
+    digest = hashlib.sha256()
+    for name in _galois_presets():
+        f = preset_field(name)
+        q = f.order
+        # the antilog walk covers every unit once, then repeats
+        assert sorted(f._exp[: q - 1]) == list(range(1, q))
+        assert f._exp[q - 1 :] == f._exp[: q - 1]
+        digest.update(repr((f.modulus, f._exp, f._log, f._zech)).encode())
+    assert digest.hexdigest() == GALOIS_TABLES_DIGEST
+
+
+def test_reducible_modulus_message():
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2
+    with pytest.raises(UnsupportedInput, match=r"modulus \[1, 0, 1, 0, 1\] is reducible over F_2"):
+        galois_field(2, 4, modulus=(1, 0, 1, 0, 1))

@@ -219,6 +219,14 @@ class TestReplay:
         assert not verdict.ok
         assert verdict.failed_step == 1
 
+    def test_non_square_start_is_reported(self):
+        start = Mat(F5, [[1, 2, 0], [3, 4, 0]])
+        cert = Certificate(start=start, steps=((mat_identity(F5, 2), mat_identity(F5, 2)),))
+        verdict = replay(cert)
+        assert not verdict.ok
+        assert verdict.failed_step == 1
+        assert verdict.reason == "multiplier shape/field mismatch"
+
     def test_wrong_final_value(self):
         cert = reach_unit(Mat(F5, [[0, 3], [0, 0]]))
         # a genuine prefix that stops short of the identity

@@ -6,14 +6,10 @@ from jordanmaps import (
     IdempotentFamily,
     InvariantViolation,
     Mat,
-    idempotent_relations,
     is_idempotent,
-    jordan_le,
-    jordan_perp,
     mat_identity,
     mat_unit,
     mat_zero,
-    perp_complement,
     preset_field,
     simultaneous_diagonalizer,
 )
@@ -36,55 +32,6 @@ def test_idempotent_census():
     assert len(IDEMPOTENTS_F3) == 14
     ranks = sorted(m.rank() for m in IDEMPOTENTS_F3)
     assert ranks == [0] + [1] * 12 + [2]
-
-
-def test_relations_agree_exhaustively():
-    # every characterization pair agrees on all 14 x 81 combinations
-    for p in IDEMPOTENTS_F3:
-        for a in all_2x2(F3):
-            assert idempotent_relations(p, a).all_agree
-
-
-def test_order_bounds():
-    zero = mat_zero(F3, 2)
-    one = mat_identity(F3, 2)
-    for p in IDEMPOTENTS_F3:
-        assert jordan_le(zero, p)
-        assert jordan_le(p, one)
-        assert jordan_le(p, p)
-
-
-def test_order_antisymmetry():
-    for p in IDEMPOTENTS_F3:
-        for q in IDEMPOTENTS_F3:
-            if jordan_le(p, q) and jordan_le(q, p):
-                assert p == q
-
-
-def test_complement_is_orthogonal():
-    for p in IDEMPOTENTS_F3:
-        comp = perp_complement(p)
-        assert is_idempotent(comp)
-        assert jordan_perp(p, comp)
-        assert p + comp == mat_identity(F3, 2)
-
-
-def test_complement_example():
-    p = Mat(F5, [[1, 1], [0, 0]])
-    assert perp_complement(p) == Mat(F5, [[0, -1], [0, 1]])
-
-
-def test_guards_require_idempotents():
-    bad = Mat(F3, [[2, 0], [0, 0]])
-    good = mat_identity(F3, 2)
-    with pytest.raises(ValueError):
-        jordan_le(bad, good)
-    with pytest.raises(ValueError):
-        jordan_perp(good, bad)
-    with pytest.raises(ValueError):
-        perp_complement(bad)
-    with pytest.raises(ValueError):
-        idempotent_relations(bad, good)
 
 
 class TestIdempotentFamily:
