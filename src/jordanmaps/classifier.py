@@ -48,6 +48,7 @@ from .maps import (
     _sampled_pairs,
     check_multiplicative,
     diamond_to_circ,
+    twisted,
 )
 from .matrices import (
     Mat,
@@ -67,7 +68,7 @@ _SCAN_BUDGET = 300
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The classified shape of a map, with enough data to re-evaluate it."""
+    """The classified shape of a map; `evaluate(x)` re-evaluates it at x."""
 
     variant: str
     field: object
@@ -87,13 +88,16 @@ class CanonicalForm:
         if self.variant == "conjugation":
             if self.omega is None:
                 object.__setattr__(self, "omega", RingEndo(self.field))
-            object.__setattr__(self, "_conj", conjugator(self.t, self.t.inverse()))
-        elif self.variant == "zero":
-            object.__setattr__(self, "_value", mat_zero(self.field, self.m))
-        elif self.mode == DIAMOND:
-            object.__setattr__(self, "_value", self.idempotent.scale(self.field.scalar(1).halve()))
+            evaluate = twisted(conjugator(self.t, self.t.inverse()), self.omega, self.transpose)
         else:
-            object.__setattr__(self, "_value", self.idempotent)
+            if self.variant == "zero":
+                value = mat_zero(self.field, self.m)
+            elif self.mode == DIAMOND:
+                value = self.idempotent.scale(self.field.scalar(1).halve())
+            else:
+                value = self.idempotent
+            evaluate = lambda x: value
+        object.__setattr__(self, "evaluate", evaluate)
 
     @staticmethod
     def zero_form(field, n, mode=CIRC, m=None):
@@ -123,12 +127,6 @@ class CanonicalForm:
             omega=omega,
             transpose=bool(transpose),
         )
-
-    def evaluate(self, x):
-        if self.variant != "conjugation":
-            return self._value
-        y = x.apply_endo(self.omega)
-        return self._conj(y.transpose() if self.transpose else y)
 
     def describe(self):
         out = {"variant": self.variant, "mode": self.mode, "n": self.n}

@@ -2,13 +2,13 @@
 
 A JordanMap is a function M_n(F) -> M_m(F) tagged with the product it is
 meant to preserve: mode "circ" for x o y = (xy + yx)/2, mode "diamond" for
-x <> y = xy + yx (the char-2-safe variant). Bodies come in several kinds:
+x <> y = xy + yx (the char-2-safe variant). A body is one function, of a kind:
 
   * table        -- explicit graph over a small finite domain,
   * conjugation  -- X |-> T w(X) T^-1 or T w(X)^t T^-1 with w a ring
-                    endomorphism applied entrywise,
+                    endomorphism applied entrywise (`twisted`),
   * constant / zero,
-  * oracle       -- arbitrary callable (memoized).
+  * oracle       -- arbitrary callable, whose outputs are checked.
 
 Verification budgets are carried by Strategy values so every probabilistic
 answer is reproducible from (count, seed).
@@ -28,11 +28,6 @@ DIAMOND = "diamond"
 
 _TABLE_CAP = 10_000
 _PAIR_CAP = 10_000_000
-# evaluations a map remembers before it forgets them all. A default sampled
-# classification stores at most 3 images per pair for its 1000 pairs, the
-# n*n + 2 fixed points and at most 4096 points on the line through E_11
-# (7102 in all on M_3(F_4093)), so it forgets none of them
-_MEMO_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,8 @@ class JordanMap:
 
     `domain` is "full" or "upper_triangular" (the latter restricts inputs to
     upper-triangular matrices, used by the triangular counterexample).
-    Evaluations of conjugation and oracle bodies are memoized by the input's
-    raw rows, up to _MEMO_CAP of them; a full memo is cleared.
+    `body` is (kind, fn): a call validates its input, returns fn(x), and
+    checks the output only for an oracle, the one kind the map did not build.
     """
 
     def __init__(self, field, n, mode, body, m=None, domain="full"):
@@ -125,8 +120,7 @@ class JordanMap:
         self.m = n if m is None else m
         self.mode = mode
         self.domain = domain
-        self._kind, self._data = body
-        self._memo = {}
+        self._kind, self._fn = body
 
     # -- constructors ---------------------------------------------------------
 
@@ -137,7 +131,7 @@ class JordanMap:
         items = entries.items() if isinstance(entries, dict) else entries
         table = {}
         m = None
-        for x, fx in items:
+        for count, (x, fx) in enumerate(items, 1):
             if not isinstance(x, Mat) or not isinstance(fx, Mat):
                 raise UnsupportedInput("table entries must be matrix pairs")
             if x.field != field or x.nrows != n or x.ncols != n:
@@ -150,14 +144,14 @@ class JordanMap:
                 m = fx.nrows
             elif fx.nrows != m:
                 raise UnsupportedInput("table values have inconsistent sizes")
-            if x in table:
-                raise UnsupportedInput("duplicate table key")
             table[x] = fx
+            if len(table) != count:
+                raise UnsupportedInput("duplicate table key")
         if len(table) != size:
             raise UnsupportedInput(
                 f"table covers {len(table)} of {size} domain matrices"
             )
-        return cls(field, n, mode, ("table", table), m=m, domain=domain)
+        return cls(field, n, mode, ("table", table.__getitem__), m=m, domain=domain)
 
     @classmethod
     def conjugation(cls, t, endo=None, transpose=False, mode=CIRC, t_inv=None):
@@ -170,18 +164,17 @@ class JordanMap:
         field, n = t.field, t.nrows
         if endo is not None and endo.field != field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")
-        return cls(field, n, mode, ("conjugation", (conjugator(t, t_inv), endo, bool(transpose))))
+        return cls(field, n, mode, ("conjugation", twisted(conjugator(t, t_inv), endo, transpose)))
 
     @classmethod
-    def constant(cls, field, n, value, mode=CIRC, m=None):
+    def constant(cls, field, n, value, mode=CIRC):
         if value.field != field or not value.is_square:
             raise UnsupportedInput("constant value must be square over the same field")
-        return cls(field, n, mode, ("constant", value), m=value.nrows if m is None else m)
+        return cls(field, n, mode, ("constant", lambda x: value), m=value.nrows)
 
     @classmethod
     def zero(cls, field, n, mode=CIRC, m=None):
-        m = n if m is None else m
-        return cls(field, n, mode, ("constant", mat_zero(field, m)), m=m)
+        return cls.constant(field, n, mat_zero(field, n if m is None else m), mode=mode)
 
     @classmethod
     def from_oracle(cls, field, n, fn, mode=CIRC, m=None, domain="full"):
@@ -196,27 +189,10 @@ class JordanMap:
             raise UnsupportedInput(f"input must be {self.n}x{self.n}")
         if self.domain == "upper_triangular" and not _is_upper_triangular(x):
             raise UnsupportedInput("input outside the upper-triangular domain")
-        kind = self._kind
-        if kind == "table":
-            return self._data[x]
-        if kind == "constant":
-            return self._data
-        memo = self._memo
-        cached = memo.get(x.rows)
-        if cached is not None:
-            return cached
-        if kind == "conjugation":
-            conj, endo, transpose = self._data
-            y = x if endo is None else x.apply_endo(endo)
-            out = conj(y.transpose() if transpose else y)
-        else:
-            out = self._data(x)
-            if (not isinstance(out, Mat) or out.field != self.field
-                    or out.nrows != self.m or out.ncols != self.m):
-                raise UnsupportedInput("oracle returned a value outside M_m(F)")
-        if len(memo) >= _MEMO_CAP:
-            memo.clear()
-        memo[x.rows] = out
+        out = self._fn(x)
+        if self._kind == "oracle" and (not isinstance(out, Mat) or out.field != self.field
+                                       or out.nrows != self.m or out.ncols != self.m):
+            raise UnsupportedInput("oracle returned a value outside M_m(F)")
         return out
 
     # -- domain handling ------------------------------------------------------
@@ -262,6 +238,17 @@ class JordanMap:
         if self.domain != "full":
             out["domain"] = self.domain
         return out
+
+
+def twisted(conj, endo, transpose):
+    """x |-> conj(w(x)), or conj(w(x)^t) when `transpose`, with w = `endo`
+    entrywise (none when None): T w(X) T^-1 for conj = conjugator(T, T^-1)."""
+
+    def apply(x):
+        y = x if endo is None else x.apply_endo(endo)
+        return conj(y.transpose() if transpose else y)
+
+    return apply
 
 
 def _is_upper_triangular(x):
@@ -470,29 +457,24 @@ def check_multiplicative(phi, strategy=None):
 
 def diamond_to_circ(phi):
     """Convert a diamond-preserving map to a circ-preserving one: psi(x) =
-    2 phi(x/2). Exact on structured bodies; needs characteristic != 2."""
+    2 phi(x/2); needs characteristic != 2. A conjugation is rewritten
+    exactly, every other body is read through phi by one lazy adapter."""
     if phi.mode != DIAMOND:
         raise ValueError("adapter expects a diamond-mode map")
     f = phi.field
     if f.char2:
         raise UnsupportedInput("the diamond adapter needs characteristic != 2 (halving)")
-    if phi._kind == "constant":
-        return JordanMap(
-            f, phi.n, CIRC, ("constant", phi._data.scale(2)), m=phi.m, domain=phi.domain
-        )
     if phi._kind == "conjugation":
         # 2 T w(x/2)^t T^-1 = T w(x)^t T^-1: endomorphisms fix the prime
         # subfield, so the halving and doubling cancel exactly.
-        return JordanMap(f, phi.n, CIRC, ("conjugation", phi._data), m=phi.m)
-    # a table is read through the same lazy oracle adapter: the classifier
-    # reads psi at a few dozen points, not the whole domain
+        return JordanMap(f, phi.n, CIRC, ("conjugation", phi._fn), m=phi.m)
+    # lazy: the classifier reads psi at a few dozen points, not the whole domain
     half = f.scalar(1) / f.scalar(2)
-    fn = phi._data.__getitem__ if phi._kind == "table" else phi._data
     return JordanMap(
         f,
         phi.n,
         CIRC,
-        ("oracle", lambda x: fn(x.scale(half)).scale(2)),
+        ("oracle", lambda x: phi(x.scale(half)).scale(2)),
         m=phi.m,
         domain=phi.domain,
     )

@@ -265,7 +265,10 @@ def form_from_json(obj):
             raise UnsupportedInput(
                 f"conjugation form needs an n x n T, got {t.nrows}x{t.ncols}, n={n}")
         omega = endo_from_json(field, _need(obj, "omega", dict))
-        transpose = bool(obj.get("transpose", False))
+        transpose = obj.get("transpose", False)
+        if not isinstance(transpose, bool):
+            raise UnsupportedInput(
+                f"key 'transpose' has unexpected type {type(transpose).__name__}")
         try:
             return CanonicalForm.conjugation_form(t, omega=omega, transpose=transpose, mode=mode)
         except ValueError as exc:

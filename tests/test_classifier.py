@@ -4,6 +4,7 @@ import random
 import pytest
 
 from jordanmaps import (
+    CIRC,
     DIAMOND,
     CanonicalForm,
     InvariantViolation,
@@ -490,6 +491,26 @@ class TestFormsEquivalent:
         assert not forms_equivalent(
             CanonicalForm.conjugation_form(t), CanonicalForm.zero_form(F5, 2)
         )
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("frobenius", [False, True], ids=["id", "frobenius"])
+def test_conjugation_form_evaluates_as_its_map(frobenius, transpose, mode):
+    # the form and the map evaluate one twisted conjugation: every point of
+    # M_2(F_3), where the Frobenius is the identity, and 200 points of M_2(F_9)
+    rng = random.Random(5)
+    for field, count in ((F3, None), (F9, 200)):
+        t, t_inv = random_invertible(field, 2, rng)
+        omega = RingEndo(field, 1) if frobenius else None
+        form = CanonicalForm.conjugation_form(t, omega=omega, transpose=transpose, mode=mode)
+        phi = JordanMap.conjugation(t, endo=omega, transpose=transpose, mode=mode, t_inv=t_inv)
+        if count is None:
+            points = phi.domain_iter()
+        else:
+            points = [phi.sample_domain(rng) for _ in range(count)]
+        for x in points:
+            assert form.evaluate(x) == phi(x)
 
 
 class TestRectangular:

@@ -210,6 +210,20 @@ def test_verify_form_against_map(tmp_path):
     assert read(out)["outcome"]["status"] == "mismatch"
 
 
+def test_verify_form_with_a_string_transpose_flag_exits_4(tmp_path, capsys):
+    from jordanmaps import CanonicalForm
+
+    # "false" is a string, not JSON false: the form is malformed, not a mismatch
+    t = Mat(F3, [[1, 1], [0, 1]])
+    mp = write(tmp_path / "map.json", table_to_json(conjugation_table(F3, t)))
+    blob = form_to_json(CanonicalForm.conjugation_form(t))
+    blob["transpose"] = "false"
+    form = write(tmp_path / "form.json", blob)
+    assert cli.main(["verify", "--form", form, "--map", mp]) == 4
+    assert json.loads(capsys.readouterr().out)["outcome"] == {
+        "status": "unsupported", "detail": "key 'transpose' has unexpected type str"}
+
+
 def test_verify_zero_form_with_bad_size_exits_4(tmp_path, capsys):
     from jordanmaps import CanonicalForm
 

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -22,7 +23,6 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.maps import _MEMO_CAP
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -93,32 +93,27 @@ def test_domain_iter_full():
     assert len(set(seen)) == 81
 
 
-def test_oracle_calls_are_memoized():
-    calls = []
-
-    def fn(x):
-        calls.append(x)
-        return x
-
-    phi = JordanMap.from_oracle(F5, 2, fn)
-    x = Mat(F5, [[1, 2], [3, 4]])
-    assert phi(x) == x
-    assert phi(x) == x
-    assert len(calls) == 1
-
-
 def test_memo_stays_bounded_on_long_sampled_runs():
-    # every pair evaluates three new points over Q, so this run stores more
-    # images than the cap allows; CPU time, so other processes do not count
+    # every pair evaluates three new points over Q; CPU time, so other
+    # processes do not count
     q = rational_field()
     phi = JordanMap.conjugation(Mat(q, [[1, 2], [3, 4]]))
-    pairs = _MEMO_CAP // 3 + 100
+    pairs = 3433
     start = time.process_time()
     report = check_multiplicative(phi, Strategy.sampled(count=pairs, seed=1))
     elapsed = time.process_time() - start
     assert report.ok and report.pairs_checked == pairs
-    assert 0 < len(phi._memo) <= _MEMO_CAP
     assert elapsed < 1.0
+    # a map keeps none of its images: the traced peak of a shorter run stays
+    # far below the megabytes that 1800 stored images over Q take
+    tracemalloc.start()
+    try:
+        report = check_multiplicative(phi, Strategy.sampled(count=600, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("domain", ["full", "upper_triangular"])
@@ -337,15 +332,26 @@ class TestDiamondToCirc:
             x = phi.sample_domain(rng)
             assert psi(x) == phi(x)
 
-    def test_table(self):
-        t = Mat(F3, [[1, 1], [0, 1]])
-        base = JordanMap.conjugation(t, mode=DIAMOND)
-        table = {x: base(x) for x in base.domain_iter()}
-        phi = JordanMap.from_table(F3, 2, table, mode=DIAMOND)
+    @pytest.mark.parametrize("body", ["table", "oracle", "constant-m2", "constant-m1"])
+    def test_table(self, body):
+        # every body but a conjugation is read through phi: psi(x) = 2 phi(x/2)
+        base = JordanMap.conjugation(Mat(F3, [[1, 1], [0, 1]]), mode=DIAMOND)
+        if body == "table":
+            table = {x: base(x) for x in base.domain_iter()}
+            phi = JordanMap.from_table(F3, 2, table, mode=DIAMOND)
+        elif body == "oracle":
+            phi = JordanMap.from_oracle(F3, 2, base, mode=DIAMOND)
+        else:  # E_11 / 2 = 2 E_11 in M_2(F_3), and [2] = [1] / 2 in M_1(F_3)
+            value = mat_unit(F3, 2, 1, 1, 2) if body == "constant-m2" else Mat(F3, [[2]])
+            phi = JordanMap.constant(F3, 2, value, mode=DIAMOND)
         psi = diamond_to_circ(phi)
+        assert (psi.mode, psi.m, psi.body_kind) == (CIRC, phi.m, "oracle")
         assert check_multiplicative(psi).ok
+        half = F3.scalar(2)
         for x in psi.domain_iter():
-            assert psi(x) == base(x)
+            assert psi(x) == phi(x.scale(half)).scale(2)
+            if body in ("table", "oracle"):
+                assert psi(x) == base(x)
 
     def test_circ_input_rejected(self):
         phi = JordanMap.from_oracle(F5, 2, lambda x: x, mode=CIRC)

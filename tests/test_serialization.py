@@ -308,6 +308,14 @@ def test_zero_form_size_checked(m):
         form_from_json(blob)
 
 
+@pytest.mark.parametrize("flag", ["false", "no", 1, 0, None])
+def test_form_transpose_must_be_a_boolean(flag):
+    blob = form_to_json(CanonicalForm.conjugation_form(Mat(F5, [[1, 2], [0, 1]])))
+    blob["transpose"] = flag
+    with pytest.raises(UnsupportedInput, match="key 'transpose' has unexpected type"):
+        form_from_json(blob)
+
+
 def test_form_with_singular_t_rejected():
     blob = form_to_json(CanonicalForm.conjugation_form(Mat(F5, [[1, 2], [0, 1]])))
     blob["T"]["entries"] = ["1", "2", "2", "4"]
