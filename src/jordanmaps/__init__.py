@@ -70,6 +70,10 @@ from .matrices import (
     mat_zero,
 )
 
+# loaded with the package, so `jordanmaps.serialization` is bound after a bare
+# `import jordanmaps` (perfbench/tracing.py wraps its codecs through it)
+from . import serialization
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -15,13 +15,14 @@ answer is reproducible from (count, seed).
 """
 
 import functools
+import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .errors import UnsupportedInput
-from .matrices import Mat, _jordan_raw, conjugator, jordan_circ, jordan_diamond, mat_zero
+from .matrices import Mat, conjugator, jordan_circ, jordan_diamond, mat_zero
 
 CIRC = "circ"
 DIAMOND = "diamond"
@@ -156,7 +157,7 @@ class JordanMap:
     @classmethod
     def conjugation(cls, t, endo=None, transpose=False, mode=CIRC, t_inv=None):
         """X |-> T w(X) T^-1, optionally transposing first (t_inv may be
-        supplied to avoid recomputation, as in Mat.conjugate_by)."""
+        supplied to avoid recomputing T^-1)."""
         if not t.is_square:
             raise UnsupportedInput("conjugating matrix must be square")
         if t_inv is None:
@@ -306,9 +307,27 @@ def _product_table(field, n, mode, domain):
     rows, and their product table.
 
     table[a][b] is the index of x_a * x_b; both domains are closed under both
-    products. The products commute, so each unordered pair is computed once,
-    on raw rows. Rows are 16-bit arrays: _PAIR_CAP keeps every domain below
-    2^16 matrices.
+    products. No product is formed as a matrix: its index is computed from
+    codes. The index of a domain matrix is the sum of digit * q^k over its
+    free positions, k counting them in domain_iter order; its row code R_i is
+    the sum over j of x_ij * q^j, its column code C_j that over i of
+    x_ij * q^i.
+
+      * dot[r * q^n + c] is the raw dot product of row code r and column code
+        c, built once per table by Field.add and Field.mul, so one loop serves
+        F_p, F_{p^k} and the diamond product over F_2;
+      * each free position (i, j), the k-th, has a cell table
+        cell[u * q + v] = q^k * h(u + v), with h = 1/2 for circ and 1 for
+        diamond;
+      * entry (i, j) of x_a * x_b is h(dot[R_i(a), C_j(b)] + dot[R_i(b), C_j(a)]),
+        so its index is the sum over the free positions of
+        cell[dot[R_i(a), C_j(b)] * q + dot[R_i(b), C_j(a)]]. Positions off an
+        upper-triangular domain are 0 in every product and take no part.
+
+    The products commute, so row a is computed for b >= a and copied from
+    column a of the earlier rows for b < a. Rows are 16-bit arrays: _PAIR_CAP
+    keeps every domain below 2^16 matrices, and dot has no more entries than
+    the table has pairs.
     """
     circ = mode == CIRC
     if circ and field.char2:
@@ -316,12 +335,34 @@ def _product_table(field, n, mode, domain):
     mats = tuple(_domain_matrices(field, n, domain))
     raws = [x.rows for x in mats]
     raw_index = {r: i for i, r in enumerate(raws)}
-    rows = [[0] * len(raws) for _ in raws]
-    for a, x in enumerate(raws):
-        row = rows[a]
-        for b in range(a, len(raws)):
-            row[b] = rows[b][a] = raw_index[_jordan_raw(field, x, raws[b], circ)]
-    return mats, raw_index, tuple(array("H", r) for r in rows)
+    q, fadd, fmul = field.order, field.add, field.mul
+    width = q ** n
+    # code order: the first digit varies fastest
+    vectors = [v[::-1] for v in itertools.product(range(q), repeat=n)]
+    dot = [functools.reduce(fadd, map(fmul, r, c)) for r in vectors for c in vectors]
+    # dot[r, c] * q as a list per row code r, dot[r, c] as a list per column code c
+    by_row = [[d * q for d in dot[r * width:(r + 1) * width]] for r in range(width)]
+    by_col = [dot[c::width] for c in range(width)]
+    weights = [q ** k for k in range(n)]
+    row_codes = [[sum(map(mul, x[i], weights)) for x in raws] for i in range(n)]
+    col_codes = [[sum(row[j] * w for row, w in zip(x, weights)) for x in raws] for j in range(n)]
+    h = field.half_one if circ else field.one
+    terms = [
+        (row_codes[i], col_codes[j], [q ** k * fmul(h, fadd(u, v)) for u in range(q) for v in range(q)])
+        for k, (i, j) in enumerate(_free_positions(n, domain))
+    ]
+    rows = []
+    for a in range(len(raws)):
+        upper = None
+        for rc, cc, cell in terms:
+            u = map(by_row[rc[a]].__getitem__, itertools.islice(cc, a, None))
+            v = map(by_col[cc[a]].__getitem__, itertools.islice(rc, a, None))
+            part = map(cell.__getitem__, map(add, u, v))
+            upper = part if upper is None else map(add, upper, part)
+        row = array("H", map(itemgetter(a), rows))
+        row.extend(upper)
+        rows.append(row)
+    return mats, raw_index, tuple(rows)
 
 
 def _sampled_pairs(phi, seed, count):

@@ -224,13 +224,6 @@ class Mat:
         ap = omega.apply_raw
         return Mat._from_raw(self.field, tuple(tuple(ap(v) for v in row) for row in self.rows))
 
-    def conjugate_by(self, t, t_inv=None):
-        """t^-1 @ self @ t (t_inv may be supplied to avoid recomputation)."""
-        self._check_same_shape(t)
-        if t_inv is None:
-            t_inv = t.inverse()
-        return conjugator(t_inv, t)(self)
-
 
 def conjugator(a, b):
     """The map x -> a @ x @ b for fixed square a and b of one size over one

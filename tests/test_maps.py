@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -23,6 +24,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
+from jordanmaps.maps import _product_table
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -162,6 +164,65 @@ def test_product_dispatch():
     b = Mat(F5, [[0, 1], [1, 0]])
     assert circ.product(a, b) == jordan_circ(a, b)
     assert diam.product(a, b) == jordan_diamond(a, b)
+
+
+
+def _domain(name, n, mode, domain):
+    field = preset_field(name)
+    return JordanMap.from_oracle(field, n, lambda x: x, mode=mode, domain=domain).domain_iter()
+
+
+def _pairwise_table(name, n, mode, domain):
+    """The product table built pair by pair from the Mat products of
+    domain_iter(), in the shape of _product_table's triple."""
+    jordan = jordan_circ if mode == CIRC else jordan_diamond
+    mats = tuple(_domain(name, n, mode, domain))
+    index = {x.rows: i for i, x in enumerate(mats)}
+    rows = [[0] * len(mats) for _ in mats]
+    for a, x in enumerate(mats):
+        for b in range(a, len(mats)):
+            rows[a][b] = rows[b][a] = index[jordan(x, mats[b]).rows]
+    return mats, index, tuple(array("H", r) for r in rows)
+
+
+TABLE_KEYS = [
+    *[("F2", n, DIAMOND, "full") for n in (1, 2)],
+    *[(name, n, mode, domain)
+      for name in ("F3", "F5") for n in (1, 2) for mode in (CIRC, DIAMOND)
+      for domain in ("full", "upper_triangular")
+      if (name, n, domain) != ("F5", 2, "full")],
+    ("F7", 2, CIRC, "upper_triangular"),
+    ("gf:2:2", 2, DIAMOND, "upper_triangular"),
+]
+
+
+@pytest.mark.parametrize("name, n, mode, domain", TABLE_KEYS)
+def test_product_table_matches_pairwise_products(name, n, mode, domain):
+    assert _product_table(preset_field(name), n, mode, domain) == _pairwise_table(name, n, mode, domain)
+
+
+# tables whose pair-by-pair construction takes seconds: their domains and
+# indices are compared whole, their rows on a seeded sample
+@pytest.mark.parametrize("name, n, mode, domain", [
+    ("F2", 3, DIAMOND, "full"),
+    ("F5", 2, CIRC, "full"),
+    ("F9", 2, CIRC, "upper_triangular"),
+    ("F9", 2, DIAMOND, "upper_triangular"),
+])
+def test_large_product_table_rows_match_pairwise_products(name, n, mode, domain):
+    jordan = jordan_circ if mode == CIRC else jordan_diamond
+    mats, index, table = _product_table(preset_field(name), n, mode, domain)
+    assert mats == tuple(_domain(name, n, mode, domain))
+    assert index == {x.rows: i for i, x in enumerate(mats)}
+    size = len(mats)
+    for a in [0, 1, size - 1, *random.Random(7).sample(range(size), 5)]:
+        assert table[a] == array("H", [index[jordan(mats[a], y).rows] for y in mats])
+
+
+@pytest.mark.parametrize("name", ["F2", "gf:2:2"])
+def test_circ_product_table_is_refused_in_char2(name):
+    with pytest.raises(UnsupportedInput, match="characteristic != 2"):
+        _product_table(preset_field(name), 2, CIRC, "full")
 
 
 class TestCheckMultiplicative:

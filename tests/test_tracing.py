@@ -1,7 +1,9 @@
 """The benchmark's tracer, perfbench/tracing.py, still installs over the
 package: every name it wraps exists, and its hooks read what they expect
 (the length of a certificate, a report's pairs_checked, the product-table
-cache). It patches the package, so it runs in a subprocess of its own."""
+cache). It patches the package, so it runs in a subprocess of its own, and
+it sets up as perfbench/run.py does: a bare `import jordanmaps`, the
+product-table cache cleared, then the tracer installed."""
 
 import os
 import subprocess
@@ -11,22 +13,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
+from array import array
+
 import jordanmaps as jm
-import jordanmaps.serialization
 import tracing
 
+jm.maps._product_table.cache_clear()
 tracer = tracing.install(jm)
-F5, F3 = jm.preset_field("F5"), jm.preset_field("F3")
+F5, F3, F7 = jm.preset_field("F5"), jm.preset_field("F3"), jm.preset_field("F7")
 cert = jm.certify_identity(jm.Mat(F5, [[1, 2, 0, 1], [0, 1, 3, 0], [4, 0, 1, 2], [0, 3, 0, 1]]))
 assert jm.replay(cert)
 base = jm.JordanMap.conjugation(jm.Mat(F3, [[1, 1], [0, 1]]))
 phi = jm.JordanMap.from_table(F3, 2, {x: base(x) for x in base.domain_iter()})
 assert jm.check_multiplicative(phi, jm.Strategy.exhaustive())
+tri = jm.JordanMap.from_oracle(F7, 2, lambda x: x, domain="upper_triangular")
+assert jm.check_multiplicative(tri, jm.Strategy.exhaustive())
 counts = tracer.counts
 assert counts["generation.steps"] == len(cert) > 0, counts
 assert counts["generation.replay"] == 1, counts
-assert counts["maps.pairs_checked"] == 81 * 81, counts
-assert counts["maps.table_builds"] == 1, counts
+assert counts["maps.pairs_checked"] == 81 * 81 + 343 * 343, counts
+assert counts["maps.table_builds"] == 2, counts
+for key, size in (((F3, 2, "circ", "full"), 81), ((F7, 2, "circ", "upper_triangular"), 343)):
+    mats, index, rows = jm.maps._product_table(*key)
+    assert len(rows) == size and all(type(r) is array and r.typecode == "H" for r in rows)
+assert counts["maps.table_builds"] == 2, counts
 """
 
 
