@@ -11,9 +11,9 @@ also writes its [PASS|FAIL] ledger, one line per criterion, to stderr. Each
 subcommand is a core `cmd_*(args, report) -> (exit_code, outcome)`; `_run`
 builds the report around it. Exit codes: 0 success, 1 suite failure, 2 the
 map is provably not Jordan multiplicative (witness included), 3 a
-structural invariant broke with no witness pair found, 4 unsupported input.
-Reports are deterministic for fixed inputs and seeds, except the timing
-fields.
+structural invariant broke with no witness pair found, 4 unsupported input
+or a usage error. Reports are deterministic for fixed inputs and seeds,
+except the timing fields.
 """
 
 import argparse
@@ -201,11 +201,11 @@ def _load_or_random_map(args, report):
         mode = args.mode
         if field.char2:
             raise UnsupportedInput("random structured maps need characteristic != 2")
-        t, t_inv = random_invertible(field, args.n, rng)
+        t = random_invertible(field, args.n, rng)[0]
         e = rng.randrange(field.k) if field.kind == "galois" else 0
         endo = RingEndo(field, e)
         transpose = bool(rng.getrandbits(1))
-        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=mode, t_inv=t_inv)
+        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=mode)
         planted = CanonicalForm.conjugation_form(t, omega=endo, transpose=transpose, mode=mode)
         report["random_map"] = {
             "t": mat_to_json(t),
@@ -315,8 +315,16 @@ def cmd_suite(args, report):
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, as unsupported input; 2 means not Jordan multiplicative."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jordanmaps",
         description="exact certificates and classification for Jordan-product-preserving matrix maps",
     )

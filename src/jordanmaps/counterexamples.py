@@ -25,9 +25,8 @@ from .maps import (
     JordanMap,
     MultReport,
     Strategy,
-    _domain_matrices,
+    _domain,
     _resolve_strategy,
-    _table_size,
     check_multiplicative,
 )
 from .matrices import (
@@ -140,8 +139,8 @@ def char2_example(n=2, a=None, b=None):
         # on M_1(F_2) the map is the identity, which is a conjugation
         raise UnsupportedSize("the char2 example needs n >= 2")
     f2 = prime_field(2)
-    # refuse a domain no table may cover before enumerating it
-    _table_size(f2, n, "full")
+    # refuses a domain no table may cover before enumerating it
+    domain = _domain(f2, n, "full")[0]
     if a is None:
         a = mat_unit(f2, n, 1, 1)
     if b is None:
@@ -153,11 +152,8 @@ def char2_example(n=2, a=None, b=None):
     if b.is_zero:
         raise ValueError("B must be nonzero for the map to be nonzero")
     zero = mat_zero(f2, n)
-    table = {x: (b if x == a else zero) for x in _domain_matrices(f2, n, "full")}
-    phi = JordanMap.from_table(f2, n, table, mode=DIAMOND)
-    y = next(
-        x for x in phi.domain_iter() if not x.is_zero and x != a and x + a != a
-    )
+    phi = JordanMap.from_table(f2, n, {x: (b if x == a else zero) for x in domain}, mode=DIAMOND)
+    y = next(x for x in domain if not x.is_zero and x != a and x + a != a)
     return CounterexampleBundle(
         name="char2",
         description=(

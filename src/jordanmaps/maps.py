@@ -128,16 +128,14 @@ class JordanMap:
     @classmethod
     def from_table(cls, field, n, entries, mode=CIRC, domain="full"):
         """Explicit map given as (x, fx) pairs covering the whole domain."""
-        size = _table_size(field, n, domain)
+        index = _domain(field, n, domain)[1]
         items = entries.items() if isinstance(entries, dict) else entries
         table = {}
         m = None
         for count, (x, fx) in enumerate(items, 1):
             if not isinstance(x, Mat) or not isinstance(fx, Mat):
                 raise UnsupportedInput("table entries must be matrix pairs")
-            if x.field != field or x.nrows != n or x.ncols != n:
-                raise UnsupportedInput("table key outside the declared domain")
-            if domain == "upper_triangular" and not _is_upper_triangular(x):
+            if x.field != field or x.rows not in index:
                 raise UnsupportedInput("table key outside the declared domain")
             if fx.field != field or not fx.is_square:
                 raise UnsupportedInput("table value must be a square matrix over the same field")
@@ -145,23 +143,19 @@ class JordanMap:
                 m = fx.nrows
             elif fx.nrows != m:
                 raise UnsupportedInput("table values have inconsistent sizes")
-            table[x] = fx
+            table[x.rows] = fx
             if len(table) != count:
                 raise UnsupportedInput("duplicate table key")
-        if len(table) != size:
-            raise UnsupportedInput(
-                f"table covers {len(table)} of {size} domain matrices"
-            )
-        return cls(field, n, mode, ("table", table.__getitem__), m=m, domain=domain)
+        if len(table) != len(index):
+            raise UnsupportedInput(f"table covers {len(table)} of {len(index)} domain matrices")
+        return cls(field, n, mode, ("table", lambda x: table[x.rows]), m=m, domain=domain)
 
     @classmethod
-    def conjugation(cls, t, endo=None, transpose=False, mode=CIRC, t_inv=None):
-        """X |-> T w(X) T^-1, optionally transposing first (t_inv may be
-        supplied to avoid recomputing T^-1)."""
+    def conjugation(cls, t, endo=None, transpose=False, mode=CIRC):
+        """X |-> T w(X) T^-1, optionally transposing first."""
         if not t.is_square:
             raise UnsupportedInput("conjugating matrix must be square")
-        if t_inv is None:
-            t_inv = t.inverse()
+        t_inv = t.inverse()
         field, n = t.field, t.nrows
         if endo is not None and endo.field != field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")
@@ -210,10 +204,12 @@ class JordanMap:
         return _domain_size(self.field, self.n, self.domain)
 
     def domain_iter(self):
-        """All domain matrices in a fixed row-major order (finite fields)."""
+        """All domain matrices in a fixed row-major order (finite fields, at
+        most 10^4 matrices). They are built once per domain and cached, so
+        every call yields the same objects."""
         if not self.field.is_finite:
             raise UnsupportedInput("cannot enumerate matrices over an infinite field")
-        return _domain_matrices(self.field, self.n, self.domain)
+        return iter(_domain(self.field, self.n, self.domain)[0])
 
     def sample_domain(self, rng):
         """A seeded random domain matrix: one draw per free position, row by
@@ -287,24 +283,27 @@ def _table_size(field, n, domain):
     return size
 
 
-def _domain_matrices(field, n, domain):
-    """Domain matrices of a finite field in row-major base-q code order."""
-    q = field.order
-    positions = _free_positions(n, domain)
+@functools.lru_cache(maxsize=8)
+def _domain(field, n, domain):
+    """The domain matrices in row-major base-q code order (the first free
+    position varies fastest) and the index of each by its raw rows. Refuses
+    what `_table_size` refuses first, so it never holds over _TABLE_CAP."""
+    _table_size(field, n, domain)
     zero = field.zero
-    for idx in range(q ** len(positions)):
+    positions = _free_positions(n, domain)
+    mats = []
+    for digits in itertools.product(range(field.order), repeat=len(positions)):
         rows = [[zero] * n for _ in range(n)]
-        rem = idx
-        for i, j in positions:
-            rows[i][j] = rem % q
-            rem //= q
-        yield Mat._from_raw(field, tuple(tuple(r) for r in rows))
+        for (i, j), d in zip(positions, reversed(digits)):
+            rows[i][j] = d
+        mats.append(Mat._from_raw(field, tuple(map(tuple, rows))))
+    return tuple(mats), {x.rows: k for k, x in enumerate(mats)}
 
 
 @functools.lru_cache(maxsize=8)
 def _product_table(field, n, mode, domain):
-    """Domain matrices in domain_iter order, the index of each by its raw
-    rows, and their product table.
+    """The domain matrices and the index of each by its raw rows, both as
+    `_domain` gives them, and their product table.
 
     table[a][b] is the index of x_a * x_b; both domains are closed under both
     products. No product is formed as a matrix: its index is computed from
@@ -325,16 +324,15 @@ def _product_table(field, n, mode, domain):
         upper-triangular domain are 0 in every product and take no part.
 
     The products commute, so row a is computed for b >= a and copied from
-    column a of the earlier rows for b < a. Rows are 16-bit arrays: _PAIR_CAP
+    column a of the earlier rows for b < a. Rows are 16-bit arrays: `_domain`
     keeps every domain below 2^16 matrices, and dot has no more entries than
     the table has pairs.
     """
     circ = mode == CIRC
     if circ and field.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
-    mats = tuple(_domain_matrices(field, n, domain))
+    mats, raw_index = _domain(field, n, domain)
     raws = [x.rows for x in mats]
-    raw_index = {r: i for i, r in enumerate(raws)}
     q, fadd, fmul = field.order, field.add, field.mul
     width = q ** n
     # code order: the first digit varies fastest
@@ -406,11 +404,12 @@ def check_multiplicative(phi, strategy=None):
     the first violating pair.
 
     The exhaustive scan reads x * y from a product table built once per
-    (field, n, mode, domain) and kept in a cache bounded to 8 tables. Images
-    are evaluated once each, in the order the pair loop first needs them, and
-    identified by value; the product of two images that lie in the domain is
-    read from the same table, any other is computed by phi.product, which
-    keeps its shape checks.
+    (field, n, mode, domain) and kept in a cache bounded to 8 tables, over
+    the domain matrices and index of `_domain`. Images are evaluated once
+    each, in the order the pair loop first needs them, and identified by
+    value; the product of two images that lie in the domain is read from the
+    same table, any other is computed by phi.product, which keeps its shape
+    checks.
 
     Only the upper triangle b >= a of the ordered pairs is visited, and this
     is exact. Both products commute exactly, the table is symmetric and each

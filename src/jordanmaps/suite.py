@@ -5,7 +5,6 @@ wraps them with wall-clock timing and the stated limits. All randomness is
 seeded, so reruns are reproducible; timings are the only nondeterminism.
 """
 
-import itertools
 import json
 import os
 import random
@@ -26,7 +25,7 @@ from .counterexamples import char2_example, triangular_example
 from .errors import NotJordanMultiplicative
 from .exact_fields import RingEndo, endo_enumerate, preset_field, rational_field
 from .generation import certify_identity, ladder, replay
-from .maps import CIRC, JordanMap, Strategy, _domain_matrices
+from .maps import CIRC, JordanMap, Strategy, _domain
 from .matrices import (
     Mat,
     conjugator,
@@ -140,7 +139,7 @@ def crit_exhaustive_replay(seed):
     for name, expect in (("F3", 80), ("F5", 624)):
         f = preset_field(name)
         done = 0
-        for x in itertools.islice(_domain_matrices(f, 2, "full"), 1, None):
+        for x in _domain(f, 2, "full")[0][1:]:
             cert = certify_identity(x)
             if not replay(cert):
                 return False, f"replay failed over {name} at {x.rows}"
@@ -189,11 +188,11 @@ def crit_roundtrip_batch(seed):
             for transpose in (False, True):
                 for endo in endo_enumerate(f):
                     for _ in range(10):
-                        jobs.append((f, n, transpose, endo, *random_invertible(f, n, rng)))
+                        jobs.append((f, n, transpose, endo, random_invertible(f, n, rng)[0]))
 
     failures = 0
-    for idx, (f, n, transpose, endo, t, t_inv) in enumerate(jobs):
-        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=CIRC, t_inv=t_inv)
+    for idx, (f, n, transpose, endo, t) in enumerate(jobs):
+        phi = JordanMap.conjugation(t, endo=endo, transpose=transpose, mode=CIRC)
         planted = CanonicalForm.conjugation_form(t, omega=endo, transpose=transpose, mode=CIRC)
         if f.order ** (n * n) <= 81:
             strategy = Strategy.exhaustive()
@@ -217,7 +216,7 @@ def crit_constant_zero(seed):
     idempotent; the zero map classifies to zero; an altered constant map is
     rejected with a replayable witness pair."""
     f = preset_field("F3")
-    idempotents = [x for x in _domain_matrices(f, 2, "full") if is_idempotent(x)]
+    idempotents = [x for x in _domain(f, 2, "full")[0] if is_idempotent(x)]
     if len(idempotents) != 14:
         return False, f"expected 14 idempotents in M_2(F_3), found {len(idempotents)}"
     for p in idempotents:
@@ -277,13 +276,11 @@ def crit_preservation_suite(seed):
             phi = JordanMap.zero(f, n)
         else:
             endos = endo_enumerate(f)
-            t, t_inv = random_invertible(f, n, rng)
             phi = JordanMap.conjugation(
-                t,
+                random_invertible(f, n, rng)[0],
                 endo=endos[rng.randrange(len(endos))],
                 transpose=bool(rng.getrandbits(1)),
                 mode=CIRC,
-                t_inv=t_inv,
             )
         genuine.append(phi)
     for idx, phi in enumerate(genuine):
@@ -374,7 +371,7 @@ def crit_rectangular(seed):
     """Tables M_2(F_3) -> M_1(F_3): constants at an idempotent (and zero) are
     accepted; a seeded non-constant table is rejected with a witness pair."""
     f = preset_field("F3")
-    domain = list(_domain_matrices(f, 2, "full"))
+    domain = _domain(f, 2, "full")[0]
     one_by_one = Mat(f, [[1]])
     zero_cell = Mat(f, [[0]])
     const = JordanMap.from_table(f, 2, {x: one_by_one for x in domain}, mode=CIRC)

@@ -501,10 +501,10 @@ def test_conjugation_form_evaluates_as_its_map(frobenius, transpose, mode):
     # M_2(F_3), where the Frobenius is the identity, and 200 points of M_2(F_9)
     rng = random.Random(5)
     for field, count in ((F3, None), (F9, 200)):
-        t, t_inv = random_invertible(field, 2, rng)
+        t = random_invertible(field, 2, rng)[0]
         omega = RingEndo(field, 1) if frobenius else None
         form = CanonicalForm.conjugation_form(t, omega=omega, transpose=transpose, mode=mode)
-        phi = JordanMap.conjugation(t, endo=omega, transpose=transpose, mode=mode, t_inv=t_inv)
+        phi = JordanMap.conjugation(t, endo=omega, transpose=transpose, mode=mode)
         if count is None:
             points = phi.domain_iter()
         else:

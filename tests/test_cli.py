@@ -489,6 +489,26 @@ def test_suite_report_on_stdout_and_ledger_on_stderr(tmp_path, monkeypatch, caps
     assert captured.err.splitlines() == [res.line() for res in fake]
 
 
-def test_unknown_subcommand_errors():
-    with pytest.raises(SystemExit):
-        cli.main(["transmogrify"])
+@pytest.mark.parametrize("argv", [
+    ["transmogrify"],
+    ["classify", "--mode", "bogus"],
+    ["counterexample", "--name", "nope"],
+    ["certify", "--n", "x"],
+    [],
+], ids=["subcommand", "mode", "name", "n", "bare"])
+def test_unknown_subcommand_errors(argv, capsys):
+    # a usage error exits 4, never the 2 of a map that is not Jordan multiplicative
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: jordanmaps" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    assert "usage: jordanmaps" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 import tracemalloc
@@ -24,7 +25,7 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.maps import _product_table
+from jordanmaps.maps import _domain, _product_table
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -50,16 +51,25 @@ class TestFromTable:
         with pytest.raises(UnsupportedInput):
             JordanMap.from_table(F3, 2, table)
 
-    def test_duplicate_keys_rejected(self):
+    # the same key object, and an equal but distinct one
+    @pytest.mark.parametrize("copy", [lambda x: x, lambda x: Mat._from_raw(F3, x.rows)],
+                             ids=["same", "equal"])
+    def test_duplicate_keys_rejected(self, copy):
         pairs = list(identity_table(F3, 2).items())
-        pairs.append(pairs[0])
-        with pytest.raises(UnsupportedInput):
+        pairs.append((copy(pairs[-1][0]), pairs[-1][1]))
+        assert pairs[-1][0] == pairs[-2][0]
+        with pytest.raises(UnsupportedInput, match="duplicate table key"):
             JordanMap.from_table(F3, 2, pairs)
 
     def test_domain_cap(self):
-        # 3^9 = 19683 exceeds the table cap before any entry is read
+        # 3^9 = 19683 exceeds the table cap before any entry is read, or
+        # before domain_iter builds a matrix
         with pytest.raises(UnsupportedInput):
             JordanMap.from_table(F3, 3, {})
+        start = time.process_time()
+        with pytest.raises(UnsupportedInput, match="capped at 10000"):
+            JordanMap.from_oracle(F3, 3, lambda x: x).domain_iter()
+        assert time.process_time() - start < 0.1
 
     def test_infinite_fields_rejected(self):
         from jordanmaps import rational_field
@@ -73,11 +83,18 @@ class TestFromTable:
         with pytest.raises(UnsupportedInput):
             JordanMap.from_table(F3, 2, table)
 
-    def test_upper_triangular_membership(self):
-        with pytest.raises(UnsupportedInput):
-            JordanMap.from_table(
-                F3, 2, {mat_unit(F3, 2, 2, 1): mat_zero(F3, 2)}, domain="upper_triangular"
-            )
+    # one key of a full table swapped for one outside the domain: I over F_7,
+    # whose raw rows are those of I over F_5, and a non-triangular key
+    @pytest.mark.parametrize("field, inside, outside, domain", [
+        (F5, mat_identity(F5, 2), mat_identity(preset_field("F7"), 2), "full"),
+        (F3, mat_zero(F3, 2), mat_unit(F3, 2, 2, 1), "upper_triangular"),
+    ], ids=["field", "upper_triangular"])
+    def test_key_outside_domain_rejected(self, field, inside, outside, domain):
+        phi = JordanMap.from_oracle(field, 2, lambda x: x, domain=domain)
+        table = {x: x for x in phi.domain_iter()}
+        table[outside] = table.pop(inside)
+        with pytest.raises(UnsupportedInput, match="table key outside the declared domain"):
+            JordanMap.from_table(field, 2, table, domain=domain)
 
 
 def test_domain_iter_upper_triangular():
@@ -93,6 +110,27 @@ def test_domain_iter_full():
     seen = list(phi.domain_iter())
     assert len(seen) == 81
     assert len(set(seen)) == 81
+    # one cached enumeration serves every call and the product table
+    assert all(x is y for x, y in zip(seen, phi.domain_iter(), strict=True))
+    assert _product_table(F3, 2, CIRC, "full")[0] is _domain(F3, 2, "full")[0]
+
+
+# an enumeration of its own: entries (1,1), (1,2), (2,1), (2,2), the first
+# varying fastest; position (2,1) is 0 on the triangular domain
+@pytest.mark.parametrize("name, domain", [
+    ("F3", "full"), ("F5", "upper_triangular"), ("F9", "full"),
+])
+def test_domain_order(name, domain):
+    field = preset_field(name)
+    q = range(field.order)
+    if domain == "full":
+        expected = [((a, b), (c, d)) for d, c, b, a in itertools.product(q, repeat=4)]
+    else:
+        expected = [((a, b), (0, d)) for d, b, a in itertools.product(q, repeat=3)]
+    mats, index = _domain(field, 2, domain)
+    assert [x.rows for x in mats] == expected
+    assert all(x.field == field for x in mats)
+    assert index == {rows: k for k, rows in enumerate(expected)}
 
 
 def test_memo_stays_bounded_on_long_sampled_runs():
@@ -167,16 +205,11 @@ def test_product_dispatch():
 
 
 
-def _domain(name, n, mode, domain):
-    field = preset_field(name)
-    return JordanMap.from_oracle(field, n, lambda x: x, mode=mode, domain=domain).domain_iter()
-
-
 def _pairwise_table(name, n, mode, domain):
-    """The product table built pair by pair from the Mat products of
-    domain_iter(), in the shape of _product_table's triple."""
+    """The product table built pair by pair from the Mat products of the
+    domain matrices, in the shape of _product_table's triple."""
     jordan = jordan_circ if mode == CIRC else jordan_diamond
-    mats = tuple(_domain(name, n, mode, domain))
+    mats = _domain(preset_field(name), n, domain)[0]
     index = {x.rows: i for i, x in enumerate(mats)}
     rows = [[0] * len(mats) for _ in mats]
     for a, x in enumerate(mats):
@@ -212,8 +245,7 @@ def test_product_table_matches_pairwise_products(name, n, mode, domain):
 def test_large_product_table_rows_match_pairwise_products(name, n, mode, domain):
     jordan = jordan_circ if mode == CIRC else jordan_diamond
     mats, index, table = _product_table(preset_field(name), n, mode, domain)
-    assert mats == tuple(_domain(name, n, mode, domain))
-    assert index == {x.rows: i for i, x in enumerate(mats)}
+    assert (mats, index) == _domain(preset_field(name), n, domain)
     size = len(mats)
     for a in [0, 1, size - 1, *random.Random(7).sample(range(size), 5)]:
         assert table[a] == array("H", [index[jordan(mats[a], y).rows] for y in mats])

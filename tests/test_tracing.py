@@ -3,7 +3,9 @@ package: every name it wraps exists, and its hooks read what they expect
 (the length of a certificate, a report's pairs_checked, the product-table
 cache). It patches the package, so it runs in a subprocess of its own, and
 it sets up as perfbench/run.py does: a bare `import jordanmaps`, the
-product-table cache cleared, then the tracer installed."""
+product-table cache cleared, then the tracer installed. Between its set-up
+reps run.py clears that cache again: the next scan rebuilds the table, one
+more build, over the cached domain matrices."""
 
 import os
 import subprocess
@@ -18,7 +20,8 @@ from array import array
 import jordanmaps as jm
 import tracing
 
-jm.maps._product_table.cache_clear()
+table_cache = jm.maps._product_table
+table_cache.cache_clear()
 tracer = tracing.install(jm)
 F5, F3, F7 = jm.preset_field("F5"), jm.preset_field("F3"), jm.preset_field("F7")
 cert = jm.certify_identity(jm.Mat(F5, [[1, 2, 0, 1], [0, 1, 3, 0], [4, 0, 1, 2], [0, 3, 0, 1]]))
@@ -37,6 +40,10 @@ for key, size in (((F3, 2, "circ", "full"), 81), ((F7, 2, "circ", "upper_triangu
     mats, index, rows = jm.maps._product_table(*key)
     assert len(rows) == size and all(type(r) is array and r.typecode == "H" for r in rows)
 assert counts["maps.table_builds"] == 2, counts
+table_cache.cache_clear()
+assert jm.check_multiplicative(phi, jm.Strategy.exhaustive())
+assert counts["maps.table_builds"] == 3, counts
+assert jm.maps._product_table(F3, 2, "circ", "full")[0] is jm.maps._domain(F3, 2, "full")[0]
 """
 
 
