@@ -28,6 +28,7 @@ matrix kernels accumulate whole dot products this way, on logs, in every
 characteristic. Characteristic-2 fields add by XOR.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import UnsupportedInput
@@ -139,44 +140,13 @@ class Field:
     """
 
     def __init__(self, kind, p=0, k=1, modulus=None):
-        if kind not in ("rational", "prime", "galois"):
-            raise UnsupportedInput(f"unknown field kind {kind!r}")
-        if kind == "rational":
-            if p not in (0, None) or k != 1 or modulus is not None:
-                raise UnsupportedInput("rational field takes no p/k/modulus")
-            p, k, modulus = 0, 1, None
-        elif kind == "prime":
-            if not is_prime(p):
-                raise UnsupportedInput(f"p={p} is not prime")
-            if k != 1:
-                raise UnsupportedInput("k >= 2 requires kind='galois'")
-            if modulus is not None:
-                raise UnsupportedInput("prime field takes no modulus")
-        else:
-            if not is_prime(p):
-                raise UnsupportedInput(f"p={p} is not prime")
-            if k < 2:
-                raise UnsupportedInput("galois fields need extension degree k >= 2")
-            # p >= 2, so k beyond the cap's bit length is refused before
-            # p ** k, which could be huge, is formed
-            if k > _LOG_TABLE_LIMIT.bit_length() or p ** k > _LOG_TABLE_LIMIT:
-                raise UnsupportedInput(
-                    f"F_{p}^{k} exceeds order {_LOG_TABLE_LIMIT}; galois fields are capped there"
-                )
-            if modulus is None:
-                modulus = _find_irreducible(p, k)
-            modulus = [c % p for c in modulus]
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise UnsupportedInput("modulus must be monic of degree k (ascending coefficients)")
-            if not is_irreducible(modulus, p):
-                raise UnsupportedInput(f"modulus {modulus} is reducible over F_{p}")
+        kind, p, k, modulus = self._key = _field_key(kind, p, k, modulus)
         self.kind = kind
         self.p = p
         self.k = k
-        self.modulus = tuple(modulus) if modulus is not None else None
+        self.modulus = modulus
         self.order = p ** k if kind != "rational" else None
         self.char = p
-        self._key = (kind, p, k, self.modulus)
         self._log = None
         self._exp = None
         self._zech = None
@@ -395,6 +365,44 @@ class Field:
         return _digits(raw, self.p, self.k)
 
 
+def _field_key(kind, p, k, modulus):
+    """(kind, p, k, modulus) of the field these arguments name, validated:
+    every refusal of Field happens here, and a missing Galois modulus is
+    found by search."""
+    if kind not in ("rational", "prime", "galois"):
+        raise UnsupportedInput(f"unknown field kind {kind!r}")
+    if kind == "rational":
+        if p not in (0, None) or k != 1 or modulus is not None:
+            raise UnsupportedInput("rational field takes no p/k/modulus")
+        p, k, modulus = 0, 1, None
+    elif kind == "prime":
+        if not is_prime(p):
+            raise UnsupportedInput(f"p={p} is not prime")
+        if k != 1:
+            raise UnsupportedInput("k >= 2 requires kind='galois'")
+        if modulus is not None:
+            raise UnsupportedInput("prime field takes no modulus")
+    else:
+        if not is_prime(p):
+            raise UnsupportedInput(f"p={p} is not prime")
+        if k < 2:
+            raise UnsupportedInput("galois fields need extension degree k >= 2")
+        # p >= 2, so k beyond the cap's bit length is refused before
+        # p ** k, which could be huge, is formed
+        if k > _LOG_TABLE_LIMIT.bit_length() or p ** k > _LOG_TABLE_LIMIT:
+            raise UnsupportedInput(
+                f"F_{p}^{k} exceeds order {_LOG_TABLE_LIMIT}; galois fields are capped there"
+            )
+        if modulus is None:
+            modulus = _find_irreducible(p, k)
+        modulus = [c % p for c in modulus]
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise UnsupportedInput("modulus must be monic of degree k (ascending coefficients)")
+        if not is_irreducible(modulus, p):
+            raise UnsupportedInput(f"modulus {modulus} is reducible over F_{p}")
+    return kind, p, k, tuple(modulus) if modulus is not None else None
+
+
 def _find_irreducible(p, k):
     for tail in range(p ** k):
         cand = _digits(tail, p, k) + [1]
@@ -536,16 +544,28 @@ class RingEndo:
 # -- module-level operations -------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _interned(key):
+    return Field(*key)
+
+
+def _field(kind, p=0, k=1, modulus=None):
+    """The Field of these arguments, shared: equal fields made through here
+    are one object, so `Field.__eq__` answers by identity and each Galois
+    field builds its tables once while it stays among the last 32 used."""
+    return _interned(_field_key(kind, p, k, modulus))
+
+
 def rational_field():
-    return Field("rational")
+    return _field("rational")
 
 
 def prime_field(p):
-    return Field("prime", p=p)
+    return _field("prime", p=p)
 
 
 def galois_field(p, k, modulus=None):
-    return Field("galois", p=p, k=k, modulus=modulus)
+    return _field("galois", p=p, k=k, modulus=modulus)
 
 
 def endo_enumerate(field):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 from .errors import UnsupportedInput
-from .matrices import Mat, conjugator, jordan_circ, jordan_diamond, mat_zero
+from .matrices import Mat, _matmul_raw, conjugator, jordan_circ, jordan_diamond, mat_zero
 
 CIRC = "circ"
 DIAMOND = "diamond"
@@ -300,65 +300,75 @@ def _domain(field, n, domain):
     return tuple(mats), {x.rows: k for k, x in enumerate(mats)}
 
 
+def _product_codes(field, mode, raws, positions):
+    """The code kernel of Jordan products, shared by `_product_table` and the
+    exhaustive scan: codes(a) iterates, for b = a, a + 1, ..., the code of
+    raws[a] * raws[b], the product of `mode` of two square raw matrices over
+    the finite field. A matrix's code is the sum of entry * q^k over
+    `positions`, the k-th free position; entries off them must be 0.
+
+    The distinct vectors among the rows and columns of `raws` get ids in
+    order of first appearance, and dot products are tabled between those
+    alone: dots(v) lists the dot product of vector v with every vector by id,
+    scaled(v) the same times q. Each is one `_matmul_raw` row, built when
+    codes(a) first needs it, so one loop serves F_p, F_{p^k} and the diamond
+    product over F_2. Each free position (i, j), the k-th, has a cell table
+    cell[u * q + v] = q^k * h(u + v), with h = 1/2 for circ and 1 for
+    diamond: entry (i, j) of x_a * x_b is h(R_i(a).C_j(b) + R_i(b).C_j(a)),
+    so its code term is cell[scaled(R_i(a))[C_j(b)] + dots(C_j(a))[R_i(b)]].
+    """
+    q, fadd, fmul = field.order, field.add, field.mul
+    h = field.half_one if mode == CIRC else field.one
+    ids = {}
+    dims = range(len(raws[0]))
+    row_ids = [[ids.setdefault(x[i], len(ids)) for x in raws] for i in dims]
+    columns = [tuple(zip(*x)) for x in raws]
+    col_ids = [[ids.setdefault(x[j], len(ids)) for x in columns] for j in dims]
+    vectors = list(ids)
+    grid = tuple(zip(*vectors))  # every vector as a column
+    dots = functools.cache(lambda v: _matmul_raw(field, (vectors[v],), grid)[0])
+    scaled = functools.cache(lambda v: [d * q for d in dots(v)])
+    halves = [fmul(h, fadd(u, v)) for u in range(q) for v in range(q)]
+    terms = [
+        (row_ids[i], col_ids[j], [q ** k * w for w in halves])
+        for k, (i, j) in enumerate(positions)
+    ]
+
+    def codes(a):
+        out = None
+        for rc, cc, cell in terms:
+            u = map(scaled(rc[a]).__getitem__, itertools.islice(cc, a, None))
+            v = map(dots(cc[a]).__getitem__, itertools.islice(rc, a, None))
+            part = map(cell.__getitem__, map(add, u, v))
+            out = part if out is None else map(add, out, part)
+        return out
+
+    return codes
+
+
 @functools.lru_cache(maxsize=8)
 def _product_table(field, n, mode, domain):
     """The domain matrices and the index of each by its raw rows, both as
     `_domain` gives them, and their product table.
 
     table[a][b] is the index of x_a * x_b; both domains are closed under both
-    products. No product is formed as a matrix: its index is computed from
-    codes. The index of a domain matrix is the sum of digit * q^k over its
-    free positions, k counting them in domain_iter order; its row code R_i is
-    the sum over j of x_ij * q^j, its column code C_j that over i of
-    x_ij * q^i.
-
-      * dot[r * q^n + c] is the raw dot product of row code r and column code
-        c, built once per table by Field.add and Field.mul, so one loop serves
-        F_p, F_{p^k} and the diamond product over F_2;
-      * each free position (i, j), the k-th, has a cell table
-        cell[u * q + v] = q^k * h(u + v), with h = 1/2 for circ and 1 for
-        diamond;
-      * entry (i, j) of x_a * x_b is h(dot[R_i(a), C_j(b)] + dot[R_i(b), C_j(a)]),
-        so its index is the sum over the free positions of
-        cell[dot[R_i(a), C_j(b)] * q + dot[R_i(b), C_j(a)]]. Positions off an
-        upper-triangular domain are 0 in every product and take no part.
+    products. No product is formed as a matrix: the index of a domain matrix
+    is its code over the free positions in domain_iter order, and the shared
+    kernel `_product_codes` computes the codes of products. Positions off an
+    upper-triangular domain are 0 in every product and take no part.
 
     The products commute, so row a is computed for b >= a and copied from
     column a of the earlier rows for b < a. Rows are 16-bit arrays: `_domain`
-    keeps every domain below 2^16 matrices, and dot has no more entries than
-    the table has pairs.
+    keeps every domain below 2^16 matrices.
     """
-    circ = mode == CIRC
-    if circ and field.char2:
+    if mode == CIRC and field.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
     mats, raw_index = _domain(field, n, domain)
-    raws = [x.rows for x in mats]
-    q, fadd, fmul = field.order, field.add, field.mul
-    width = q ** n
-    # code order: the first digit varies fastest
-    vectors = [v[::-1] for v in itertools.product(range(q), repeat=n)]
-    dot = [functools.reduce(fadd, map(fmul, r, c)) for r in vectors for c in vectors]
-    # dot[r, c] * q as a list per row code r, dot[r, c] as a list per column code c
-    by_row = [[d * q for d in dot[r * width:(r + 1) * width]] for r in range(width)]
-    by_col = [dot[c::width] for c in range(width)]
-    weights = [q ** k for k in range(n)]
-    row_codes = [[sum(map(mul, x[i], weights)) for x in raws] for i in range(n)]
-    col_codes = [[sum(row[j] * w for row, w in zip(x, weights)) for x in raws] for j in range(n)]
-    h = field.half_one if circ else field.one
-    terms = [
-        (row_codes[i], col_codes[j], [q ** k * fmul(h, fadd(u, v)) for u in range(q) for v in range(q)])
-        for k, (i, j) in enumerate(_free_positions(n, domain))
-    ]
+    codes = _product_codes(field, mode, [x.rows for x in mats], _free_positions(n, domain))
     rows = []
-    for a in range(len(raws)):
-        upper = None
-        for rc, cc, cell in terms:
-            u = map(by_row[rc[a]].__getitem__, itertools.islice(cc, a, None))
-            v = map(by_col[cc[a]].__getitem__, itertools.islice(rc, a, None))
-            part = map(cell.__getitem__, map(add, u, v))
-            upper = part if upper is None else map(add, upper, part)
+    for a in range(len(mats)):
         row = array("H", map(itemgetter(a), rows))
-        row.extend(upper)
+        row.extend(codes(a))
         rows.append(row)
     return mats, raw_index, tuple(rows)
 
@@ -407,9 +417,7 @@ def check_multiplicative(phi, strategy=None):
     (field, n, mode, domain) and kept in a cache bounded to 8 tables, over
     the domain matrices and index of `_domain`. Images are evaluated once
     each, in the order the pair loop first needs them, and identified by
-    value; the product of two images that lie in the domain is read from the
-    same table, any other is computed by phi.product, which keeps its shape
-    checks.
+    value.
 
     Only the upper triangle b >= a of the ordered pairs is visited, and this
     is exact. Both products commute exactly, the table is symmetric and each
@@ -420,15 +428,23 @@ def check_multiplicative(phi, strategy=None):
     are those of that pair; an accepted scan covers, and reports, all
     size*size ordered pairs.
 
-    Row 0 (x_0 = 0) visits every b, so it evaluates every image. If every
-    image then lies in the domain, each later row a is compared whole: the
-    ids phi(x_a * x_b) and the ids of phi(x_a) * phi(x_b), for all b, are two
-    gathers through the table, the second kept per image id, so a constant
-    map builds it once. Their first difference lies at some b >= a, by the
-    argument above, so the witness and count are those of the pair-by-pair
-    scan. Scans with an image outside the domain (a block embedding, a map
-    into M_m with m != n, a triangular map with a non-triangular image) go
-    pair by pair throughout.
+    Row 0 (x_0 = 0) goes pair by pair and evaluates every image: the product
+    of two images in the domain is read from the table, any other is computed
+    by phi.product, which keeps its shape checks. Each later row a is then
+    compared whole, for b >= a, and its first difference is the witness:
+
+      * if every image lies in the domain, the ids phi(x_a * x_b) and the ids
+        of phi(x_a) * phi(x_b) are two gathers through the table, the second
+        kept per image id, so a constant map builds it once;
+      * otherwise (a block embedding, a map into M_m with m != n, a
+        triangular map with a non-triangular image) every image is coded over
+        all m*m positions in base q, and the codes of phi(x_a * x_b) are
+        compared with those the kernel `_product_codes` gives for
+        phi(x_a) * phi(x_b). A product that is no image matches no image
+        code. The kernel's dot table holds only the row and column vectors
+        that occur among the images, at most m * size of each, and a row of
+        it is built when a scan row first needs it, so an early rejection
+        builds few.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -458,37 +474,48 @@ def check_multiplicative(phi, strategy=None):
                 image[a] = k
             return k
 
-        images_at = None  # set once every image is known and in the domain
-        rhs_rows = {}
-        for a in range(size):
-            row = table[a]
-            if images_at is not None:
-                # the whole row at once: ids of phi(x_a * x_b) and phi(x_a) * phi(x_b)
-                lhs = itemgetter(*row)(image)
-                fa = image[a]
-                rhs = rhs_rows.get(fa)
+        # row 0 (x_0 = 0) pair by pair, evaluating every image
+        fa = image_id(0)
+        products = {}
+        for b, ab in enumerate(table[0]):
+            lhs = image_id(ab)
+            fb = image_id(b)
+            if fa < size and fb < size:
+                ok = lhs == table[fa][fb]
+            else:
+                rhs = products.get(fb)
                 if rhs is None:
-                    rhs = rhs_rows[fa] = images_at(table[fa])
-                if lhs != rhs:
-                    b = next(b for b in range(a, size) if lhs[b] != rhs[b])
-                    return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
-                continue
-            fa = image_id(a)
-            products = {}
-            for b in range(a, size):
-                lhs = image_id(row[b])
-                fb = image_id(b)
-                if fa < size and fb < size:
-                    ok = lhs == table[fa][fb]
-                else:
-                    rhs = products.get(fb)
-                    if rhs is None:
-                        rhs = products[fb] = phi.product(values[fa], values[fb])
-                    ok = values[lhs] == rhs
-                if not ok:
-                    return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
-            if max(image) < size:  # row 0 has evaluated every image
-                images_at = itemgetter(*image)
+                    rhs = products[fb] = phi.product(values[fa], values[fb])
+                ok = values[lhs] == rhs
+            if not ok:
+                return MultReport(False, b + 1, "exhaustive", (mats[0], mats[b]))
+        # later rows whole: by ids if every image is a domain matrix, else by codes
+        if max(image) < size:
+            keys, at, rhs_rows = image, itemgetter(*image), {}
+
+            def rhs_row(a, lhs):
+                rhs = rhs_rows.get(image[a])
+                if rhs is None:
+                    rhs = rhs_rows[image[a]] = at(table[image[a]])
+                return rhs
+
+        else:
+            q, positions = phi.field.order, _free_positions(phi.m, "full")
+            weights = [q ** k for k in range(len(positions))]
+            code = {k: sum(map(mul, itertools.chain(*values[k].rows), weights)) for k in set(image)}
+            keys = [code[k] for k in image]
+            codes = _product_codes(phi.field, phi.mode, [values[k].rows for k in image], positions)
+
+            def rhs_row(a, lhs):
+                # the pairs b < a passed as (b, a) in an earlier row
+                return lhs[:a] + tuple(codes(a))
+
+        for a in range(1, size):
+            lhs = itemgetter(*table[a])(keys)
+            rhs = rhs_row(a, lhs)
+            if lhs != rhs:
+                b = next(b for b in range(a, size) if lhs[b] != rhs[b])
+                return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
         return MultReport(True, size * size, "exhaustive")
     pairs = _sampled_pairs(phi, strategy.seed, strategy.pair_budget)
     checked, witness = _first_violation(phi, pairs)

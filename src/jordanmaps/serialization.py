@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import UnsupportedInput
-from .exact_fields import Field, RingEndo, Scalar
+from .exact_fields import RingEndo, Scalar, galois_field, prime_field, rational_field
 from .generation import Certificate
 from .maps import CIRC, DIAMOND, JordanMap, _table_size
 from .matrices import Mat
@@ -50,16 +50,16 @@ def field_to_json(field):
 def field_from_json(obj):
     kind = _need(obj, "kind", str)
     if kind == "rational":
-        return Field("rational")
+        return rational_field()
     if kind == "prime":
-        return Field("prime", p=_need(obj, "p", int))
+        return prime_field(_need(obj, "p", int))
     if kind == "galois":
         modulus = obj.get("modulus")
         if modulus is not None and not (
             isinstance(modulus, list) and all(type(c) is int for c in modulus)
         ):
             raise UnsupportedInput("key 'modulus' must be a list of integers")
-        return Field("galois", p=_need(obj, "p", int), k=_need(obj, "k", int), modulus=modulus)
+        return galois_field(_need(obj, "p", int), _need(obj, "k", int), modulus)
     raise UnsupportedInput(f"unknown field kind {kind!r}")
 
 

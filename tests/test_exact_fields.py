@@ -187,6 +187,14 @@ class TestConstruction:
         assert Field("rational") == rational_field()
         assert Field("galois", p=3, k=2, modulus=(1, 0, 1)) == preset_field("F9")
 
+    def test_constructors_share_equal_fields(self):
+        # equal fields from the constructors are one object, keyed after
+        # validation: gf:3:2 finds the F9 preset's modulus x^2 + 1
+        assert preset_field("F3") is prime_field(3)
+        assert preset_field("F9") is galois_field(3, 2) is galois_field(3, 2, modulus=[1, 0, 1])
+        assert preset_field("Q") is rational_field()
+        assert galois_field(3, 2, modulus=(2, 2, 1)) is not galois_field(3, 2)
+
     def test_equality_distinguishes_fields(self, f3, f5):
         assert f3 != f5
         assert prime_field(3) == f3

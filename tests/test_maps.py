@@ -13,6 +13,7 @@ from jordanmaps import (
     Mat,
     Strategy,
     UnsupportedInput,
+    block_diag,
     block_embedding_example,
     check_multiplicative,
     classify_with_report,
@@ -25,11 +26,13 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
+from jordanmaps import maps
 from jordanmaps.maps import _domain, _product_table
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
 F5 = preset_field("F5")
+F9 = preset_field("F9")
 
 
 def identity_table(field, n):
@@ -322,18 +325,31 @@ def _genuine_map(case):
         return JordanMap.conjugation(Mat(F2, [[1, 1], [0, 1]]), mode=DIAMOND)
     if case == "T2F5-upper":
         # transposing preserves the circ product and leaves the triangular
-        # domain, so products of images are computed rather than looked up
+        # domain, so products of images are coded rather than looked up
         return JordanMap.from_oracle(
             F5, 2, lambda x: x.transpose(), domain="upper_triangular"
         )
-    if case == "M2F3-to-M4":
-        # blockdiag(X, E_11): every image is 4x4, so every product is computed
+    if case in ("M2F3-to-M4", "M2F3-to-M4-corner"):
+        # blockdiag(X, E_11): every image is 4x4, so no product is looked up
         return block_embedding_example(F3).map
+    if case.startswith("M1F9-to-M2"):
+        # blockdiag(x, P) with P = E_11 idempotent for the product (E_11 / 2 for diamond)
+        mode = CIRC if case.endswith("circ") else DIAMOND
+        p = mat_unit(F9, 1, 1, 1, 1 if mode == CIRC else 2)
+        return JordanMap.from_oracle(F9, 1, lambda x: block_diag(x, p), mode=mode, m=2)
+    if case == "M2F2-to-M4-diamond":
+        return JordanMap.from_oracle(F2, 2, lambda x: block_diag(x, x), mode=DIAMOND, m=4)
     return JordanMap.constant(F3, 2, Mat(F3, [[1]]))  # M_2(F_3) -> M_1(F_3)
 
 
+# block embeddings mutated at one point x != 0 to the image of another point:
+# every image keeps its corner block, so row 0 passes and the scan goes on to
+# compare rows of image codes
+_CORNER_CASES = ["M2F3-to-M4-corner", "M1F9-to-M2-circ", "M1F9-to-M2-diamond", "M2F2-to-M4-diamond"]
+
+
 @pytest.mark.parametrize(
-    "case", ["M2F3-circ", "M2F2-diamond", "T2F5-upper", "M2F3-to-M1", "M2F3-to-M4"]
+    "case", ["M2F3-circ", "M2F2-diamond", "T2F5-upper", "M2F3-to-M1", "M2F3-to-M4"] + _CORNER_CASES
 )
 def test_exhaustive_check_matches_reference_scan(case):
     base = _genuine_map(case)
@@ -341,6 +357,17 @@ def test_exhaustive_check_matches_reference_scan(case):
     genuine = {x: base(x) for x in base.domain_iter()}
     keys = list(genuine)
     rng = random.Random(0)
+    if case in _CORNER_CASES:
+        reports = []
+        for _ in range(6):
+            x, y = rng.sample(keys[1:], 2)
+            phi = JordanMap.from_table(f, base.n, {**genuine, x: genuine[y]}, mode=base.mode)
+            report = check_multiplicative(phi, Strategy.exhaustive())
+            assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+            assert report.pairs_checked > len(keys)
+            reports.append(report)
+        assert any(not report.ok for report in reports)
+        return
 
     def random_value():
         # any m x m matrix, so images may fall outside a triangular domain
@@ -405,6 +432,36 @@ def test_exhaustive_check_finds_a_witness_past_row_1(value, mode):
     report = check_multiplicative(phi, Strategy.exhaustive())
     assert report.pairs_checked == 3 * 81 + 9 + 1
     assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+
+
+def test_exhaustive_scan_outside_the_domain_forms_products_in_row_0_only(monkeypatch):
+    # blockdiag(X, E_11) passes: row 0 forms phi(0) o phi(x_b) for each of
+    # the 81 images, and rows 1-80 compare image codes without any product
+    phi = block_embedding_example(F3).map
+    first = phi(mat_zero(F3, 2))
+    calls = []
+    jordan = maps.jordan_circ
+    monkeypatch.setattr(maps, "jordan_circ", lambda x, y: calls.append(x) or jordan(x, y))
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert report.ok and report.pairs_checked == 81 * 81
+    assert len(calls) == 81 and all(x == first for x in calls)
+
+
+def test_exhaustive_scan_outside_the_domain_stops_early():
+    # a random M_2(F_5) -> M_4(F_5) table with phi(0) = 0 passes row 0 and
+    # fails at (E_11, E_11); the scan tables only the dot products row 1 needs
+    rng = random.Random(0)
+    keys = list(JordanMap.zero(F5, 2).domain_iter())
+    entries = {x: Mat(F5, [[rng.randrange(5) for _ in range(4)] for _ in range(4)]) for x in keys}
+    entries[keys[0]] = mat_zero(F5, 4)
+    phi = JordanMap.from_table(F5, 2, entries)
+    _product_table(F5, 2, CIRC, "full")
+    start = time.process_time()
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    elapsed = time.process_time() - start
+    assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+    assert report.pairs_checked == 625 + 2
+    assert elapsed < 0.1
 
 
 class TestDiamondToCirc:

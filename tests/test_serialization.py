@@ -17,6 +17,7 @@ from jordanmaps import (
     rational_field,
     replay,
 )
+from jordanmaps.maps import _domain
 from jordanmaps.serialization import (
     certificate_from_json,
     certificate_to_json,
@@ -159,6 +160,16 @@ def test_map_from_json_matches_entrywise_decoding(field, domain):
     }
     back = map_from_json(blob)
     assert {x: back(x) for x in back.domain_iter()} == expected
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_decoded_field_is_the_domain_field(field):
+    # a decoded map and the cached domain matrices share one Field object
+    xs = JordanMap.from_oracle(field, 2, None).domain_iter()
+    blob = table_to_json(JordanMap.from_table(field, 2, {x: x for x in xs}))
+    back = map_from_json(json.loads(dumps(blob)))
+    assert back.field is field_from_json(field_to_json(field)) is field
+    assert back.field is _domain(field, 2, "full")[0][0].field
 
 
 @pytest.mark.parametrize("late", [True, 1.0])
