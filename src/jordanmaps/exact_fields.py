@@ -140,7 +140,7 @@ class Field:
     """
 
     def __init__(self, kind, p=0, k=1, modulus=None):
-        kind, p, k, modulus = self._key = _field_key(kind, p, k, modulus)
+        kind, p, k, modulus = self._key = _field_key(kind, p, k, _as_tuple(modulus))
         self.kind = kind
         self.p = p
         self.k = k
@@ -365,10 +365,17 @@ class Field:
         return _digits(raw, self.p, self.k)
 
 
+def _as_tuple(modulus):
+    return None if modulus is None else tuple(modulus)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
 def _field_key(kind, p, k, modulus):
     """(kind, p, k, modulus) of the field these arguments name, validated:
     every refusal of Field happens here, and a missing Galois modulus is
-    found by search."""
+    found by search. Each argument tuple (the modulus a tuple) is validated
+    once while it stays among the last 32 used; a refusal raises and is not
+    cached, so it is repeated on every call."""
     if kind not in ("rational", "prime", "galois"):
         raise UnsupportedInput(f"unknown field kind {kind!r}")
     if kind == "rational":
@@ -553,7 +560,7 @@ def _field(kind, p=0, k=1, modulus=None):
     """The Field of these arguments, shared: equal fields made through here
     are one object, so `Field.__eq__` answers by identity and each Galois
     field builds its tables once while it stays among the last 32 used."""
-    return _interned(_field_key(kind, p, k, modulus))
+    return _interned(_field_key(kind, p, k, _as_tuple(modulus)))
 
 
 def rational_field():

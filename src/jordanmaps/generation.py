@@ -16,6 +16,7 @@ construction survives reduction mod any odd characteristic, including the
 char-3 collapse p_j = 0 for j >= 3.
 """
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InvariantViolation, UnsupportedInput
@@ -198,28 +199,46 @@ def spread_units(f, n, i, j):
     ]
 
 
+def _refuse_char2(f):
+    if f.char2:
+        raise UnsupportedInput("certificates use the circ product: characteristic != 2 required")
+
+
+@functools.lru_cache(maxsize=32)
+def _climb(f, n):
+    """The ladder steps from E_11 = D_1 to D_n = I in M_n(f), three per rank
+    r = 2..n, each verified by `_extend` when the climb is built. They depend
+    on (f, n) alone and are shared by every certificate; an LRU smaller than
+    the set of (f, n) a caller cycles through would miss on every call."""
+    start = mat_unit(f, n, 1, 1)
+    steps = []
+    for r in range(2, n + 1):
+        coeffs = ladder(f, n, r)
+        _extend(start, steps, coeffs.a, coeffs.a)
+        _extend(start, steps, coeffs.b)
+        _extend(start, steps, coeffs.c, coeffs.d)
+    return tuple(steps)
+
+
 def certify_identity(x):
     """Full certificate from a nonzero X in M_n to the identity.
 
     Phases: reach_unit, re-anchor at E_11 via spread_units if the reach landed
     elsewhere, then three ladder steps per rank r = 2..n. The multiplier
     realizing A_r from D_{r-1} is A_r itself: A_r lives in the leading
-    (r-1)-block, where D_{r-1} is the identity, so D_{r-1} o A_r = A_r, which
-    `_extend` re-verifies at runtime. Total length is at most 3 + 6(n-1).
+    (r-1)-block, where D_{r-1} is the identity, so D_{r-1} o A_r = A_r,
+    verified once per (field, n), when the climb is built. The reach and the
+    re-anchoring are verified on every call, the last of them against E_11,
+    where the climb starts. Total length is at most 3 + 6(n-1).
     """
-    if x.field.char2:
-        raise UnsupportedInput("certificates use the circ product: characteristic != 2 required")
+    _refuse_char2(x.field)
     prefix = reach_unit(x)
     f, n = x.field, x.nrows
     steps = list(prefix.steps)
     land = next(i for i in range(1, n + 1) if prefix.final == mat_unit(f, n, i, i))
     for y, expected in spread_units(f, n, land, 1):
         _extend(x, steps, y, expected)
-    for r in range(2, n + 1):
-        coeffs = ladder(f, n, r)
-        _extend(x, steps, coeffs.a, coeffs.a)
-        _extend(x, steps, coeffs.b)
-        _extend(x, steps, coeffs.c, coeffs.d)
+    steps.extend(_climb(f, n))
     cert = Certificate(start=x, steps=tuple(steps))
     if not cert.final.is_identity:
         raise InvariantViolation("chain", "certificate did not terminate at the identity")
@@ -230,7 +249,11 @@ def certify_identity(x):
 
 def replay(cert):
     """Recompute every step exactly; confirm chaining, nonzero intermediates,
-    and a final identity. Never raises on bad certificates — reports instead."""
+    and a final identity. Nothing is taken from the climb `certify_identity`
+    caches. A characteristic-2 certificate is refused with UnsupportedInput
+    before any step is replayed, as `certify_identity` refuses it; every other
+    bad certificate is reported, never raised."""
+    _refuse_char2(cert.field)
     current = cert.start
     total = len(cert.steps)
     for t, (y, expected) in enumerate(cert.steps, start=1):

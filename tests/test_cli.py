@@ -5,10 +5,13 @@ import time
 import pytest
 
 from jordanmaps import (
+    Certificate,
     InvariantViolation,
     JordanMap,
     Mat,
+    UnsupportedInput,
     certify_identity,
+    mat_identity,
     mat_unit,
     mat_zero,
     preset_field,
@@ -102,6 +105,19 @@ def test_verify_certificate_with_non_square_start(tmp_path):
         "failed_step": 1,
         "reason": "multiplier shape/field mismatch",
     }
+
+
+@pytest.mark.parametrize("start, steps", [("identity", 0), ("unit", 0), ("unit", 1)])
+def test_verify_char2_certificate_is_refused(tmp_path, start, steps):
+    # refused before any step is replayed, however long the chain
+    x = mat_identity(F2, 2) if start == "identity" else mat_unit(F2, 2, 1, 1)
+    blob = certificate_to_json(Certificate(start=x, steps=((x, x),) * steps))
+    cert = write(tmp_path / "cert.json", blob)
+    out = tmp_path / "r.json"
+    assert cli.main(["verify", "--certificate", cert, "--out", str(out)]) == 4
+    with pytest.raises(UnsupportedInput) as refused:
+        certify_identity(x)
+    assert read(out)["outcome"] == {"status": "unsupported", "detail": str(refused.value)}
 
 
 def test_classify_random_conjugation_roundtrip(tmp_path):

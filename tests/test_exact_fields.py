@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given
@@ -194,6 +195,23 @@ class TestConstruction:
         assert preset_field("F9") is galois_field(3, 2) is galois_field(3, 2, modulus=[1, 0, 1])
         assert preset_field("Q") is rational_field()
         assert galois_field(3, 2, modulus=(2, 2, 1)) is not galois_field(3, 2)
+
+    def test_warm_galois_field_skips_validation(self):
+        # the modulus search for F_{2^12} runs once per argument tuple, not per call
+        assert galois_field(2, 12) is preset_field("gf:2:12")
+        t0 = time.process_time()
+        for _ in range(100):
+            galois_field(2, 12)
+        assert time.process_time() - t0 < 0.005
+
+    def test_refusals_are_not_cached(self):
+        # x^2 - 1 = (x - 1)(x + 1) over F_3, refused with one message each time
+        messages = []
+        for _ in range(2):
+            with pytest.raises(UnsupportedInput) as exc:
+                galois_field(3, 2, modulus=[2, 0, 1])
+            messages.append(str(exc.value))
+        assert messages == ["modulus [2, 0, 1] is reducible over F_3"] * 2
 
     def test_equality_distinguishes_fields(self, f3, f5):
         assert f3 != f5

@@ -20,6 +20,7 @@ from jordanmaps import (
     replay,
     spread_units,
 )
+from jordanmaps import generation
 from jordanmaps.matrices import random_mat
 from jordanmaps.serialization import certificate_to_json, dumps
 
@@ -33,15 +34,19 @@ F9 = preset_field("F9")
 CERTIFICATES_DIGEST = "dbf877054755a200a12f7a50d3e6bb9bb258a22b257885fe6eba6d4474eb9cda"
 
 
+def some_matrix(field, n, seed=0):
+    rng = random.Random(seed)
+    x = random_mat(field, n, rng)
+    while x.is_zero:
+        x = random_mat(field, n, rng)
+    return x
+
+
 def seeded_certificates():
     for field in (Q, F5, F7, F9):
         for n in range(2, 7):
             for seed in range(3):
-                rng = random.Random(seed)
-                x = random_mat(field, n, rng)
-                while x.is_zero:
-                    x = random_mat(field, n, rng)
-                yield certify_identity(x)
+                yield certify_identity(some_matrix(field, n, seed))
 
 
 def test_p_sequence_values():
@@ -189,6 +194,47 @@ class TestCertify:
     def test_char2_rejected(self):
         with pytest.raises(UnsupportedInput):
             certify_identity(mat_identity(preset_field("F2"), 2))
+
+
+class TestClimbCache:
+    @pytest.mark.parametrize("field", [Q, F5, F9], ids=lambda f: f.name())
+    def test_cold_and_warm_certificates_agree(self, field):
+        for n in range(2, 7):
+            x = some_matrix(field, n)
+            generation._climb.cache_clear()
+            cold = certificate_to_json(certify_identity(x))
+            assert certificate_to_json(certify_identity(x)) == cold
+
+    def test_certificates_share_the_climb(self):
+        n = 5
+        a = certify_identity(some_matrix(F7, n, seed=1))
+        b = certify_identity(some_matrix(F7, n, seed=2))
+        climb = 3 * (n - 1)
+        for (ya, ra), (yb, rb) in zip(a.steps[-climb:], b.steps[-climb:]):
+            assert ya is yb and ra is rb
+
+    def test_only_the_reach_is_computed_when_warm(self, monkeypatch):
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return jordan_circ(x, y)
+
+        monkeypatch.setattr(generation, "jordan_circ", counted)
+        x = some_matrix(F5, 6)
+        generation._climb.cache_clear()
+        certify_identity(x)
+        cold = len(calls)
+        calls.clear()
+        certify_identity(x)
+        assert len(calls) <= 7
+        assert cold == len(calls) + 3 * (6 - 1)
+
+    def test_cache_is_bounded(self):
+        for field in (Q, F3, F5, F7, F9):
+            for n in range(1, 9):
+                certify_identity(mat_identity(field, n))
+        assert generation._climb.cache_info().currsize <= 32
 
 
 class TestReplay:
