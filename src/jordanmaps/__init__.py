@@ -47,7 +47,7 @@ from .generation import (
     replay,
     spread_units,
 )
-from .jordan_order import IdempotentFamily, simultaneous_diagonalizer
+from .jordan_order import simultaneous_diagonalizer
 from .maps import (
     CIRC,
     DIAMOND,
@@ -58,7 +58,6 @@ from .maps import (
     diamond_to_circ,
 )
 from .matrices import (
-    BOTH_ZERO,
     Mat,
     block_diag,
     is_idempotent,
@@ -77,14 +76,12 @@ from . import serialization
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTH_ZERO",
     "CIRC",
     "CanonicalForm",
     "Certificate",
     "CounterexampleBundle",
     "DIAMOND",
     "Field",
-    "IdempotentFamily",
     "InvariantViolation",
     "ItemResult",
     "JordanMap",

@@ -44,6 +44,7 @@ from .maps import (
     CIRC,
     DIAMOND,
     _first_violation,
+    _free_positions,
     _resolve_strategy,
     _sampled_pairs,
     check_multiplicative,
@@ -189,15 +190,16 @@ def _aimed(x, probes):
 
 
 def _verification_points(phi, strategy):
-    """Domain points used to confirm a candidate form against the map."""
+    """Domain points used to confirm a candidate form against the map: the
+    whole domain, or else the matrix units inside it (row-major), 0, I and
+    `strategy.count` seeded draws."""
     if strategy.kind == "exhaustive":
         yield from phi.domain_iter()
         return
     rng = random.Random(strategy.seed)
     f, n = phi.field, phi.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            yield mat_unit(f, n, i, j)
+    for i, j in _free_positions(n, phi.domain):
+        yield mat_unit(f, n, i + 1, j + 1)
     yield mat_zero(f, n)
     yield mat_identity(f, n)
     for _ in range(strategy.count):
@@ -302,7 +304,8 @@ def classify_with_report(phi, verification=None):
     # a map into a smaller algebra never needs the circ adapter
     if phi.m == n:
         phic = diamond_to_circ(phi) if phi.mode == DIAMOND else phi
-    if phi.m < n or phic(e11).is_zero:
+        p11 = phic(e11)
+    if phi.m < n or p11.is_zero:
         # zero branch: E_11 generates I under the circ product, so a vanishing
         # image there forces the whole map to vanish; a map into a smaller
         # algebra that vanishes at 0 must vanish everywhere.
@@ -315,7 +318,6 @@ def classify_with_report(phi, verification=None):
     # r_1[col] t_i, where col is the first nonzero column of psi(E_11) = t_1 r_1.
     # Without a transpose psi(E_21) psi(E_11) = t_2 r_1 t_1 r_1 is t_2 r_1,
     # with one it is t_1 r_2 t_1 r_1 = 0.
-    p11 = phic(e11)
     transpose = (phic(mat_unit(f, n, 2, 1)) @ p11).is_zero
     col = min(j for _, j in p11.support()) - 1
     images = [phic(mat_unit(f, n, 1, i) if transpose else mat_unit(f, n, i, 1))
@@ -370,7 +372,7 @@ def forms_equivalent(a, b):
         return a.idempotent == b.idempotent
     if a.transpose != b.transpose or a.omega != b.omega:
         return False
-    return isinstance(is_proportional(a.t, b.t), Scalar)
+    return is_proportional(a.t, b.t) is not None
 
 
 def classify_rectangular(phi, verification=None):

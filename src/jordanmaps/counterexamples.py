@@ -1,12 +1,13 @@
 """Constructions showing the classification's hypotheses are sharp.
 
-* On the upper-triangular subalgebra, X |-> diag(w(x_11), ..., w(x_nn)) with a
-  multiplicative-but-not-additive w (squaring, by default) preserves the circ
-  product without being linear — full matrix algebras are essential.
+* On the upper-triangular subalgebra, X |-> diag(x_11^2, ..., x_nn^2)
+  squares the diagonal through a multiplicative-but-not-additive scalar map:
+  it preserves the circ product without being linear — full matrix algebras
+  are essential.
 * Over F_2 the diamond product degenerates (trace(X <> Y) = 0 always), so a
   map supported on a single trace-one matrix preserves it while fitting none
   of the three shapes — odd characteristic is essential.
-* X |-> blockdiag(X, P) into M_2n sends 0 to a nonzero idempotent without
+* X |-> blockdiag(X, E_11) into M_2n sends 0 to a nonzero idempotent without
   being constant — equal matrix sizes are essential for that dichotomy.
 
 Each bundle carries the map, witness pairs for the failures (non-additivity,
@@ -29,14 +30,7 @@ from .maps import (
     _resolve_strategy,
     check_multiplicative,
 )
-from .matrices import (
-    Mat,
-    block_diag,
-    is_idempotent,
-    mat_identity,
-    mat_unit,
-    mat_zero,
-)
+from .matrices import Mat, block_diag, mat_identity, mat_unit, mat_zero
 
 
 @dataclass(frozen=True)
@@ -68,46 +62,37 @@ class CounterexampleBundle:
         return True
 
 
-def triangular_example(field, n=2, omega=None):
-    """Diagonal-squeezing map on upper-triangular matrices.
+def triangular_example(field, n=2):
+    """Diagonal-squaring map on upper-triangular matrices.
 
-    phi(X) = diag(w(x_11), ..., w(x_nn)) preserves X o Y because the diagonal
-    of a product of triangular matrices is the product of the diagonals; with
-    w multiplicative but non-additive (default: w(x) = x^2) the map is not
-    additive, hence not of conjugation shape.
+    phi(X) = diag(x_11^2, ..., x_nn^2) preserves X o Y because the diagonal
+    of a product of triangular matrices is the product of the diagonals, and
+    squaring is multiplicative. Squaring is not additive outside
+    characteristic 2, so neither is phi, hence it is not of conjugation shape.
     """
     if field.char2:
         raise UnsupportedInput("squaring is additive in characteristic 2; no example there")
-    if omega is None:
-        omega = lambda s: s * s
+    # (a + b)^2 != a^2 + b^2 exactly when 2ab != 0: (1, 1) in a field of order
+    # at most 97, else the first seeded draw of two nonzero scalars
     one = field.scalar(1)
-    # w must respect products and break some sum; find the witnesses first.
-    pairs = []
-    if field.is_finite and field.order <= 97:
-        elems = [field.scalar(v) for v in field.elements()]
-        pairs = [(a, b) for a in elems for b in elems]
-    else:
+    scalar_witness = (one, one)
+    if not (field.is_finite and field.order <= 97):
         rng = random.Random(7)
-        pairs = [
+        draws = (
             (field.scalar(field.random_raw(rng)), field.scalar(field.random_raw(rng)))
             for _ in range(200)
-        ]
-        pairs += [(one, one), (one + one, one)]
-    for a, b in pairs:
-        if omega(a * b) != omega(a) * omega(b):
-            raise ValueError(f"omega is not multiplicative at ({a}, {b})")
-    scalar_witness = next(
-        ((a, b) for a, b in pairs if omega(a + b) != omega(a) + omega(b)), None
-    )
-    if scalar_witness is None:
-        raise ValueError("omega is additive on every probed pair; no counterexample")
+        )
+        scalar_witness = next(
+            ((a, b) for a, b in draws if not (a.is_zero or b.is_zero)), scalar_witness
+        )
+    zero = field.zero
 
     def fn(x):
-        rows = [
-            [omega(x.entry(i, i)) if i == j else field.scalar(0) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        return Mat(field, rows)
+        rows = x.rows
+        return Mat._from_raw(field, tuple(
+            tuple(field.mul(rows[i][i], rows[i][i]) if i == j else zero for j in range(n))
+            for i in range(n)
+        ))
 
     phi = JordanMap.from_oracle(field, n, fn, mode=CIRC, domain="upper_triangular")
     a, b = scalar_witness
@@ -169,23 +154,16 @@ def char2_example(n=2, a=None, b=None):
     )
 
 
-def block_embedding_example(field, n=2, p=None):
-    """Corner embedding M_n -> M_2n, X |-> blockdiag(X, P) with P idempotent.
+def block_embedding_example(field, n=2):
+    """Corner embedding M_n -> M_2n, X |-> blockdiag(X, E_11).
 
     Preserves the circ product, yet sends 0 to the nonzero idempotent
-    blockdiag(0, P) without being constant: maps into larger algebras escape
-    the constant/zero dichotomy that holds for equal sizes.
+    blockdiag(0, E_11) without being constant: maps into larger algebras
+    escape the constant/zero dichotomy that holds for equal sizes.
     """
     if field.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2")
-    if p is None:
-        p = mat_unit(field, n, 1, 1)
-    if p.field != field or p.nrows != n or not p.is_square:
-        raise ValueError("P must be an n x n matrix over the same field")
-    if not is_idempotent(p):
-        raise ValueError("P must be idempotent")
-    if p.is_zero:
-        raise ValueError("P must be nonzero (otherwise phi(0) = 0)")
+    p = mat_unit(field, n, 1, 1)
 
     def fn(x):
         return block_diag(x, p)
@@ -207,10 +185,9 @@ def block_embedding_example(field, n=2, p=None):
     )
 
 
-def all_examples(field=None):
-    """The three bundles over a default odd-characteristic field."""
-    if field is None:
-        field = prime_field(5)
+def all_examples():
+    """The three bundles: triangular and block embedding over F_5, char2 over F_2."""
+    field = prime_field(5)
     return [
         triangular_example(field),
         char2_example(),

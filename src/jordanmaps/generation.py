@@ -101,10 +101,6 @@ class Certificate:
         return self.start.field
 
     @property
-    def n(self):
-        return self.start.nrows
-
-    @property
     def final(self):
         return self.steps[-1][1] if self.steps else self.start
 

@@ -22,7 +22,16 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 from .errors import UnsupportedInput
-from .matrices import Mat, _matmul_raw, conjugator, jordan_circ, jordan_diamond, mat_zero
+from .matrices import (
+    Mat,
+    _matmul_raw,
+    _raw_draw,
+    conjugator,
+    jordan_circ,
+    jordan_diamond,
+    mat_zero,
+    random_mat,
+)
 
 CIRC = "circ"
 DIAMOND = "diamond"
@@ -212,29 +221,19 @@ class JordanMap:
         return iter(_domain(self.field, self.n, self.domain)[0])
 
     def sample_domain(self, rng):
-        """A seeded random domain matrix: one draw per free position, row by
-        row; `rng.randrange(q)` over F_q, `Field.random_raw` over Q."""
+        """A seeded random domain matrix: one `_raw_draw` value per free
+        position, row by row, so on the full domain it is `random_mat`."""
         f, n = self.field, self.n
-        if f.is_finite:
-            draw = functools.partial(rng.randrange, f.order)
-        else:
-            draw = functools.partial(f.random_raw, rng)
         if self.domain == "full":
-            rows = tuple(tuple(draw() for _ in range(n)) for _ in range(n))
-        else:
-            zero = f.zero
-            rows = tuple(tuple(draw() if j >= i else zero for j in range(n)) for i in range(n))
-        return Mat._from_raw(f, rows)
+            return random_mat(f, n, rng)
+        draw, zero = _raw_draw(f, rng), f.zero
+        return Mat._from_raw(
+            f, tuple(tuple(draw() if j >= i else zero for j in range(n)) for i in range(n))
+        )
 
     def product(self, x, y):
         """The Jordan product this map is expected to preserve."""
         return jordan_circ(x, y) if self.mode == CIRC else jordan_diamond(x, y)
-
-    def describe(self):
-        out = {"n": self.n, "m": self.m, "mode": self.mode, "body": self._kind}
-        if self.domain != "full":
-            out["domain"] = self.domain
-        return out
 
 
 def twisted(conj, endo, transpose):

@@ -30,28 +30,12 @@ discrete logs through the Zech table over F_{p^k}.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import mul
 
 from .errors import UnsupportedInput
 from .exact_fields import Scalar
-
-
-class _BothZero:
-    """Singleton returned by is_proportional when both matrices vanish."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BOTH_ZERO"
-
-
-BOTH_ZERO = _BothZero()
 
 
 class Mat:
@@ -419,13 +403,20 @@ def _eliminate_logs(field, rows, ncols):
     return rank
 
 
+def _raw_draw(field, rng):
+    """A callable returning one seeded raw value per call, as
+    `field.random_raw(rng)` would: `rng.randrange(q)` over F_q."""
+    if field.is_finite:
+        return partial(rng.randrange, field.order)
+    return partial(field.random_raw, rng)
+
+
 def random_mat(field, n, rng):
-    """A seeded random n x n matrix: n*n `field.random_raw` draws, row by row."""
+    """A seeded random n x n matrix: one `_raw_draw` value per entry, row by row."""
     if n < 1:
         raise UnsupportedInput(f"matrix size must be >= 1, got {n}")
-    return Mat._from_raw(
-        field, tuple(tuple(field.random_raw(rng) for _ in range(n)) for _ in range(n))
-    )
+    draw = _raw_draw(field, rng)
+    return Mat._from_raw(field, tuple(tuple(draw() for _ in range(n)) for _ in range(n)))
 
 
 def random_invertible(field, n, rng):
@@ -526,11 +517,8 @@ def is_idempotent(x):
 
 
 def is_proportional(x, y):
-    """Scalar c with x = c*y when both are nonzero and collinear.
-
-    Returns BOTH_ZERO when x = y = 0 and None in every other case (including
-    exactly one of the two being zero).
-    """
+    """Scalar c with x = c*y when both are nonzero and collinear, else None
+    (also when either of them is zero)."""
     if x.field != y.field or (x.nrows, x.ncols) != (y.nrows, y.ncols):
         raise ValueError("shape or field mismatch")
     f = x.field
@@ -539,9 +527,7 @@ def is_proportional(x, y):
         ((i, j) for i, row in enumerate(y.rows) for j, v in enumerate(row) if v != zero),
         None,
     )
-    if anchor is None:
-        return BOTH_ZERO if x.is_zero else None
-    if x.is_zero:
+    if anchor is None or x.is_zero:
         return None
     i, j = anchor
     c = f.div(x.rows[i][j], y.rows[i][j])

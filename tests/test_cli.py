@@ -226,6 +226,32 @@ def test_verify_form_against_map(tmp_path):
     assert read(out)["outcome"]["status"] == "mismatch"
 
 
+def test_sampled_verify_of_an_upper_triangular_table(tmp_path):
+    # the sampled points stay inside the map's domain: the units E_11, E_12,
+    # E_22, then 0, I and the draws
+    from jordanmaps import CanonicalForm
+
+    tri = JordanMap.from_oracle(F5, 2, lambda x: x, domain="upper_triangular")
+    table = JordanMap.from_table(F5, 2, {x: x for x in tri.domain_iter()},
+                                 domain="upper_triangular")
+    mp = write(tmp_path / "map.json", table_to_json(table))
+    ident = mat_identity(F5, 2)
+    good = write(tmp_path / "good.json", form_to_json(CanonicalForm.conjugation_form(ident)))
+    out = tmp_path / "r.json"
+    for verify, points in (("exhaustive", 125), ("sampled:5:1", 10)):
+        args = ["verify", "--form", good, "--map", mp, "--verify", verify, "--out", str(out)]
+        assert cli.main(args) == 0
+        assert read(out)["outcome"] == {"status": "verified", "points": points}
+
+    bad = write(tmp_path / "bad.json",
+                form_to_json(CanonicalForm.conjugation_form(ident, transpose=True)))
+    args = ["verify", "--form", bad, "--map", mp, "--verify", "sampled:5:1", "--out", str(out)]
+    assert cli.main(args) == 3
+    assert read(out)["outcome"] == {
+        "status": "mismatch", "at": mat_to_json(mat_unit(F5, 2, 1, 2)), "points": 2,
+    }
+
+
 def test_verify_form_with_a_string_transpose_flag_exits_4(tmp_path, capsys):
     from jordanmaps import CanonicalForm
 

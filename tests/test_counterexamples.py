@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from jordanmaps import counterexamples
@@ -47,9 +49,13 @@ class TestTriangular:
         with pytest.raises(UnsupportedInput):
             triangular_example(F2)
 
-    def test_non_multiplicative_omega_rejected(self):
-        with pytest.raises(ValueError):
-            triangular_example(F5, omega=lambda s: s + s.field.scalar(1))
+    @pytest.mark.parametrize("name, witness", [
+        ("F5", (1, 1)), ("p:97", (1, 1)), ("Q", (Fraction(-17, 2), 7)), ("p:101", (41, 19)),
+    ])
+    def test_scalar_witness(self, name, witness):
+        field = rational_field() if name == "Q" else preset_field(name)
+        a, b = triangular_example(field).extra["scalar_witness"]
+        assert (a, b) == tuple(field.scalar(v) for v in witness)
 
 
 class TestChar2:
@@ -93,10 +99,6 @@ class TestBlockEmbedding:
     def test_respects_products_on_fresh_check(self):
         bundle = block_embedding_example(F5)
         assert check_multiplicative(bundle.map, bundle.strategy).ok
-
-    def test_non_idempotent_corner_rejected(self):
-        with pytest.raises(ValueError):
-            block_embedding_example(F5, p=mat_unit(F5, 2, 1, 1, 2))
 
     def test_char2_rejected(self):
         with pytest.raises(UnsupportedInput):

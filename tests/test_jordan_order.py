@@ -3,7 +3,6 @@ from itertools import product
 import pytest
 
 from jordanmaps import (
-    IdempotentFamily,
     InvariantViolation,
     Mat,
     is_idempotent,
@@ -35,28 +34,35 @@ def test_idempotent_census():
 
 
 class TestIdempotentFamily:
-    def test_units_form_a_family(self):
-        fam = IdempotentFamily([mat_unit(F5, 3, j, j) for j in (1, 2, 3)])
-        assert len(fam) == 3
+    """The diagonalizer refuses every list that is not n rank-one
+    idempotents of size n x n over one field, orthogonal and summing to I."""
+
+    @staticmethod
+    def refused(members):
+        with pytest.raises(InvariantViolation) as exc:
+            simultaneous_diagonalizer(members)
+        assert exc.value.stage == "diagonalizer"
+
+    def test_empty(self):
+        self.refused([])
 
     def test_wrong_count(self):
-        with pytest.raises(InvariantViolation) as exc:
-            IdempotentFamily([mat_unit(F5, 3, 1, 1), mat_unit(F5, 3, 2, 2)])
-        assert exc.value.stage == "idempotent_family"
+        self.refused([mat_unit(F5, 3, 1, 1), mat_unit(F5, 3, 2, 2)])
+
+    def test_wrong_shape(self):
+        self.refused([mat_unit(F5, 2, 1, 1), Mat(F5, [[0, 0, 0], [0, 1, 0]])])
+
+    def test_mixed_fields(self):
+        self.refused([mat_unit(F3, 2, 1, 1), mat_unit(F5, 2, 2, 2)])
 
     def test_not_orthogonal(self):
-        p = Mat(F5, [[1, 1], [0, 0]])
-        q = Mat(F5, [[1, 0], [0, 0]])
-        with pytest.raises(InvariantViolation):
-            IdempotentFamily([p, q])
+        self.refused([Mat(F5, [[1, 1], [0, 0]]), Mat(F5, [[1, 0], [0, 0]])])
 
     def test_wrong_rank(self):
-        with pytest.raises(InvariantViolation):
-            IdempotentFamily([mat_identity(F5, 2), mat_zero(F5, 2)])
+        self.refused([mat_identity(F5, 2), mat_zero(F5, 2)])
 
     def test_must_sum_to_identity(self):
-        with pytest.raises(InvariantViolation):
-            IdempotentFamily([mat_unit(F5, 2, 1, 1), mat_unit(F5, 2, 1, 1)])
+        self.refused([mat_unit(F5, 2, 1, 1), mat_unit(F5, 2, 1, 1)])
 
 
 class TestDiagonalizer:

@@ -28,6 +28,7 @@ from jordanmaps import (
 )
 from jordanmaps import maps
 from jordanmaps.maps import _domain, _product_table
+from jordanmaps.matrices import random_mat
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -173,6 +174,11 @@ def test_sample_domain_draw_order(field, domain):
                 expected[i][j] = field.random_raw(twin)
         assert phi.sample_domain(rng).rows == tuple(map(tuple, expected))
     assert rng.random() == twin.random()
+    if domain == "full":
+        # the full domain draws exactly what random_mat draws
+        for seed in range(3):
+            x = phi.sample_domain(random.Random(seed))
+            assert x == random_mat(field, 3, random.Random(seed))
 
 
 def test_call_validates_input():
@@ -533,12 +539,3 @@ class TestStrategy:
     def test_pair_budget(self):
         assert Strategy.sampled(count=100).pair_budget == 100
         assert Strategy.sampled(count=100, pairs=7).pair_budget == 7
-
-
-def test_describe_reports_shape_and_body():
-    phi = JordanMap.zero(F5, 2, m=3)
-    info = phi.describe()
-    assert info["n"] == 2 and info["m"] == 3
-    assert info["body"] == "constant"
-    tri = JordanMap.from_oracle(F5, 2, lambda x: x, domain="upper_triangular")
-    assert tri.describe()["domain"] == "upper_triangular"

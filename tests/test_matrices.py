@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanmaps import (
-    BOTH_ZERO,
     Mat,
     RingEndo,
     Scalar,
@@ -305,7 +304,7 @@ def test_is_proportional():
     e12 = mat_unit(F5, 2, 1, 2)
     c = is_proportional(e12.scale(-2), e12)
     assert isinstance(c, Scalar) and c == F5.scalar(-2)
-    assert is_proportional(mat_zero(F5, 2), mat_zero(F5, 2)) is BOTH_ZERO
+    assert is_proportional(mat_zero(F5, 2), mat_zero(F5, 2)) is None
     assert is_proportional(e12, mat_unit(F5, 2, 2, 1)) is None
     # mixed support can never be a scalar multiple
     assert is_proportional(e12 + mat_unit(F5, 2, 2, 1), e12) is None
