@@ -49,15 +49,14 @@ from .maps import (
     _sampled_pairs,
     check_multiplicative,
     diamond_to_circ,
-    twisted,
 )
 from .matrices import (
     Mat,
+    conjugated_idempotent,
     conjugator,
     is_idempotent,
     is_proportional,
     jordan_circ,
-    mat_diag_idempotent,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -89,7 +88,7 @@ class CanonicalForm:
         if self.variant == "conjugation":
             if self.omega is None:
                 object.__setattr__(self, "omega", RingEndo(self.field))
-            evaluate = twisted(conjugator(self.t, self.t.inverse()), self.omega, self.transpose)
+            evaluate = conjugator(self.t, self.t.inverse(), self.omega, self.transpose)
         else:
             if self.variant == "zero":
                 value = mat_zero(self.field, self.m)
@@ -451,10 +450,10 @@ def preservation_suite(phi, samples=20, seed=0):
     def family(widths):
         """Orthogonal idempotents of the given ranks, in order, under one
         seeded conjugation."""
-        conj = conjugator(*random_invertible(f, n, rng))
+        t, t_inv = random_invertible(f, n, rng)
         out, lo = [], 0
         for width in widths:
-            out.append(conj(mat_diag_idempotent(f, n, lo, lo + width)))
+            out.append(conjugated_idempotent(t, t_inv, lo, lo + width))
             lo += width
         return out
 

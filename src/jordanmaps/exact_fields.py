@@ -35,6 +35,9 @@ from .errors import UnsupportedInput
 
 _LOG_TABLE_LIMIT = 4096
 
+# Fraction(a, b) for |a| <= 20 and 1 <= b <= 12, at 12 * (a + 20) + b - 1
+_RANDOM_FRACTIONS = tuple(Fraction(a, b) for a in range(-20, 21) for b in range(1, 13))
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base in _MR_BASES, the first 13
 # primes (1287836182261 * 2575672364521): below it the test is deterministic
@@ -150,7 +153,6 @@ class Field:
         self._log = None
         self._exp = None
         self._zech = None
-        self._frob_cache = {}
         if kind == "galois":
             self._build_log_tables()
 
@@ -341,22 +343,15 @@ class Field:
         return range(self.order)
 
     def random_raw(self, rng):
-        """Seeded random raw value; rationals are bounded fractions."""
+        """Seeded random raw value: rng.randrange(q) over F_q, and over Q
+        Fraction(rng.randint(-20, 20), rng.randint(1, 12)), read from a table
+        at 12 * randrange(41) + randrange(12): randint(a, b) is a +
+        randrange(b - a + 1), one run of the loop of CPython's (3.11.7)
+        `Random._randbelow_with_getrandbits`. `test_draws_replay_randrange`
+        pins the two together."""
         if self.is_finite:
             return rng.randrange(self.order)
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
-
-    def frob_table(self, e):
-        """Table of x -> x^(p^e) over all raw values (finite fields only)."""
-        if not self.is_finite:
-            raise ValueError("Frobenius tables need a finite field")
-        e %= self.k
-        table = self._frob_cache.get(e)
-        if table is None:
-            step = self.p ** e
-            table = [self.pow_raw(v, step) for v in range(self.order)]
-            self._frob_cache[e] = table
-        return table
+        return _RANDOM_FRACTIONS[12 * rng.randrange(41) + rng.randrange(12)]
 
     def coeffs(self, raw):
         """Ascending coefficient list of a galois raw value."""
@@ -523,9 +518,7 @@ class RingEndo:
         return self.e == 0
 
     def apply_raw(self, raw):
-        if self.e == 0:
-            return raw
-        return self.field.frob_table(self.e)[raw]
+        return raw if self.e == 0 else self.field.pow_raw(raw, self.field.p ** self.e)
 
     def __call__(self, scalar):
         if scalar.field != self.field:

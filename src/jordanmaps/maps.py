@@ -6,7 +6,8 @@ x <> y = xy + yx (the char-2-safe variant). A body is one function, of a kind:
 
   * table        -- explicit graph over a small finite domain,
   * conjugation  -- X |-> T w(X) T^-1 or T w(X)^t T^-1 with w a ring
-                    endomorphism applied entrywise (`twisted`),
+                    endomorphism applied entrywise, one prepared
+                    `matrices.conjugator` with the twist folded in,
   * constant / zero,
   * oracle       -- arbitrary callable, whose outputs are checked.
 
@@ -168,7 +169,7 @@ class JordanMap:
         field, n = t.field, t.nrows
         if endo is not None and endo.field != field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")
-        return cls(field, n, mode, ("conjugation", twisted(conjugator(t, t_inv), endo, transpose)))
+        return cls(field, n, mode, ("conjugation", conjugator(t, t_inv, endo, transpose)))
 
     @classmethod
     def constant(cls, field, n, value, mode=CIRC):
@@ -234,17 +235,6 @@ class JordanMap:
     def product(self, x, y):
         """The Jordan product this map is expected to preserve."""
         return jordan_circ(x, y) if self.mode == CIRC else jordan_diamond(x, y)
-
-
-def twisted(conj, endo, transpose):
-    """x |-> conj(w(x)), or conj(w(x)^t) when `transpose`, with w = `endo`
-    entrywise (none when None): T w(X) T^-1 for conj = conjugator(T, T^-1)."""
-
-    def apply(x):
-        y = x if endo is None else x.apply_endo(endo)
-        return conj(y.transpose() if transpose else y)
-
-    return apply
 
 
 def _is_upper_triangular(x):

@@ -15,12 +15,15 @@ and build a `Fraction` only per result entry; products over F_{p^k}, in
 every characteristic, sum in the log domain through the field's Zech table
 (see exact_fields).
 
-`conjugator(a, b)` prepares the map x -> a @ x @ b once for fixed a and b,
-the shape of every conjugation T w(X) T^-1 the package evaluates. Over F_p
-it reduces mod p once per result entry; over Q it lifts a and b when it is
-prepared, so each call lifts only x and builds one `Fraction` per result
-entry over a single common denominator; over F_{p^k} it runs two log-domain
-product passes on raw rows.
+`conjugator(a, b, w, transpose)` prepares the map x -> a @ w(x)^t @ b once,
+the shape of every twisted conjugation T w(X)^t T^-1 the package evaluates,
+with the twist folded into the products: the transpose reads the rows of x
+as columns. Over F_p it reduces mod p once per result entry; over Q it lifts
+a and b when it is prepared, so each call lifts only x and builds one
+`Fraction` per result entry over a single common denominator; over F_{p^k}
+it prepares the log rows of a and log columns of b, reads a Frobenius power
+w off the logs of x (log w(y) = p^e log y mod q - 1) and runs two log-domain
+product passes.
 
 Rank and inverse share one exact Gauss-Jordan elimination with first-nonzero
 pivoting (no magnitude heuristics, so results are deterministic), run per
@@ -199,30 +202,23 @@ class Mat:
             )
         return Mat._from_raw(f, tuple(tuple(row[n:]) for row in aug))
 
-    def apply_endo(self, omega):
-        """Apply a ring endomorphism entrywise."""
-        if omega.field != self.field:
-            raise ValueError("endomorphism belongs to a different field")
-        if omega.is_identity:
-            return self
-        ap = omega.apply_raw
-        return Mat._from_raw(self.field, tuple(tuple(ap(v) for v in row) for row in self.rows))
 
-
-def conjugator(a, b):
-    """The map x -> a @ x @ b for fixed square a and b of one size over one
-    field, prepared once; x must be a square matrix of that size and field."""
-    if a.field != b.field:
-        raise ValueError("matrices over different fields")
+def conjugator(a, b, endo=None, transpose=False):
+    """The map x -> a @ w(x) @ b, or a @ w(x)^t @ b when `transpose`, with w =
+    `endo` entrywise (none when None), prepared once for fixed square a and b
+    of one size over one field; x must be a square matrix of that size and field."""
+    if a.field != b.field or (endo is not None and endo.field != a.field):
+        raise ValueError("matrices or endomorphism over different fields")
     if not (a.is_square and b.is_square) or a.nrows != b.nrows:
         raise ValueError("conjugator needs square matrices of equal size")
     f, kind = a.field, a.field.kind
     b_cols = tuple(zip(*b.rows))
+    # only F_{p^k} has a w other than the identity
     if kind == "prime":
         p, a_rows = f.p, a.rows
 
         def apply(x):
-            x_cols = tuple(zip(*x.rows))
+            x_cols = x.rows if transpose else tuple(zip(*x.rows))
             ax = [[sum(map(mul, r, c)) for c in x_cols] for r in a_rows]
             return Mat._from_raw(
                 f, tuple(tuple(sum(map(mul, r, c)) % p for c in b_cols) for r in ax)
@@ -234,7 +230,7 @@ def conjugator(a, b):
 
         def apply(x):
             dx, x_int = _lift(x.rows)
-            x_cols = tuple(zip(*x_int))
+            x_cols = x_int if transpose else tuple(zip(*x_int))
             ax = [[sum(map(mul, r, c)) for c in x_cols] for r in a_int]
             d = da * dx * db
             return Mat._from_raw(
@@ -242,13 +238,24 @@ def conjugator(a, b):
             )
 
     else:
-        a_rows, one = a.rows, f.one
+        log_a, log_b = _log_rows(f, a.rows), _log_cols(f, b_cols)
+        e = 0 if endo is None else endo.e
 
         def apply(x):
-            ax = _galois_products(f, a_rows, tuple(zip(*x.rows)), one)
-            return Mat._from_raw(f, _galois_products(f, ax, b_cols, one))
+            x_cols = x.rows if transpose else tuple(zip(*x.rows))
+            ax = _galois_products(f, log_a, _log_cols(f, x_cols, e))
+            return Mat._from_raw(f, _galois_products(f, _log_rows(f, ax), log_b))
 
     return apply
+
+
+def conjugated_idempotent(a, b, lo, hi):
+    """a @ mat_diag_idempotent(F, n, lo, hi) @ b, as the product of columns
+    lo..hi-1 of a with rows lo..hi-1 of b (zero when lo == hi)."""
+    f = a.field
+    if lo == hi:
+        return mat_zero(f, a.nrows)
+    return Mat._from_raw(f, _matmul_raw(f, tuple(r[lo:hi] for r in a.rows), b.rows[lo:hi]))
 
 
 def _matmul_raw(field, a_rows, b_rows):
@@ -261,7 +268,7 @@ def _matmul_raw(field, a_rows, b_rows):
         (da, a), (db, b) = _lift(a_rows), _lift(b_cols)
         d = da * db
         return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in b) for r in a)
-    return _galois_products(field, a_rows, b_cols, field.one)
+    return _galois_products(field, _log_rows(field, a_rows), _log_cols(field, b_cols))
 
 
 def _jordan_raw(field, a_rows, b_rows, circ):
@@ -279,7 +286,8 @@ def _jordan_raw(field, a_rows, b_rows, circ):
     if kind == "rational":
         d = da * db * (2 if circ else 1)
         return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in cols) for r in rows)
-    return _galois_products(field, rows, cols, field.half_one if circ else field.one)
+    shift = field._log[field.half_one] if circ else 0
+    return _galois_products(field, _log_rows(field, rows), _log_cols(field, cols), shift)
 
 
 def _lift(rows):
@@ -288,17 +296,28 @@ def _lift(rows):
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
-def _galois_products(field, rows, cols, scale):
-    """Rows of (rows @ cols) * scale over F_{p^k}, for a nonzero raw `scale`.
+def _log_rows(field, rows):
+    """Each row of raw F_{p^k} values as (position, discrete log) of its nonzero entries."""
+    log = field._log
+    return [[(t, log[x]) for t, x in enumerate(row) if x] for row in rows]
+
+
+def _log_cols(field, cols, e=0):
+    """Each column of raw F_{p^k} values as the discrete logs of the images of
+    its entries under y -> y^(p^e), None for 0: log y^(p^e) = p^e log y mod q - 1."""
+    log, q1, s = field._log, field.order - 1, field.p ** e
+    return [[log[y] * s % q1 if y else None for y in col] for col in cols]
+
+
+def _galois_products(field, log_rows, log_cols, shift=0):
+    """Rows of (rows @ cols) * g^shift over F_{p^k}, for rows given by
+    `_log_rows` and columns by `_log_cols`.
 
     Each entry is summed on discrete logs: a term x*y is g^(log x + log y),
     and g^s + g^t = g^(s + zech[t - s]). Every Galois field has these tables,
     characteristic 2 included.
     """
-    zech, log, exp, q1 = field._zech, field._log, field._exp, field.order - 1
-    shift = log[scale]
-    log_rows = [[(t, log[x]) for t, x in enumerate(row) if x] for row in rows]
-    log_cols = [[log[y] if y else None for y in col] for col in cols]
+    zech, exp, q1 = field._zech, field._exp, field.order - 1
     out = []
     for log_row in log_rows:
         out_row = []
@@ -405,10 +424,21 @@ def _eliminate_logs(field, rows, ncols):
 
 def _raw_draw(field, rng):
     """A callable returning one seeded raw value per call, as
-    `field.random_raw(rng)` would: `rng.randrange(q)` over F_q."""
-    if field.is_finite:
-        return partial(rng.randrange, field.order)
-    return partial(field.random_raw, rng)
+    `field.random_raw(rng)` would for a `random.Random` rng. Over F_q it
+    replays rng.randrange(q), the loop of CPython's (3.11.7)
+    `Random._randbelow_with_getrandbits`, without randrange's argument
+    handling; `test_draws_replay_randrange` pins the two together."""
+    if not field.is_finite:
+        return partial(field.random_raw, rng)
+    q, k, getrandbits = field.order, field.order.bit_length(), rng.getrandbits
+
+    def draw():
+        r = getrandbits(k)
+        while r >= q:
+            r = getrandbits(k)
+        return r
+
+    return draw
 
 
 def random_mat(field, n, rng):

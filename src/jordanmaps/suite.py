@@ -28,11 +28,10 @@ from .generation import certify_identity, ladder, replay
 from .maps import CIRC, JordanMap, Strategy, _domain
 from .matrices import (
     Mat,
-    conjugator,
+    conjugated_idempotent,
     is_idempotent,
     is_proportional,
     jordan_circ,
-    mat_diag_idempotent,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -322,8 +321,8 @@ def crit_preservation_suite(seed):
 
 
 def _random_idem(field, n, rng):
-    conj = conjugator(*random_invertible(field, n, rng))
-    return conj(mat_diag_idempotent(field, n, 0, rng.randint(0, n)))
+    t, t_inv = random_invertible(field, n, rng)
+    return conjugated_idempotent(t, t_inv, 0, rng.randint(0, n))
 
 
 # -- criteria 7 and 8 ------------------------------------------------------------

@@ -238,6 +238,17 @@ class TestConjugationRecovery:
             x = phi.sample_domain(rng)
             assert form.evaluate(x) == phi(x)
 
+    def test_describe_frobenius_transposed_f9(self):
+        t = Mat(F9, [[1, 2], [1, 1]])
+        phi = JordanMap.conjugation(t, endo=RingEndo(F9, 1), transpose=True)
+        assert classify(phi, verification="sampled:40:0").describe() == {
+            "variant": "conjugation",
+            "mode": "circ",
+            "n": 2,
+            "transpose": True,
+            "omega": {"kind": "frobenius", "e": 1},
+        }
+
     def test_rational_three_by_three(self):
         t = Mat(Q, [[1, 2, 0], [0, 1, 5], [1, 0, 1]])
         phi = JordanMap.conjugation(t)

@@ -536,6 +536,10 @@ class TestStrategy:
         with pytest.raises(ValueError, match="pairs >= 1"):
             Strategy.sampled(count=10, pairs=pairs)
 
+    def test_least_budgets_are_accepted(self):
+        assert Strategy.sampled(count=1).describe() == "sampled:1:0"
+        assert Strategy.sampled(count=10, pairs=1).pair_budget == 1
+
     def test_pair_budget(self):
         assert Strategy.sampled(count=100).pair_budget == 100
         assert Strategy.sampled(count=100, pairs=7).pair_budget == 7

@@ -12,6 +12,7 @@ from jordanmaps import (
     Scalar,
     UnsupportedInput,
     block_diag,
+    endo_enumerate,
     galois_field,
     is_idempotent,
     is_proportional,
@@ -23,7 +24,13 @@ from jordanmaps import (
     preset_field,
     rational_field,
 )
-from jordanmaps.matrices import conjugator, random_invertible
+from jordanmaps.matrices import (
+    _raw_draw,
+    conjugated_idempotent,
+    conjugator,
+    mat_diag_idempotent,
+    random_invertible,
+)
 
 F5 = preset_field("F5")
 F2 = preset_field("F2")
@@ -221,20 +228,56 @@ def test_jordan_products_match_reference(field, n, data):
             assert inv.rows == expected and _canonical(field, inv)
 
 
-@pytest.mark.parametrize("field", list(KERNEL_FIELDS.values()), ids=list(KERNEL_FIELDS))
+CONJUGATOR_FIELDS = {**KERNEL_FIELDS, "F5": F5}
+
+
+@pytest.mark.parametrize("field", list(CONJUGATOR_FIELDS.values()), ids=list(CONJUGATOR_FIELDS))
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 @settings(max_examples=10)
 @given(data=st.data())
 def test_conjugator_matches_products(field, n, data):
-    """The prepared kernel x -> a @ x @ b equals the two products, for any
-    a and b (singular ones too), over every kernel field."""
+    """The prepared kernel x -> a @ w(x)^t @ b equals plain products of a,
+    the entrywise image w(x) (transposed or not) and b, for any a and b
+    (singular ones too), every endomorphism w of every kernel field and both
+    orientations. Each w is a ring endomorphism, and `conjugated_idempotent`
+    is a conjugation of every diagonal idempotent."""
     rows = _kernel_mats(field, n)
     a, b = Mat(field, data.draw(rows)), Mat(field, data.draw(rows))
+    x, y = Mat(field, data.draw(rows)), Mat(field, data.draw(rows))
+    one = mat_identity(field, n)
+    for endo in endo_enumerate(field):
+        w = conjugator(one, one, endo)
+        assert w(x @ y) == w(x) @ w(y) and w(x + y) == w(x) + w(y)
+        wx = Mat(field, [[endo(Scalar(field, v)) for v in row] for row in x.rows])
+        for transpose in (False, True):
+            out = conjugator(a, b, endo, transpose)(x)
+            expected = a @ (wx.transpose() if transpose else wx) @ b
+            assert out.rows == expected.rows and _canonical(field, out)
     conj = conjugator(a, b)
-    for _ in range(2):
-        x = Mat(field, data.draw(rows))
-        out = conj(x)
-        assert out.rows == (a @ x @ b).rows and _canonical(field, out)
+    for lo in range(n + 1):
+        for hi in range(lo, n + 1):
+            expected = conj(mat_diag_idempotent(field, n, lo, hi))
+            assert conjugated_idempotent(a, b, lo, hi) == expected
+
+
+@pytest.mark.parametrize(
+    "field",
+    [preset_field(name) for name in ("F3", "F5", "F7", "F9", "p:101", "Q")] + [galois_field(2, 4)],
+    ids=["F3", "F5", "F7", "F9", "F101", "Q", "F16"],
+)
+def test_draws_replay_randrange(field):
+    """`_raw_draw` over F_q yields what rng.randrange(q) yields (q = 16 has a
+    tight bit length), and over Q, where it is `random_raw`, what
+    Fraction(randint(-20, 20), randint(1, 12)) yields; the generator is left
+    in the same state."""
+    rng, twin = random.Random(7), random.Random(7)
+    draw = _raw_draw(field, rng)
+    if field.is_finite:
+        expected = [twin.randrange(field.order) for _ in range(500)]
+    else:
+        expected = [Fraction(twin.randint(-20, 20), twin.randint(1, 12)) for _ in range(500)]
+    assert [draw() for _ in range(500)] == expected
+    assert rng.random() == twin.random()
 
 
 def test_random_invertible_draw_order():
@@ -283,14 +326,8 @@ def test_conjugation_preserves_rank_and_trace():
     assert c.rank() == x.rank()
     assert c.trace() == x.trace()
     assert conj(mat_identity(F5, 2)) == mat_identity(F5, 2)
-
-
-def test_apply_endo_respects_products():
-    frob = RingEndo(F9, 1)
-    a = Mat(F9, [[Scalar(F9, 3), 1], [2, Scalar(F9, 4)]])
-    b = Mat(F9, [[1, Scalar(F9, 6)], [Scalar(F9, 3), 0]])
-    assert (a @ b).apply_endo(frob) == a.apply_endo(frob) @ b.apply_endo(frob)
-    assert (a + b).apply_endo(frob) == a.apply_endo(frob) + b.apply_endo(frob)
+    with pytest.raises(ValueError, match="different fields"):
+        conjugator(t_inv, t, RingEndo(F9, 1))
 
 
 def test_is_idempotent():
