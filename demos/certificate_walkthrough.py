@@ -35,6 +35,7 @@ print("tampered replay:", f"failed at step {verdict.failed_step}: {verdict.reaso
 
 # The same machinery works over any finite field of odd characteristic.
 from jordanmaps import preset_field
+from jordanmaps.matrices import random_mat
 
 for name in ("F3", "F5", "F7", "F9"):
     f = preset_field(name)
@@ -44,7 +45,7 @@ for name in ("F3", "F5", "F7", "F9"):
 
     rng = random.Random(0)
     for _ in range(25):
-        m = Mat(f, [[f.random_raw(rng) for _ in range(3)] for _ in range(3)])
+        m = random_mat(f, 3, rng)
         if m.is_zero:
             continue
         c = certify_identity(m)

@@ -52,6 +52,7 @@ from .maps import (
 )
 from .matrices import (
     Mat,
+    _raw_draw,
     conjugated_idempotent,
     conjugator,
     is_idempotent,
@@ -152,16 +153,16 @@ def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
 def _probes(f, seed):
     """Scalars probed on the line through E_11: every element of a field of
     order at most 4096, else fixed small values and seeded random draws."""
-    rng = random.Random(seed)
+    draw = _raw_draw(f, random.Random(seed))
     if f.is_finite and f.order <= 4096:
         probes = list(f.elements())
     elif f.is_finite:
         probes = [f.zero, f.one, f.of(-1), f.of(2), f.of(3)]
-        probes += [f.random_raw(rng) for _ in range(48)]
+        probes += [draw() for _ in range(48)]
     else:
         probes = [f.of(x) for x in ("0", "1", "-1", "2", "-2")]
         probes += [f.of(x) for x in ("1/2", "-1/2", "2/3", "7/3", "-22/7")]
-        probes += [f.random_raw(rng) for _ in range(16)]
+        probes += [draw() for _ in range(16)]
     return list(dict.fromkeys(probes))
 
 
@@ -431,6 +432,7 @@ def preservation_suite(phi, samples=20, seed=0):
     if n < 2:
         raise UnsupportedSize("the preservation suite needs n >= 2")
     rng = random.Random(seed)
+    draw = _raw_draw(f, rng)
     log = []
     items = []
 
@@ -538,9 +540,9 @@ def preservation_suite(phi, samples=20, seed=0):
         members = family(parts)
         lams = []
         for _ in members:
-            lam = Scalar(f, f.random_raw(rng))
+            lam = Scalar(f, draw())
             while lam.is_zero:
-                lam = Scalar(f, f.random_raw(rng))
+                lam = Scalar(f, draw())
             lams.append(lam)
         combo = mat_zero(f, n)
         pieces = []

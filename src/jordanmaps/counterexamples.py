@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedInput, UnsupportedSize
-from .exact_fields import prime_field
+from .exact_fields import Scalar, prime_field
 from .maps import (
     CIRC,
     DIAMOND,
@@ -30,7 +30,7 @@ from .maps import (
     _resolve_strategy,
     check_multiplicative,
 )
-from .matrices import Mat, block_diag, mat_identity, mat_unit, mat_zero
+from .matrices import Mat, _raw_draw, block_diag, mat_identity, mat_unit, mat_zero
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,8 @@ def triangular_example(field, n=2):
     one = field.scalar(1)
     scalar_witness = (one, one)
     if not (field.is_finite and field.order <= 97):
-        rng = random.Random(7)
-        draws = (
-            (field.scalar(field.random_raw(rng)), field.scalar(field.random_raw(rng)))
-            for _ in range(200)
-        )
+        draw = _raw_draw(field, random.Random(7))
+        draws = ((Scalar(field, draw()), Scalar(field, draw())) for _ in range(200))
         scalar_witness = next(
             ((a, b) for a, b in draws if not (a.is_zero or b.is_zero)), scalar_witness
         )

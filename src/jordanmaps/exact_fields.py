@@ -35,9 +35,6 @@ from .errors import UnsupportedInput
 
 _LOG_TABLE_LIMIT = 4096
 
-# Fraction(a, b) for |a| <= 20 and 1 <= b <= 12, at 12 * (a + 20) + b - 1
-_RANDOM_FRACTIONS = tuple(Fraction(a, b) for a in range(-20, 21) for b in range(1, 13))
-
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to every base in _MR_BASES, the first 13
 # primes (1287836182261 * 2575672364521): below it the test is deterministic
@@ -341,17 +338,6 @@ class Field:
         if not self.is_finite:
             raise ValueError("cannot enumerate the rationals")
         return range(self.order)
-
-    def random_raw(self, rng):
-        """Seeded random raw value: rng.randrange(q) over F_q, and over Q
-        Fraction(rng.randint(-20, 20), rng.randint(1, 12)), read from a table
-        at 12 * randrange(41) + randrange(12): randint(a, b) is a +
-        randrange(b - a + 1), one run of the loop of CPython's (3.11.7)
-        `Random._randbelow_with_getrandbits`. `test_draws_replay_randrange`
-        pins the two together."""
-        if self.is_finite:
-            return rng.randrange(self.order)
-        return _RANDOM_FRACTIONS[12 * rng.randrange(41) + rng.randrange(12)]
 
     def coeffs(self, raw):
         """Ascending coefficient list of a galois raw value."""

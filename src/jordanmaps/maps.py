@@ -404,9 +404,9 @@ def check_multiplicative(phi, strategy=None):
 
     The exhaustive scan reads x * y from a product table built once per
     (field, n, mode, domain) and kept in a cache bounded to 8 tables, over
-    the domain matrices and index of `_domain`. Images are evaluated once
-    each, in the order the pair loop first needs them, and identified by
-    value.
+    the domain matrices and index of `_domain`. Every image is evaluated
+    once, in domain order, before any pair is compared, so a map rejected
+    early has still been asked for every point.
 
     Only the upper triangle b >= a of the ordered pairs is visited, and this
     is exact. Both products commute exactly, the table is symmetric and each
@@ -417,10 +417,8 @@ def check_multiplicative(phi, strategy=None):
     are those of that pair; an accepted scan covers, and reports, all
     size*size ordered pairs.
 
-    Row 0 (x_0 = 0) goes pair by pair and evaluates every image: the product
-    of two images in the domain is read from the table, any other is computed
-    by phi.product, which keeps its shape checks. Each later row a is then
-    compared whole, for b >= a, and its first difference is the witness:
+    Each row a, row 0 (x_0 = 0) included, is compared whole, and its first
+    difference is the witness:
 
       * if every image lies in the domain, the ids phi(x_a * x_b) and the ids
         of phi(x_a) * phi(x_b) are two gathers through the table, the second
@@ -445,41 +443,12 @@ def check_multiplicative(phi, strategy=None):
                 f"exhaustive checking would need {size * size} pairs (cap {_PAIR_CAP})"
             )
         mats, index, table = _product_table(phi.field, phi.n, phi.mode, phi.domain)
-        # ids 0..size-1 are the domain matrices themselves; other images get
-        # the next free id, so two images are equal exactly when their ids
-        # are. Every image lies over the map's field, so its raw rows key it.
-        ids = dict(index)
-        values = list(mats)
-        image = [None] * size
-
-        def image_id(a):
-            k = image[a]
-            if k is None:
-                fx = phi(mats[a])
-                k = ids.get(fx.rows)
-                if k is None:
-                    k = ids[fx.rows] = len(values)
-                    values.append(fx)
-                image[a] = k
-            return k
-
-        # row 0 (x_0 = 0) pair by pair, evaluating every image
-        fa = image_id(0)
-        products = {}
-        for b, ab in enumerate(table[0]):
-            lhs = image_id(ab)
-            fb = image_id(b)
-            if fa < size and fb < size:
-                ok = lhs == table[fa][fb]
-            else:
-                rhs = products.get(fb)
-                if rhs is None:
-                    rhs = products[fb] = phi.product(values[fa], values[fb])
-                ok = values[lhs] == rhs
-            if not ok:
-                return MultReport(False, b + 1, "exhaustive", (mats[0], mats[b]))
-        # later rows whole: by ids if every image is a domain matrix, else by codes
-        if max(image) < size:
+        # every image lies over the map's field, so its raw rows give its
+        # domain index, or None off the domain
+        images = [phi(x) for x in mats]
+        image = [index.get(fx.rows) for fx in images]
+        # every row whole: by ids if every image is a domain matrix, else by codes
+        if None not in image:
             keys, at, rhs_rows = image, itemgetter(*image), {}
 
             def rhs_row(a, lhs):
@@ -491,15 +460,14 @@ def check_multiplicative(phi, strategy=None):
         else:
             q, positions = phi.field.order, _free_positions(phi.m, "full")
             weights = [q ** k for k in range(len(positions))]
-            code = {k: sum(map(mul, itertools.chain(*values[k].rows), weights)) for k in set(image)}
-            keys = [code[k] for k in image]
-            codes = _product_codes(phi.field, phi.mode, [values[k].rows for k in image], positions)
+            keys = [sum(map(mul, itertools.chain(*fx.rows), weights)) for fx in images]
+            codes = _product_codes(phi.field, phi.mode, [fx.rows for fx in images], positions)
 
             def rhs_row(a, lhs):
                 # the pairs b < a passed as (b, a) in an earlier row
                 return lhs[:a] + tuple(codes(a))
 
-        for a in range(1, size):
+        for a in range(size):
             lhs = itemgetter(*table[a])(keys)
             rhs = rhs_row(a, lhs)
             if lhs != rhs:

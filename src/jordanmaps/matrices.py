@@ -33,7 +33,6 @@ discrete logs through the Zech table over F_{p^k}.
 """
 
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from operator import mul
 
@@ -422,21 +421,39 @@ def _eliminate_logs(field, rows, ncols):
     return rank
 
 
+# Fraction(a, b) for |a| <= 20 and 1 <= b <= 12, at 12 * (a + 20) + b - 1
+_RANDOM_FRACTIONS = tuple(Fraction(a, b) for a in range(-20, 21) for b in range(1, 13))
+
+
 def _raw_draw(field, rng):
-    """A callable returning one seeded raw value per call, as
-    `field.random_raw(rng)` would for a `random.Random` rng. Over F_q it
-    replays rng.randrange(q), the loop of CPython's (3.11.7)
-    `Random._randbelow_with_getrandbits`, without randrange's argument
-    handling; `test_draws_replay_randrange` pins the two together."""
-    if not field.is_finite:
-        return partial(field.random_raw, rng)
-    q, k, getrandbits = field.order, field.order.bit_length(), rng.getrandbits
+    """A callable returning one seeded raw value per call from a
+    `random.Random` rng: rng.randrange(q) over F_q, and over Q
+    Fraction(rng.randint(-20, 20), rng.randint(1, 12)), read from
+    `_RANDOM_FRACTIONS` at 12 * randrange(41) + randrange(12), since
+    randint(a, b) is a + randrange(b - a + 1). Each randrange(n) replays the
+    loop of CPython's (3.11.7) `Random._randbelow_with_getrandbits` over
+    n.bit_length() bits, without randrange's argument handling;
+    `test_draws_replay_randrange` pins the draws to those calls."""
+    getrandbits = rng.getrandbits
+    if field.is_finite:
+        q, k = field.order, field.order.bit_length()
+
+        def draw():
+            r = getrandbits(k)
+            while r >= q:
+                r = getrandbits(k)
+            return r
+
+        return draw
 
     def draw():
-        r = getrandbits(k)
-        while r >= q:
-            r = getrandbits(k)
-        return r
+        a = getrandbits(6)
+        while a >= 41:
+            a = getrandbits(6)
+        b = getrandbits(4)
+        while b >= 12:
+            b = getrandbits(4)
+        return _RANDOM_FRACTIONS[12 * a + b]
 
     return draw
 

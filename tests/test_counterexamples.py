@@ -5,11 +5,13 @@ import pytest
 from jordanmaps import counterexamples
 from jordanmaps import (
     Mat,
+    Scalar,
     UnsupportedInput,
     all_examples,
     block_embedding_example,
     char2_example,
     check_multiplicative,
+    galois_field,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -56,6 +58,15 @@ class TestTriangular:
         field = rational_field() if name == "Q" else preset_field(name)
         a, b = triangular_example(field).extra["scalar_witness"]
         assert (a, b) == tuple(field.scalar(v) for v in witness)
+
+    def test_scalar_witness_over_f125_keeps_raw_draws(self):
+        # the first draws of Random(7) are the raw values 41 and 121, which
+        # read as integers through the prime subfield would both be 1
+        field = galois_field(5, 3)
+        bundle = triangular_example(field)
+        assert bundle.extra["scalar_witness"] == (Scalar(field, 41), Scalar(field, 121))
+        x, y = bundle.non_additivity
+        assert bundle.map(x + y) != bundle.map(x) + bundle.map(y)
 
 
 class TestChar2:

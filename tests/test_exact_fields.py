@@ -259,16 +259,6 @@ def test_scalar_str_galois(f9):
     assert str(Scalar(f9, 0)) == "0"
 
 
-def test_random_raw_lands_in_field(f5, qq):
-    import random
-
-    rng = random.Random(0)
-    for _ in range(50):
-        assert f5.random_raw(rng) in range(5)
-    for _ in range(20):
-        qq.scalar(qq.random_raw(rng))  # must not raise
-
-
 def _galois_presets():
     """gf:p:k for every Galois field of order at most 1024, then gf:2:12,
     F9 and F25."""

@@ -164,10 +164,7 @@ class TestCertify:
         rng = random.Random(7)
         for n in (2, 3, 4):
             for _ in range(3):
-                x = Mat(
-                    field,
-                    [[field.random_raw(rng) for _ in range(n)] for _ in range(n)],
-                )
+                x = random_mat(field, n, rng)
                 if x.is_zero:
                     continue
                 cert = certify_identity(x)

@@ -28,7 +28,7 @@ from jordanmaps import (
 )
 from jordanmaps import maps
 from jordanmaps.maps import _domain, _product_table
-from jordanmaps.matrices import random_mat
+from jordanmaps.matrices import _raw_draw, random_mat
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -164,14 +164,15 @@ def test_memo_stays_bounded_on_long_sampled_runs():
 @pytest.mark.parametrize("field", [F5, preset_field("F9"), rational_field()],
                          ids=["F5", "F9", "Q"])
 def test_sample_domain_draw_order(field, domain):
-    # one Field.random_raw draw per free position, row by row
+    # one `_raw_draw` value per free position, row by row
     phi = JordanMap.from_oracle(field, 3, lambda x: x, domain=domain)
     rng, twin = random.Random(7), random.Random(7)
+    draw = _raw_draw(field, twin)
     for _ in range(5):
         expected = [[field.zero] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(i if domain == "upper_triangular" else 0, 3):
-                expected[i][j] = field.random_raw(twin)
+                expected[i][j] = draw()
         assert phi.sample_domain(rng).rows == tuple(map(tuple, expected))
     assert rng.random() == twin.random()
     if domain == "full":
@@ -397,31 +398,40 @@ def test_exhaustive_check_matches_reference_scan(case):
 
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
-@pytest.mark.parametrize("kind", ["conjugation", "constant"])
+@pytest.mark.parametrize("kind", ["conjugation", "constant", "constant-to-M1", "block-to-M4"])
 def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode):
     # every single-entry mutation of an M_2(F_3) table, by two values each,
-    # read through an oracle that counts the points it is asked for
+    # read through an oracle that records the points it is asked for; the
+    # last two kinds have every image outside the domain, so each row, row 0
+    # included, is compared by codes
+    h = 1 if mode == CIRC else 2  # E_11 is idempotent for circ, E_11 / 2 = 2 E_11 for diamond
     if kind == "conjugation":
         base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]), transpose=True, mode=mode)
-    else:  # the constant E_11 for circ and E_11 / 2 = 2 E_11 for diamond
-        value = mat_unit(F3, 2, 1, 1, 1 if mode == CIRC else 2)
-        base = JordanMap.constant(F3, 2, value, mode=mode)
+    elif kind == "block-to-M4":
+        corner = mat_unit(F3, 2, 1, 1, h)
+        base = JordanMap.from_oracle(F3, 2, lambda x: block_diag(x, corner), mode=mode, m=4)
+    else:
+        m = 1 if kind == "constant-to-M1" else 2
+        base = JordanMap.constant(F3, 2, mat_unit(F3, m, 1, 1, h), mode=mode)
+    m = base.m
     genuine = {x: base(x) for x in base.domain_iter()}
-    size = len(genuine)
+    shifts = (mat_identity(F3, m), mat_unit(F3, m, 1, 2) if m > 1 else mat_unit(F3, 1, 1, 1, 2))
+    reports = []
     for x in genuine:
-        for shift in (mat_identity(F3, 2), mat_unit(F3, 2, 1, 2)):
+        for shift in shifts:
             entries = dict(genuine)
             entries[x] = genuine[x] + shift
             asked = []
             phi = JordanMap.from_oracle(
-                F3, 2, lambda y, entries=entries: asked.append(y) or entries[y], mode=mode
+                F3, 2, lambda y, entries=entries: asked.append(y) or entries[y], mode=mode, m=m
             )
             report = check_multiplicative(phi, Strategy.exhaustive())
-            # images are evaluated once each, when first needed; row 0 is
-            # x_0 = 0, whose products are all 0, so it asks for phi(x_b) in
-            # order and a scan that stops at pair k has asked for min(k, size)
-            assert len(asked) == len(set(asked)) == min(report.pairs_checked, size)
+            # every image is asked for exactly once, in domain order, before
+            # any pair is compared
+            assert asked == list(genuine)
             assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+            reports.append(report)
+    assert any(not r.ok and r.pairs_checked <= len(genuine) for r in reports)
 
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
@@ -440,17 +450,19 @@ def test_exhaustive_check_finds_a_witness_past_row_1(value, mode):
     assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
 
 
-def test_exhaustive_scan_outside_the_domain_forms_products_in_row_0_only(monkeypatch):
-    # blockdiag(X, E_11) passes: row 0 forms phi(0) o phi(x_b) for each of
-    # the 81 images, and rows 1-80 compare image codes without any product
-    phi = block_embedding_example(F3).map
-    first = phi(mat_zero(F3, 2))
+def test_exhaustive_scan_outside_the_domain_forms_no_product(monkeypatch):
+    # blockdiag(X, E_11) passes: each of the 81 images is asked for once, and
+    # every row, row 0 included, compares image codes without any product
+    base = block_embedding_example(F3).map
+    asked = []
+    phi = JordanMap.from_oracle(F3, 2, lambda x: asked.append(x) or base(x), m=4)
     calls = []
     jordan = maps.jordan_circ
     monkeypatch.setattr(maps, "jordan_circ", lambda x, y: calls.append(x) or jordan(x, y))
     report = check_multiplicative(phi, Strategy.exhaustive())
     assert report.ok and report.pairs_checked == 81 * 81
-    assert len(calls) == 81 and all(x == first for x in calls)
+    assert asked == list(phi.domain_iter())
+    assert calls == []
 
 
 def test_exhaustive_scan_outside_the_domain_stops_early():

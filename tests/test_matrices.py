@@ -267,9 +267,8 @@ def test_conjugator_matches_products(field, n, data):
 )
 def test_draws_replay_randrange(field):
     """`_raw_draw` over F_q yields what rng.randrange(q) yields (q = 16 has a
-    tight bit length), and over Q, where it is `random_raw`, what
-    Fraction(randint(-20, 20), randint(1, 12)) yields; the generator is left
-    in the same state."""
+    tight bit length), and over Q what Fraction(randint(-20, 20),
+    randint(1, 12)) yields; the generator is left in the same state."""
     rng, twin = random.Random(7), random.Random(7)
     draw = _raw_draw(field, rng)
     if field.is_finite:
@@ -285,11 +284,12 @@ def test_random_invertible_draw_order():
     invertible draw with its inverse."""
     for field in (F2, preset_field("F3"), F9, rational_field()):
         rng, twin = random.Random(4), random.Random(4)
+        raw = _raw_draw(field, twin)
         for _ in range(5):
             m, m_inv = random_invertible(field, 3, rng)
             while True:
                 draw = Mat._from_raw(
-                    field, tuple(tuple(field.random_raw(twin) for _ in range(3)) for _ in range(3))
+                    field, tuple(tuple(raw() for _ in range(3)) for _ in range(3))
                 )
                 if _row_echelon(field, [list(r) for r in draw.rows], 3) == 3:
                     break
