@@ -4,7 +4,8 @@ A JordanMap is a function M_n(F) -> M_m(F) tagged with the product it is
 meant to preserve: mode "circ" for x o y = (xy + yx)/2, mode "diamond" for
 x <> y = xy + yx (the char-2-safe variant). A body is one function, of a kind:
 
-  * table        -- explicit graph over a small finite domain,
+  * table        -- explicit graph over a small finite domain: one image
+                    id per domain matrix, into the distinct images,
   * conjugation  -- X |-> T w(X) T^-1 or T w(X)^t T^-1 with w a ring
                     endomorphism applied entrywise, one prepared
                     `matrices.conjugator` with the twist folded in,
@@ -115,8 +116,9 @@ class JordanMap:
 
     `domain` is "full" or "upper_triangular" (the latter restricts inputs to
     upper-triangular matrices, used by the triangular counterexample).
-    `body` is (kind, fn): a call validates its input, returns fn(x), and
-    checks the output only for an oracle, the one kind the map did not build.
+    `body` is (kind, fn), a table's followed by its `_tabled` ids and images:
+    a call validates its input, returns fn(x), and checks the output only
+    for an oracle, the one kind the map did not build.
     """
 
     def __init__(self, field, n, mode, body, m=None, domain="full"):
@@ -131,34 +133,46 @@ class JordanMap:
         self.m = n if m is None else m
         self.mode = mode
         self.domain = domain
-        self._kind, self._fn = body
+        self._kind, self._fn, *self._table = body
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_table(cls, field, n, entries, mode=CIRC, domain="full"):
-        """Explicit map given as (x, fx) pairs covering the whole domain."""
-        index = _domain(field, n, domain)[1]
-        items = entries.items() if isinstance(entries, dict) else entries
-        table = {}
-        m = None
-        for count, (x, fx) in enumerate(items, 1):
-            if not isinstance(x, Mat) or not isinstance(fx, Mat):
+        """Explicit map given as (x, fx) pairs covering the whole domain; its
+        body is built by `_tabled`, as `map_from_json` builds its maps."""
+        def rows(x):
+            if not isinstance(x, Mat):
                 raise UnsupportedInput("table entries must be matrix pairs")
-            if x.field != field or x.rows not in index:
+            return x.rows if x.field is field or x.field == field else None
+
+        items = entries.items() if isinstance(entries, dict) else entries
+        return cls._tabled(field, n, ((rows(x), rows(fx)) for x, fx in items), mode, domain)
+
+    @classmethod
+    def _tabled(cls, field, n, pairs, mode, domain):
+        """The table map of (key rows, value rows) pairs, refused in pair
+        order; None stands for a matrix over another field. Its ids give the
+        k-th `_domain` matrix's image by its index among the distinct images."""
+        index = _domain(field, n, domain)[1]
+        ids, distinct, m = [None] * len(index), {}, None
+        for key, value in pairs:
+            k = index.get(key)
+            if k is None:
                 raise UnsupportedInput("table key outside the declared domain")
-            if fx.field != field or not fx.is_square:
+            if value is None or len(value) != len(value[0]):
                 raise UnsupportedInput("table value must be a square matrix over the same field")
-            if m is None:
-                m = fx.nrows
-            elif fx.nrows != m:
+            if m is not None and len(value) != m:
                 raise UnsupportedInput("table values have inconsistent sizes")
-            table[x.rows] = fx
-            if len(table) != count:
+            if ids[k] is not None:
                 raise UnsupportedInput("duplicate table key")
-        if len(table) != len(index):
-            raise UnsupportedInput(f"table covers {len(table)} of {len(index)} domain matrices")
-        return cls(field, n, mode, ("table", lambda x: table[x.rows]), m=m, domain=domain)
+            ids[k], m = distinct.setdefault(value, len(distinct)), len(value)
+        if None in ids:
+            raise UnsupportedInput(
+                f"table covers {len(index) - ids.count(None)} of {len(index)} domain matrices")
+        mats = [Mat._from_raw(field, rows) for rows in distinct]
+        body = ("table", lambda x: mats[ids[index[x.rows]]], ids, list(distinct))
+        return cls(field, n, mode, body, m=m, domain=domain)
 
     @classmethod
     def conjugation(cls, t, endo=None, transpose=False, mode=CIRC):
@@ -188,7 +202,7 @@ class JordanMap:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x):
-        if not isinstance(x, Mat) or x.field != self.field:
+        if not isinstance(x, Mat) or (x.field is not self.field and x.field != self.field):
             raise UnsupportedInput("input must be a matrix over the map's field")
         if x.nrows != self.n or x.ncols != self.n:
             raise UnsupportedInput(f"input must be {self.n}x{self.n}")
@@ -305,6 +319,8 @@ def _product_codes(field, mode, raws, positions):
     cell[u * q + v] = q^k * h(u + v), with h = 1/2 for circ and 1 for
     diamond: entry (i, j) of x_a * x_b is h(R_i(a).C_j(b) + R_i(b).C_j(a)),
     so its code term is cell[scaled(R_i(a))[C_j(b)] + dots(C_j(a))[R_i(b)]].
+    The term is dropped when no row i meets the support of any column j, as
+    every dot product in it is then 0 and so is cell[0].
     """
     q, fadd, fmul = field.order, field.add, field.mul
     h = field.half_one if mode == CIRC else field.one
@@ -318,9 +334,11 @@ def _product_codes(field, mode, raws, positions):
     dots = functools.cache(lambda v: _matmul_raw(field, (vectors[v],), grid)[0])
     scaled = functools.cache(lambda v: [d * q for d in dots(v)])
     halves = [fmul(h, fadd(u, v)) for u in range(q) for v in range(q)]
+    reach = [{k for v in set(vs) for k, e in enumerate(vectors[v]) if e}
+             for vs in row_ids + col_ids]
     terms = [
         (row_ids[i], col_ids[j], [q ** k * w for w in halves])
-        for k, (i, j) in enumerate(positions)
+        for k, (i, j) in enumerate(positions) if reach[i] & reach[len(dims) + j]
     ]
 
     def codes(a):
@@ -330,7 +348,7 @@ def _product_codes(field, mode, raws, positions):
             v = map(dots(cc[a]).__getitem__, itertools.islice(rc, a, None))
             part = map(cell.__getitem__, map(add, u, v))
             out = part if out is None else map(add, out, part)
-        return out
+        return itertools.repeat(0, len(raws) - a) if out is None else out
 
     return codes
 
@@ -404,34 +422,30 @@ def check_multiplicative(phi, strategy=None):
 
     The exhaustive scan reads x * y from a product table built once per
     (field, n, mode, domain) and kept in a cache bounded to 8 tables, over
-    the domain matrices and index of `_domain`. Every image is evaluated
-    once, in domain order, before any pair is compared, so a map rejected
-    early has still been asked for every point.
+    the domain matrices and index of `_domain`. It reads image ids, one per
+    domain matrix, into the distinct images: a table body holds them; any
+    other body is evaluated once at every point, in domain order, before
+    any pair is compared, and its images are interned by raw rows.
 
     Only the upper triangle b >= a of the ordered pairs is visited, and this
-    is exact. Both products commute exactly, the table is symmetric and each
-    image is evaluated once per scan, so the pair (a, b) passes exactly when
-    (b, a) does. A pair with b < a was therefore already checked as (b, a) in
-    an earlier row, and the first violating pair in row-major domain_iter
-    order always has b >= a. The witness and `pairs_checked` (a*size + b + 1)
-    are those of that pair; an accepted scan covers, and reports, all
-    size*size ordered pairs.
+    is exact: both products commute, the table is symmetric and each point
+    has one image id, so (a, b) passes exactly when (b, a) does, and the
+    first violating pair in row-major domain_iter order has b >= a. The witness and `pairs_checked`
+    (a*size + b + 1) are those of that pair; an accepted scan covers, and
+    reports, all size*size ordered pairs.
 
-    Each row a, row 0 (x_0 = 0) included, is compared whole, and its first
-    difference is the witness:
+    Each row a is compared whole; its first difference is the witness:
 
-      * if every image lies in the domain, the ids phi(x_a * x_b) and the ids
-        of phi(x_a) * phi(x_b) are two gathers through the table, the second
-        kept per image id, so a constant map builds it once;
+      * if every image lies in the domain, the ids of phi(x_a * x_b) and of
+        phi(x_a) * phi(x_b) are two gathers through the table, the second
+        kept per image, so a constant map builds it once;
       * otherwise (a block embedding, a map into M_m with m != n, a
-        triangular map with a non-triangular image) every image is coded over
-        all m*m positions in base q, and the codes of phi(x_a * x_b) are
-        compared with those the kernel `_product_codes` gives for
-        phi(x_a) * phi(x_b). A product that is no image matches no image
-        code. The kernel's dot table holds only the row and column vectors
-        that occur among the images, at most m * size of each, and a row of
-        it is built when a scan row first needs it, so an early rejection
-        builds few.
+        triangular map with a non-triangular image) each distinct image is
+        coded over all m*m positions in base q, and the codes of
+        phi(x_a * x_b) are compared with those the kernel `_product_codes`
+        gives for phi(x_a) * phi(x_b). A product that is no image matches
+        no image code. The kernel tables only the dot products a scan row
+        needs, so an early rejection builds few.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -443,10 +457,13 @@ def check_multiplicative(phi, strategy=None):
                 f"exhaustive checking would need {size * size} pairs (cap {_PAIR_CAP})"
             )
         mats, index, table = _product_table(phi.field, phi.n, phi.mode, phi.domain)
+        distinct = {}  # images by raw rows, each to its id
+        ids, images = phi._table or (
+            [distinct.setdefault(phi(x).rows, len(distinct)) for x in mats], list(distinct))
         # every image lies over the map's field, so its raw rows give its
         # domain index, or None off the domain
-        images = [phi(x) for x in mats]
-        image = [index.get(fx.rows) for fx in images]
+        gather = itemgetter(*ids)
+        image = gather([index.get(rows) for rows in images])
         # every row whole: by ids if every image is a domain matrix, else by codes
         if None not in image:
             keys, at, rhs_rows = image, itemgetter(*image), {}
@@ -460,8 +477,8 @@ def check_multiplicative(phi, strategy=None):
         else:
             q, positions = phi.field.order, _free_positions(phi.m, "full")
             weights = [q ** k for k in range(len(positions))]
-            keys = [sum(map(mul, itertools.chain(*fx.rows), weights)) for fx in images]
-            codes = _product_codes(phi.field, phi.mode, [fx.rows for fx in images], positions)
+            keys = gather([sum(map(mul, itertools.chain(*rows), weights)) for rows in images])
+            codes = _product_codes(phi.field, phi.mode, gather(images), positions)
 
             def rhs_row(a, lhs):
                 # the pairs b < a passed as (b, a) in an earlier row

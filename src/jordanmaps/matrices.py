@@ -100,7 +100,7 @@ class Mat:
     def _check_same_shape(self, other):
         if not isinstance(other, Mat):
             raise TypeError(f"expected Mat, got {type(other).__name__}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("matrices over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -134,7 +134,7 @@ class Mat:
     def __matmul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
@@ -537,7 +537,7 @@ def block_diag(a, b):
 
 
 def _check_product_args(x, y):
-    if x.field != y.field:
+    if x.field is not y.field and x.field != y.field:
         raise ValueError("matrices over different fields")
     if not (x.is_square and y.is_square) or x.nrows != y.nrows:
         raise ValueError("Jordan products need square matrices of equal size")

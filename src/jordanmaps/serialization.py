@@ -10,7 +10,6 @@ validate structure and raise UnsupportedInput on anything malformed.
 
 import json
 from fractions import Fraction
-from functools import partial
 
 from .errors import UnsupportedInput
 from .exact_fields import RingEndo, Scalar, galois_field, prime_field, rational_field
@@ -91,9 +90,11 @@ def _decode_raw(field, obj):
     raise UnsupportedInput(f"{prefix} {obj!r}")
 
 
-def _memoized(decode):
-    """`decode` remembering each hashable encoding under (type, value), so
-    that 1, "1" and 1.0 stay apart; coefficient lists decode every time."""
+def _reader(field):
+    """A reader of `{"n", "m", "entries"}` objects to raw rows over `field`.
+    It remembers each hashable encoding under (type, value), so that 1, "1"
+    and 1.0 stay apart; coefficient lists decode every time. A well-formed
+    object is read without `_need`."""
     memo = {}
 
     def cached(obj):
@@ -101,12 +102,22 @@ def _memoized(decode):
         try:
             return memo[key]
         except KeyError:
-            raw = memo[key] = decode(obj)
+            raw = memo[key] = _decode_raw(field, obj)
             return raw
         except TypeError:
-            return decode(obj)
+            return _decode_raw(field, obj)
 
-    return cached
+    def read(obj):
+        get = obj.get if type(obj) is dict else {}.get
+        n, m, entries = get("n"), get("m"), get("entries")
+        if not (type(n) is int and type(m) is int and type(entries) is list):
+            n, m, entries = _need(obj, "n", int), _need(obj, "m", int), _need(obj, "entries", list)
+        if n < 1 or m < 1 or len(entries) != n * m:
+            raise UnsupportedInput(f"matrix claims {n}x{m} but carries {len(entries)} entries")
+        # m references to one iterator: zip deals its values out m to a row
+        return tuple(zip(*[map(cached, entries)] * m))
+
+    return read
 
 
 def scalar_from_json(field, obj):
@@ -121,18 +132,10 @@ def mat_to_json(m):
     }
 
 
-def mat_from_json(field, obj, decode=None):
-    """The matrix of a `{"n", "m", "entries"}` object. Each entry is decoded
-    once, straight to its raw value, by `decode` (default: `_decode_raw`
-    over `field`), and the raw rows become the matrix as they are."""
-    n = _need(obj, "n", int)
-    m = _need(obj, "m", int)
-    entries = _need(obj, "entries", list)
-    if n < 1 or m < 1 or len(entries) != n * m:
-        raise UnsupportedInput(f"matrix claims {n}x{m} but carries {len(entries)} entries")
-    # m references to one iterator: zip deals its entries out m to a row
-    raw = [map(decode or partial(_decode_raw, field), entries)] * m
-    return Mat._from_raw(field, tuple(zip(*raw)))
+def mat_from_json(field, obj):
+    """The matrix of a `{"n", "m", "entries"}` object: each entry decoded
+    once, straight to its raw value, and the raw rows kept as they are."""
+    return Mat._from_raw(field, _reader(field)(obj))
 
 
 # -- certificates ----------------------------------------------------------------
@@ -183,6 +186,8 @@ def table_to_json(phi):
 
 
 def map_from_json(obj):
+    """The table map of a map-table document. Every key and value is decoded
+    to raw rows before `JordanMap._tabled` places any; no key becomes a `Mat`."""
     _check_schema(obj)
     field = field_from_json(_need(obj, "field", dict))
     n = _need(obj, "n", int)
@@ -194,16 +199,14 @@ def map_from_json(obj):
     entries = _need(obj, "entries", list)
     if len(entries) != size:
         raise UnsupportedInput(f"table lists {len(entries)} entries for {size} domain matrices")
-    # a table repeats few encodings ("0", "1", ...): each is decoded once
-    decode = _memoized(partial(_decode_raw, field))
-    pairs = [
-        (
-            mat_from_json(field, _need(entry, "x", dict), decode),
-            mat_from_json(field, _need(entry, "fx", dict), decode),
-        )
-        for entry in entries
-    ]
-    return JordanMap.from_table(field, n, pairs, mode=mode, domain=domain)
+    read = _reader(field)
+
+    def pair(entry):
+        x, fx = (entry.get("x"), entry.get("fx")) if type(entry) is dict else (None, None)
+        return (read(x if type(x) is dict else _need(entry, "x", dict)),
+                read(fx if type(fx) is dict else _need(entry, "fx", dict)))
+
+    return JordanMap._tabled(field, n, list(map(pair, entries)), mode, domain)
 
 
 # -- endomorphisms and canonical forms --------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 import tracemalloc
@@ -27,8 +28,9 @@ from jordanmaps import (
     rational_field,
 )
 from jordanmaps import maps
-from jordanmaps.maps import _domain, _product_table
+from jordanmaps.maps import _domain, _free_positions, _product_codes, _product_table
 from jordanmaps.matrices import _raw_draw, random_mat
+from jordanmaps.serialization import dumps, map_from_json, table_to_json
 
 F2 = preset_field("F2")
 F3 = preset_field("F3")
@@ -74,6 +76,17 @@ class TestFromTable:
         with pytest.raises(UnsupportedInput, match="capped at 10000"):
             JordanMap.from_oracle(F3, 3, lambda x: x).domain_iter()
         assert time.process_time() - start < 0.1
+
+    # both sides of the bound n < 14: 2^13 < 10^4 < 2^14, so n = 14 and up
+    # are refused by the bound on n, and n = 13 over F_2 by the cap
+    @pytest.mark.parametrize("n, detail", [
+        (14, "map tables need 1 <= n < 14, got 14"),
+        (13, f"domain has {2 ** 169} matrices; tables are capped at 10000"),
+    ])
+    def test_size_bound(self, n, detail):
+        with pytest.raises(UnsupportedInput) as exc:
+            JordanMap.from_table(F2, n, {})
+        assert str(exc.value) == detail
 
     def test_infinite_fields_rejected(self):
         from jordanmaps import rational_field
@@ -399,11 +412,12 @@ def test_exhaustive_check_matches_reference_scan(case):
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
 @pytest.mark.parametrize("kind", ["conjugation", "constant", "constant-to-M1", "block-to-M4"])
-def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode):
+def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode, monkeypatch):
     # every single-entry mutation of an M_2(F_3) table, by two values each,
-    # read through an oracle that records the points it is asked for; the
-    # last two kinds have every image outside the domain, so each row, row 0
-    # included, is compared by codes
+    # read through an oracle that records the points it is asked for, and
+    # as a table decoded from its JSON text; the last two kinds have every
+    # image outside the domain, so each row, row 0 included, is compared by
+    # codes
     h = 1 if mode == CIRC else 2  # E_11 is idempotent for circ, E_11 / 2 = 2 E_11 for diamond
     if kind == "conjugation":
         base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]), transpose=True, mode=mode)
@@ -416,6 +430,9 @@ def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode):
     m = base.m
     genuine = {x: base(x) for x in base.domain_iter()}
     shifts = (mat_identity(F3, m), mat_unit(F3, m, 1, 2) if m > 1 else mat_unit(F3, 1, 1, 1, 2))
+    calls = []
+    call = JordanMap.__call__
+    monkeypatch.setattr(JordanMap, "__call__", lambda phi, x: calls.append(phi) or call(phi, x))
     reports = []
     for x in genuine:
         for shift in shifts:
@@ -429,8 +446,16 @@ def test_exhaustive_check_matches_reference_scan_at_every_mutation(kind, mode):
             # every image is asked for exactly once, in domain order, before
             # any pair is compared
             assert asked == list(genuine)
-            assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+            expected = _reference_scan(phi)
+            assert (report.ok, report.pairs_checked, report.witness) == expected
             reports.append(report)
+            table = JordanMap.from_table(F3, 2, entries, mode=mode)
+            decoded = map_from_json(json.loads(dumps(table_to_json(table))))
+            del calls[:]
+            report = check_multiplicative(decoded, Strategy.exhaustive())
+            # the scan reads the decoded table's image ids, never the map
+            assert calls == []
+            assert (report.ok, report.pairs_checked, report.witness) == expected
     assert any(not r.ok and r.pairs_checked <= len(genuine) for r in reports)
 
 
@@ -463,6 +488,22 @@ def test_exhaustive_scan_outside_the_domain_forms_no_product(monkeypatch):
     assert report.ok and report.pairs_checked == 81 * 81
     assert asked == list(phi.domain_iter())
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("m", [2, 4])
+def test_kernel_drops_terms_that_are_always_zero(m, mode):
+    # no row of E_12 shares a support index with a column of E_12, so every
+    # term of the kernel drops and every product code is 0 (E_12^2 = 0); a
+    # constant E_12 table is rejected at (0, 0), through ids into M_2 and
+    # through codes into M_4
+    e12 = mat_unit(F3, m, 1, 2)
+    codes = _product_codes(F3, mode, [e12.rows] * 81, _free_positions(m, "full"))
+    assert [list(codes(a)) for a in (0, 40, 80)] == [[0] * 81, [0] * 41, [0]]
+    phi = JordanMap.from_table(F3, 2, {x: e12 for x in _domain(F3, 2, "full")[0]}, mode=mode)
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+    assert report.pairs_checked == 1
 
 
 def test_exhaustive_scan_outside_the_domain_stops_early():

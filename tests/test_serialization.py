@@ -277,6 +277,135 @@ def test_table_shape_checked_before_decoding(n, domain, count, detail):
     assert str(exc.value) == detail
 
 
+def _valid_table(case):
+    # M_2(F_3) under a transposed conjugation, T_2(F_5) under transposition
+    # (its values leave the triangular domain, which a value may)
+    if case == "M2F3":
+        base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]), transpose=True)
+        return table_to_json(JordanMap.from_table(F3, 2, {x: base(x) for x in base.domain_iter()}))
+    xs = JordanMap.from_oracle(F5, 2, None, domain="upper_triangular").domain_iter()
+    return table_to_json(
+        JordanMap.from_table(F5, 2, {x: x.transpose() for x in xs}, domain="upper_triangular")
+    )
+
+
+def _set(part, key, value):
+    def fault(blob, k):
+        blob["entries"][k][part][key] = value
+    return fault
+
+
+def _pop(key, part=None):
+    def fault(blob, k):
+        (blob["entries"][k][part] if part else blob["entries"][k]).pop(key)
+    return fault
+
+
+def _fx_entry(i, value):
+    def fault(blob, k):
+        blob["entries"][k]["fx"]["entries"][i] = value
+    return fault
+
+
+def _duplicate(blob, k):
+    # entry k repeats the key of its neighbour
+    entries = blob["entries"]
+    entries[k]["x"] = json.loads(json.dumps(entries[k + 1 if k == 0 else k - 1]["x"]))
+
+
+def _short(part):
+    def fault(blob, k):
+        blob["entries"][k][part]["entries"].pop()
+    return fault
+
+
+def _resized(part, n, m):
+    def fault(blob, k):
+        blob["entries"][k][part] = {"n": n, "m": m, "entries": ["0"] * (n * m)}
+    return fault
+
+
+def _lower_key(blob, k):
+    # a nonzero entry below the diagonal of a T_2 key
+    blob["entries"][k]["x"]["entries"][2] = "1"
+
+
+_REFUSALS = {
+    "missing_x": (_pop("x"), "missing key 'x' in JSON object"),
+    "missing_fx": (_pop("fx"), "missing key 'fx' in JSON object"),
+    "entry_not_an_object": (
+        lambda blob, k: blob["entries"].__setitem__(k, ["x", "fx"]),
+        "missing key 'x' in JSON object",
+    ),
+    "missing_n": (_pop("n", "x"), "missing key 'n' in JSON object"),
+    "missing_m": (_pop("m", "fx"), "missing key 'm' in JSON object"),
+    "missing_entries": (_pop("entries", "x"), "missing key 'entries' in JSON object"),
+    "boolean_size": (_set("fx", "n", True), "key 'n' has unexpected type bool"),
+    "matrix_claims": (_short("x"), "matrix claims 2x2 but carries 3 entries"),
+    "bad_scalar": (
+        _fx_entry(1, "z"), "bad scalar encoding 'z': invalid literal for int() with base 10: 'z'"
+    ),
+    "key_size": (_resized("x", 1, 1), "table key outside the declared domain"),
+    "non_square_value": (
+        _resized("fx", 1, 4), "table value must be a square matrix over the same field"
+    ),
+    "inconsistent_values": (_resized("fx", 3, 3), "table values have inconsistent sizes"),
+    "duplicate_key": (_duplicate, "duplicate table key"),
+}
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize(
+    "case, fault",
+    [("M2F3", name) for name in _REFUSALS]
+    + [("T2F5", name) for name in _REFUSALS]
+    + [("T2F5", "non_triangular_key")],
+)
+def test_map_from_json_refusals(case, fault, at):
+    blob = _valid_table(case)
+    size = len(blob["entries"])
+    k = {"first": 0, "middle": size // 2, "last": size - 1}[at]
+    inject, detail = _REFUSALS.get(fault) or (_lower_key, "table key outside the declared domain")
+    inject(blob, k)
+    with pytest.raises(UnsupportedInput) as exc:
+        map_from_json(blob)
+    assert str(exc.value) == detail
+
+
+# two faults, at entries given 1-based: every decoding refusal of any entry
+# comes before every refusal of a decoded table, each kind in entry order,
+# the key before the value, and within one matrix n, m, entries, then scalars
+_PRECEDENCE = [
+    ((_duplicate, 2), (_fx_entry(0, "z"), 80),
+     "bad scalar encoding 'z': invalid literal for int() with base 10: 'z'"),
+    ((_resized("fx", 1, 4), 1), (_pop("fx"), 81), "missing key 'fx' in JSON object"),
+    ((_resized("x", 1, 1), 5), (_duplicate, 3), "duplicate table key"),
+    ((_resized("fx", 1, 4), 3), (_resized("x", 3, 3), 3), "table key outside the declared domain"),
+    ((_resized("fx", 3, 3), 4), (_duplicate, 4), "table values have inconsistent sizes"),
+    ((_resized("fx", 1, 4), 40), (_resized("fx", 3, 3), 41),
+     "table value must be a square matrix over the same field"),
+    ((_pop("n", "fx"), 1), (_short("x"), 1), "matrix claims 2x2 but carries 3 entries"),
+    ((_fx_entry(3, "y"), 40), (_set("x", "entries", ["0", "0", "0", "w"]), 40),
+     "bad scalar encoding 'w': invalid literal for int() with base 10: 'w'"),
+    ((_set("fx", "n", True), 7), (_pop("entries", "fx"), 7), "key 'n' has unexpected type bool"),
+    ((_pop("m", "x"), 9), (_set("x", "n", 0), 9), "missing key 'm' in JSON object"),
+]
+
+
+@pytest.mark.parametrize("first, second, detail", _PRECEDENCE, ids=[
+    "duplicate_then_bad_scalar", "non_square_then_missing_fx", "outside_then_earlier_duplicate",
+    "key_before_value", "size_before_duplicate", "non_square_then_inconsistent",
+    "x_before_fx", "x_scalar_before_fx_scalar", "n_before_entries", "m_before_claims",
+])
+def test_map_from_json_refusal_precedence(first, second, detail):
+    blob = _valid_table("M2F3")
+    for inject, entry in (first, second):
+        inject(blob, entry - 1)
+    with pytest.raises(UnsupportedInput) as exc:
+        map_from_json(blob)
+    assert str(exc.value) == detail
+
+
 def test_table_to_json_requires_table_body():
     with pytest.raises(UnsupportedInput):
         table_to_json(JordanMap.conjugation(mat_identity(F5, 2)))
