@@ -437,8 +437,7 @@ def check_multiplicative(phi, strategy=None):
     Each row a is compared whole; its first difference is the witness:
 
       * if every image lies in the domain, the ids of phi(x_a * x_b) and of
-        phi(x_a) * phi(x_b) are two gathers through the table, the second
-        kept per image, so a constant map builds it once;
+        phi(x_a) * phi(x_b) are two gathers through the table;
       * otherwise (a block embedding, a map into M_m with m != n, a
         triangular map with a non-triangular image) each distinct image is
         coded over all m*m positions in base q, and the codes of
@@ -446,6 +445,11 @@ def check_multiplicative(phi, strategy=None):
         gives for phi(x_a) * phi(x_b). A product that is no image matches
         no image code. The kernel tables only the dot products a scan row
         needs, so an early rejection builds few.
+
+    Either way the right-hand side of a row is kept under the row's image
+    id: it depends on phi(x_a) alone, and a row that passed whole holds the
+    right-hand side of every later row with the same image, so a constant
+    map builds it once.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -466,13 +470,10 @@ def check_multiplicative(phi, strategy=None):
         image = gather([index.get(rows) for rows in images])
         # every row whole: by ids if every image is a domain matrix, else by codes
         if None not in image:
-            keys, at, rhs_rows = image, itemgetter(*image), {}
+            keys, at = image, itemgetter(*image)
 
             def rhs_row(a, lhs):
-                rhs = rhs_rows.get(image[a])
-                if rhs is None:
-                    rhs = rhs_rows[image[a]] = at(table[image[a]])
-                return rhs
+                return at(table[image[a]])
 
         else:
             q, positions = phi.field.order, _free_positions(phi.m, "full")
@@ -484,9 +485,12 @@ def check_multiplicative(phi, strategy=None):
                 # the pairs b < a passed as (b, a) in an earlier row
                 return lhs[:a] + tuple(codes(a))
 
+        rhs_rows = {}  # image id -> the right-hand side of its rows
         for a in range(size):
             lhs = itemgetter(*table[a])(keys)
-            rhs = rhs_row(a, lhs)
+            rhs = rhs_rows.get(ids[a])
+            if rhs is None:
+                rhs = rhs_rows[ids[a]] = rhs_row(a, lhs)
             if lhs != rhs:
                 b = next(b for b in range(a, size) if lhs[b] != rhs[b])
                 return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))

@@ -13,7 +13,12 @@ Both Jordan products live here:
 Products over Q lift each operand to integers over its common denominator
 and build a `Fraction` only per result entry; products over F_{p^k}, in
 every characteristic, sum in the log domain through the field's Zech table
-(see exact_fields).
+(see exact_fields). Both Jordan products read ab + ba as [a | b] @ [b ; a].
+An all-zero row of [a | b] or column of [b ; a] gives zero entries, since
+every term of their dot products is 0; over F_p and Q those dot products
+are not computed, and over F_{p^k} the log-domain sums skip zero terms
+anyway. The steps of a certificate chain have few nonzero rows and
+columns, so replaying one costs about what those rows and columns hold.
 
 `conjugator(a, b, w, transpose)` prepares the map x -> a @ w(x)^t @ b once,
 the shape of every twisted conjugation T w(X)^t T^-1 the package evaluates,
@@ -34,7 +39,7 @@ discrete logs through the Zech table over F_{p^k}.
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import UnsupportedInput
 from .exact_fields import Scalar
@@ -271,22 +276,40 @@ def _matmul_raw(field, a_rows, b_rows):
 
 
 def _jordan_raw(field, a_rows, b_rows, circ):
-    """Rows of ab + ba for square a, b of one size, halved when `circ`."""
+    """Rows of ab + ba for square a, b of one size, halved when `circ`.
+
+    ab + ba = [a | b] @ [b ; a]: entry (i, j) is the dot product of row i of
+    [a | b] with column j of [b ; a]. When that row or that column is all
+    zero, every term of the dot product is 0, so the entry is the field's
+    zero and no dot product is computed for it. Which rows and columns are
+    zero is read off the operands on every call, and the result is the one
+    the full products give. Over F_{p^k} the log-domain sums of
+    `_galois_products` already visit only a row's nonzero entries.
+    """
     kind = field.kind
     if kind == "rational":
         # products over Q run on the lifted integers, each operand lifted once
         (da, a_rows), (db, b_rows) = _lift(a_rows), _lift(b_rows)
-    # ab + ba = [a | b] @ [b ; a]
     rows = [ra + rb for ra, rb in zip(a_rows, b_rows)]
-    cols = [cb + ca for cb, ca in zip(zip(*b_rows), zip(*a_rows))]
+    cols = map(add, zip(*b_rows), zip(*a_rows))
+    if kind == "galois":
+        shift = field._log[field.half_one] if circ else 0
+        return _galois_products(field, _log_rows(field, rows), _log_cols(field, cols), shift)
+    # an all-zero column becomes (), which marks its entries as zero
+    cols = [c if any(c) else () for c in cols]
+    zero = field.zero
+    blank = (zero,) * len(cols)
     if kind == "prime":
         p, h = field.p, field.half_one if circ else 1
-        return tuple(tuple(sum(map(mul, r, c)) * h % p for c in cols) for r in rows)
-    if kind == "rational":
-        d = da * db * (2 if circ else 1)
-        return tuple(tuple(Fraction(sum(map(mul, r, c)), d) for c in cols) for r in rows)
-    shift = field._log[field.half_one] if circ else 0
-    return _galois_products(field, _log_rows(field, rows), _log_cols(field, cols), shift)
+        return tuple(
+            tuple(sum(map(mul, r, c)) * h % p if c else zero for c in cols) if any(r) else blank
+            for r in rows
+        )
+    d = da * db * (2 if circ else 1)
+    return tuple(
+        tuple(Fraction(sum(map(mul, r, c)), d) if c else zero for c in cols) if any(r) else blank
+        for r in rows
+    )
 
 
 def _lift(rows):
@@ -512,14 +535,9 @@ def mat_unit(field, n, i, j, value=1):
     """The matrix unit E_ij (scaled by `value`), 1-based indices."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"unit index ({i},{j}) out of range for n={n}")
-    raw = field.of(value)
-    zero = field.zero
-    return Mat._from_raw(
-        field,
-        tuple(
-            tuple(raw if (r, c) == (i - 1, j - 1) else zero for c in range(n)) for r in range(n)
-        ),
-    )
+    blank = (field.zero,) * n
+    row = blank[: j - 1] + (field.of(value),) + blank[j:]
+    return Mat._from_raw(field, (blank,) * (i - 1) + (row,) + (blank,) * (n - i))
 
 
 def block_diag(a, b):

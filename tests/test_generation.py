@@ -253,6 +253,28 @@ class TestReplay:
         assert not verdict.ok
         assert verdict.failed_step == 3
 
+    @pytest.mark.parametrize("field", [F5, Q, F9], ids=["F5", "Q", "F9"])
+    def test_tampered_zero_row_is_located(self, field):
+        # a climb row that is zero in the current matrix and the multiplier
+        # is zero in their product, and the kernel computes none of its
+        # entries; a nonzero recorded there still fails that step
+        n = 4
+        cert = certify_identity(random_mat(field, n, random.Random(29)))
+        climb = len(cert) - 3 * (n - 1)
+        tampered = 0
+        for t in range(climb, len(cert)):
+            current, (y, res) = cert.steps[t - 1][1], cert.steps[t]
+            for i in range(n):
+                if any(current.rows[i]) or any(y.rows[i]):
+                    continue
+                steps = list(cert.steps)
+                steps[t] = (y, res + mat_unit(field, n, i + 1, n - i))
+                verdict = replay(Certificate(start=cert.start, steps=tuple(steps)))
+                assert (verdict.ok, verdict.failed_step, verdict.reason) == (
+                    False, t + 1, "recorded result differs from recomputation")
+                tampered += 1
+        assert tampered == 16
+
     def test_tampered_multiplier_is_located(self):
         cert = certify_identity(Mat(F5, [[1, 2], [3, 4]]))
         steps = list(cert.steps)

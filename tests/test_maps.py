@@ -506,6 +506,25 @@ def test_kernel_drops_terms_that_are_always_zero(m, mode):
     assert report.pairs_checked == 1
 
 
+@pytest.mark.parametrize("value", [0, 1])
+def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
+    # a constant M_2(F_3) -> M_1 table passes, and every row has the one
+    # image: the kernel's codes run for row 0 only, not for all 81 rows
+    _product_table(F3, 2, CIRC, "full")  # built before the count starts
+    rows = []
+
+    def counting(*args):
+        codes = _product_codes(*args)
+        return lambda a: rows.append(a) or codes(a)
+
+    monkeypatch.setattr(maps, "_product_codes", counting)
+    c = Mat(F3, [[value]])
+    phi = JordanMap.from_table(F3, 2, {x: c for x in _domain(F3, 2, "full")[0]})
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == (True, 81 * 81, None)
+    assert rows == [0]
+
+
 def test_exhaustive_scan_outside_the_domain_stops_early():
     # a random M_2(F_5) -> M_4(F_5) table with phi(0) = 0 passes row 0 and
     # fails at (E_11, E_11); the scan tables only the dot products row 1 needs

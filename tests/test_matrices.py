@@ -180,11 +180,21 @@ def _canonical(field, m):
     return all(type(v) is int and 0 <= v < field.order for row in m.rows for v in row)
 
 
-def _kernel_mats(field, n):
+def _kernel_mats(field, n, shape="dense"):
+    """Rows of an n x n matrix: every entry drawn ("dense"), about three in
+    four entries 0 ("sparse"), or one drawn entry at a drawn position, so a
+    scaled matrix unit ("unit")."""
     if field.is_finite:
         entry = st.integers(min_value=0, max_value=field.order - 1)
     else:
         entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    if shape == "unit":
+        return st.builds(
+            lambda i, j, v: [[v if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)],
+            st.integers(0, n - 1), st.integers(0, n - 1), entry,
+        )
+    if shape == "sparse":
+        entry = st.tuples(st.integers(0, 3), entry).map(lambda t: t[1] if t[0] == 0 else 0)
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
@@ -194,9 +204,13 @@ def _kernel_mats(field, n):
 @given(data=st.data())
 def test_jordan_products_match_reference(field, n, data):
     """Matmul, both Jordan products, rank and inverse against references
-    on field arithmetic; singular inputs raise and entries stay canonical."""
-    rows = _kernel_mats(field, n)
-    x, y = Mat(field, data.draw(rows)), data.draw(rows)
+    on field arithmetic; singular inputs raise and entries stay canonical.
+    Each operand is dense, sparse or a matrix unit, so the Jordan kernel
+    meets all-zero rows of [x | y], all-zero columns of [y ; x] and
+    all-zero results, and Galois sums that cancel."""
+    shapes = st.sampled_from(["dense", "sparse", "unit"])
+    x = Mat(field, data.draw(_kernel_mats(field, n, data.draw(shapes))))
+    y = data.draw(_kernel_mats(field, n, data.draw(shapes)))
     if n > 1 and data.draw(st.booleans()):
         # a repeated row makes y singular
         y[-1] = y[0]
@@ -226,6 +240,30 @@ def test_jordan_products_match_reference(field, n, data):
         else:
             inv = z.inverse()
             assert inv.rows == expected and _canonical(field, inv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS.values()), ids=list(KERNEL_FIELDS))
+def test_mat_unit_every_position(field, n):
+    """E_ij scaled by an int, a `Scalar` and a string at every position
+    equals the matrix written out by hand, with canonical entries (Q's zeros
+    are Fractions); out-of-range indices and foreign scalars are refused."""
+    values = [1, 2, field.scalar(2), "2", "-1"]
+    if field.kind == "rational":
+        values += ["3/2", Fraction(-5, 7)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for value in values:
+                unit = mat_unit(field, n, i, j, value)
+                expected = [[0] * n for _ in range(n)]
+                expected[i - 1][j - 1] = value
+                assert unit == Mat(field, expected) and _canonical(field, unit)
+    for i, j in [(0, 1), (1, 0), (n + 1, 1), (1, n + 1), (0, n + 1)]:
+        with pytest.raises(ValueError, match=rf"^unit index \({i},{j}\) out of range for n={n}$"):
+            mat_unit(field, n, i, j)
+    other = F5 if field.kind != "prime" else F9
+    with pytest.raises(ValueError, match=f"^scalar from {other.name()} used in {field.name()}$"):
+        mat_unit(field, n, 1, 1, other.scalar(1))
 
 
 CONJUGATOR_FIELDS = {**KERNEL_FIELDS, "F5": F5}
