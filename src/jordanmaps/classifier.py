@@ -23,7 +23,8 @@ be found (NotJordanMultiplicative): each stage that finds psi wrong at a
 point x (for the diamond product a point x of phi is the point 2x of psi)
 tries the one list `_aimed` of circ pairs aimed at x, halved for a diamond
 map so that each is a pair of phi in its own product, then seeded random
-pairs, through the one pair scan `maps._first_violation`.
+pairs. Those pairs, the points of a form check and the preservation
+suite's samples all go through the one failure scan `maps._first_failure`.
 Structural failures where no witness pair surfaced within budget raise
 InvariantViolation tagged with the stage that broke.
 """
@@ -43,7 +44,8 @@ from .exact_fields import RingEndo, Scalar, endo_enumerate
 from .maps import (
     CIRC,
     DIAMOND,
-    _first_violation,
+    _breaks_law,
+    _first_failure,
     _free_positions,
     _resolve_strategy,
     _sampled_pairs,
@@ -144,7 +146,7 @@ def _reject(phi, stage, detail, targeted=(), culprit=None, seed=0):
     confirmed pair raises NotJordanMultiplicative; otherwise the structural
     failure is raised with its stage tag."""
     pairs = chain(targeted, _sampled_pairs(phi, seed + 1, _SCAN_BUDGET))
-    _, witness = _first_violation(phi, pairs)
+    witness, _ = _first_failure(pairs, _breaks_law(phi))
     if witness is not None:
         raise NotJordanMultiplicative(detail, witness=witness)
     raise InvariantViolation(stage, detail, witness=culprit)
@@ -206,15 +208,12 @@ def _verification_points(phi, strategy):
         yield phi.sample_domain(rng)
 
 
-def _first_mismatch(phi, expected, points):
-    """The first of the given points x with phi(x) != expected(x), or None,
-    and the number of points checked."""
-    checked = 0
-    for x in points:
-        checked += 1
-        if phi(x) != expected(x):
-            return x, checked
-    return None, checked
+def _form_mismatch(phi, form, strategy):
+    """The form check of classify and `verify --form`: the first of
+    `_verification_points` where phi disagrees with the form, or None, and
+    the number of points checked."""
+    return _first_failure(_verification_points(phi, strategy),
+                          lambda x: phi(x) != form.evaluate(x))
 
 
 def _normalize_t(t):
@@ -281,7 +280,7 @@ def classify_with_report(phi, verification=None):
 
     def accept(stage, detail, form):
         # every form is Jordan multiplicative: agreeing with one pointwise settles phi
-        x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
+        x, points = _form_mismatch(phi, form, strategy)
         if x is not None:
             reject(stage, detail, x)
         report["stages"].append(stage)
@@ -351,7 +350,7 @@ def classify_with_report(phi, verification=None):
         )
         units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
-        x, _ = _first_mismatch(phic, form.evaluate, read)
+        x, _ = _first_failure(read, lambda x: phic(x) != form.evaluate(x))
     if x is not None:
         reject("endomorphism",
                "map disagrees with the reconstructed form at a unit or on the line through E_11",
@@ -463,12 +462,8 @@ def preservation_suite(phi, samples=20, seed=0):
         if skip:
             items.append(ItemResult(item, label, ok=True, skipped=skip))
             return
-        witness, done = None, 0
-        for _ in range(samples):
-            done += 1
-            witness = body()
-            if witness is not None:
-                break
+        witnesses = (body() for _ in range(samples))
+        witness, done = _first_failure(witnesses, lambda w: w is not None)
         items.append(ItemResult(item, label, ok=witness is None,
                                 checked=done, witness=witness))
 

@@ -27,8 +27,7 @@ import time
 
 from .classifier import (
     CanonicalForm,
-    _first_mismatch,
-    _verification_points,
+    _form_mismatch,
     classify_with_report,
     forms_equivalent,
 )
@@ -255,7 +254,7 @@ def cmd_verify(args, report):
             raise UnsupportedInput("form and map disagree on field, size, or mode")
         strategy = _parse_strategy(args.verify or "exhaustive")
         report["strategy"] = strategy.describe()
-        x, points = _first_mismatch(phi, form.evaluate, _verification_points(phi, strategy))
+        x, points = _form_mismatch(phi, form, strategy)
         if x is not None:
             return 3, {"status": "mismatch", "at": mat_to_json(x), "points": points}
         return 0, {"status": "verified", "points": points}

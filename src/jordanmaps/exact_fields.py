@@ -147,6 +147,10 @@ class Field:
         self.modulus = modulus
         self.order = p ** k if kind != "rational" else None
         self.char = p
+        self.is_finite = kind != "rational"
+        self.char2 = p == 2
+        self.zero = 0 if self.is_finite else Fraction(0)
+        self.one = 1 if self.is_finite else Fraction(1)
         self._log = None
         self._exp = None
         self._zech = None
@@ -171,23 +175,7 @@ class Field:
             return f"F{self.p}"
         return f"F{self.order}"
 
-    @property
-    def is_finite(self):
-        return self.kind != "rational"
-
-    @property
-    def char2(self):
-        return self.p == 2
-
     # -- raw arithmetic -----------------------------------------------------
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
 
     def add(self, a, b):
         if self.kind == "rational":
@@ -323,7 +311,7 @@ class Field:
         if isinstance(x, str):
             x = int(x)
         if isinstance(x, int):
-            return x % self.p if self.kind == "prime" else _undigits([x % self.p], self.p)
+            return x % self.p
         if self.kind == "galois" and isinstance(x, (list, tuple)):
             if len(x) > self.k:
                 raise ValueError(f"coefficient list longer than degree {self.k}")

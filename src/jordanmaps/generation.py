@@ -231,7 +231,7 @@ def certify_identity(x):
     prefix = reach_unit(x)
     f, n = x.field, x.nrows
     steps = list(prefix.steps)
-    land = next(i for i in range(1, n + 1) if prefix.final == mat_unit(f, n, i, i))
+    ((land, _),) = prefix.final.support()  # the reach ends at E_ll, verified
     for y, expected in spread_units(f, n, land, 1):
         _extend(x, steps, y, expected)
     steps.extend(_climb(f, n))
@@ -253,10 +253,12 @@ def replay(cert):
     current = cert.start
     total = len(cert.steps)
     for t, (y, expected) in enumerate(cert.steps, start=1):
-        if (y.field != current.field or not y.is_square
-                or (y.nrows, y.ncols) != (current.nrows, current.ncols)):
+        try:
+            recomputed = jordan_circ(current, y)
+        except ValueError:
+            # its argument check: two square matrices of one size over one
+            # field are required, and the kernel raises no ValueError
             return ReplayResult(False, t, "multiplier shape/field mismatch")
-        recomputed = jordan_circ(current, y)
         if recomputed != expected:
             return ReplayResult(False, t, "recorded result differs from recomputation")
         if recomputed.is_zero and t < total:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from operator import add, itemgetter, mul
 
 from .errors import UnsupportedInput
+from .exact_fields import Scalar
 from .matrices import (
     Mat,
     _matmul_raw,
@@ -388,15 +389,23 @@ def _sampled_pairs(phi, seed, count):
         yield x, phi.sample_domain(rng)
 
 
-def _first_violation(phi, pairs):
-    """Scan `pairs` for the first (x, y) with phi(x * y) != phi(x) * phi(y);
-    returns (pairs checked, that pair or None)."""
+def _first_failure(items, fails):
+    """The one failure scan: the first of `items` for which `fails` holds,
+    or None, and how many items were checked. It draws lazily and stops at
+    that item, so a generator of items is consumed no further."""
     checked = 0
-    for x, y in pairs:
+    for item in items:
         checked += 1
-        if phi(phi.product(x, y)) != phi.product(phi(x), phi(y)):
-            return checked, (x, y)
-    return checked, None
+        if fails(item):
+            return item, checked
+    return None, checked
+
+
+def _breaks_law(phi):
+    """The pair law of phi's product, as a test: does the pair (x, y) have
+    phi(x * y) != phi(x) * phi(y)?"""
+    product = phi.product
+    return lambda pair: phi(product(*pair)) != product(phi(pair[0]), phi(pair[1]))
 
 
 @dataclass(frozen=True)
@@ -496,7 +505,7 @@ def check_multiplicative(phi, strategy=None):
                 return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
         return MultReport(True, size * size, "exhaustive")
     pairs = _sampled_pairs(phi, strategy.seed, strategy.pair_budget)
-    checked, witness = _first_violation(phi, pairs)
+    witness, checked = _first_failure(pairs, _breaks_law(phi))
     return MultReport(witness is None, checked, strategy.describe(), witness)
 
 
@@ -514,7 +523,7 @@ def diamond_to_circ(phi):
         # subfield, so the halving and doubling cancel exactly.
         return JordanMap(f, phi.n, CIRC, ("conjugation", phi._fn), m=phi.m)
     # lazy: the classifier reads psi at a few dozen points, not the whole domain
-    half = f.scalar(1) / f.scalar(2)
+    half = Scalar(f, f.half_one)
     return JordanMap(
         f,
         phi.n,

@@ -79,7 +79,7 @@ class Mat:
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.rows == other.rows
         )
 
@@ -508,10 +508,8 @@ def random_invertible(field, n, rng):
 # -- module-level constructors and operations ---------------------------------
 
 
-def mat_zero(field, n, m=None):
-    m = n if m is None else m
-    zero = field.zero
-    return Mat._from_raw(field, tuple(tuple(zero for _ in range(m)) for _ in range(n)))
+def mat_zero(field, n):
+    return Mat._from_raw(field, ((field.zero,) * n,) * n)
 
 
 def mat_identity(field, n):

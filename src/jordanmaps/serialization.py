@@ -224,21 +224,13 @@ def endo_from_json(field, obj):
 
 
 def form_to_json(form):
-    out = {
-        "schema": SCHEMA,
-        "variant": form.variant,
-        "mode": form.mode,
-        "field": field_to_json(form.field),
-        "n": form.n,
-    }
-    if form.m != form.n:
-        out["m"] = form.m
+    """The form's `describe()` (variant, mode, n, and m, ω and transpose
+    where they apply) with the schema, the field and its T or idempotent."""
+    out = {"schema": SCHEMA, **form.describe(), "field": field_to_json(form.field)}
     if form.variant == "constant_idempotent":
         out["idempotent"] = mat_to_json(form.idempotent)
     if form.variant == "conjugation":
         out["T"] = mat_to_json(form.t)
-        out["omega"] = form.omega.describe()
-        out["transpose"] = form.transpose
     return out
 
 

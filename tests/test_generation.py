@@ -6,6 +6,7 @@ import pytest
 from jordanmaps import (
     Certificate,
     Mat,
+    ReplayResult,
     UnsupportedInput,
     certify_identity,
     jordan_circ,
@@ -178,6 +179,16 @@ class TestCertify:
                     a = ladder(field, n, r).a
                     assert climb[3 * (r - 2)] == (a, a)
 
+    def test_reach_landing_off_index_one(self):
+        # the only off-diagonal pivot (2, 3) avoids index 1: the reach lands
+        # at E_22 and the re-anchoring carries it to E_11
+        cert = certify_identity(mat_unit(F5, 3, 2, 3))
+        assert len(cert) == 13
+        results = cert.results()
+        assert results[3] == mat_unit(F5, 3, 2, 2)
+        assert results[6] == mat_unit(F5, 3, 1, 1)
+        assert bool(replay(cert))
+
     def test_certificates_are_frozen(self):
         digest = hashlib.sha256()
         for cert in seeded_certificates():
@@ -291,6 +302,17 @@ class TestReplay:
         assert not verdict.ok
         assert verdict.failed_step == 1
         assert verdict.reason == "multiplier shape/field mismatch"
+
+    @pytest.mark.parametrize("multiplier", [
+        mat_identity(F7, 2),
+        Mat(F5, [[1, 0, 0], [0, 1, 0]]),
+    ], ids=["F7_in_F5", "non_square"])
+    def test_bad_step_two_multiplier_is_reported(self, multiplier):
+        cert = certify_identity(Mat(F5, [[1, 2], [3, 4]]))
+        steps = list(cert.steps)
+        steps[1] = (multiplier, steps[1][1])
+        verdict = replay(Certificate(start=cert.start, steps=tuple(steps)))
+        assert verdict == ReplayResult(False, 2, "multiplier shape/field mismatch")
 
     def test_wrong_final_value(self):
         cert = reach_unit(Mat(F5, [[0, 3], [0, 0]]))

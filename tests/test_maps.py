@@ -211,7 +211,7 @@ def test_oracle_output_validated():
 
 def test_oracle_output_must_be_square():
     # rows right, columns wrong: refused at the call, not inside a product
-    phi = JordanMap.from_oracle(F5, 2, lambda x: mat_zero(F5, 2, 3))
+    phi = JordanMap.from_oracle(F5, 2, lambda x: Mat(F5, [[0, 0, 0], [0, 0, 0]]))
     with pytest.raises(UnsupportedInput, match="oracle returned a value outside M_m"):
         phi(mat_zero(F5, 2))
     with pytest.raises(UnsupportedInput, match="oracle returned a value outside M_m"):
