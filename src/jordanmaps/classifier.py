@@ -363,7 +363,7 @@ def classify_with_report(phi, verification=None):
 def forms_equivalent(a, b):
     """Do two canonical forms define the same map? Conjugation forms compare
     modulo scaling of T; everything else compares on the nose."""
-    if (a.variant, a.field, a.n, a.m, a.mode) != (b.variant, b.field, b.n, b.m, b.mode):
+    if a.field is not b.field or (a.variant, a.n, a.m, a.mode) != (b.variant, b.n, b.m, b.mode):
         return False
     if a.variant == "zero":
         return True

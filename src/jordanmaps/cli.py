@@ -80,9 +80,11 @@ def _read_json(path):
     except OSError as exc:
         raise UnsupportedInput(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        # bad UTF-8, bad JSON, or an integer literal beyond Python's digit cap
         raise UnsupportedInput(f"{path} is not valid JSON: {exc}") from exc
+    return obj, hashlib.sha256(data).hexdigest()
 
 
 def _write_atomic(path, text):
@@ -250,7 +252,7 @@ def cmd_verify(args, report):
         report["inputs"].append({"path": args.map, "sha256": map_digest})
         phi = map_from_json(map_obj)
         report["field"] = field_to_json(phi.field)
-        if (form.field, form.n, form.m, form.mode) != (phi.field, phi.n, phi.m, phi.mode):
+        if form.field is not phi.field or (form.n, form.m, form.mode) != (phi.n, phi.m, phi.mode):
             raise UnsupportedInput("form and map disagree on field, size, or mode")
         strategy = _parse_strategy(args.verify or "exhaustive")
         report["strategy"] = strategy.describe()

@@ -127,7 +127,7 @@ def char2_example(n=2, a=None, b=None):
         a = mat_unit(f2, n, 1, 1)
     if b is None:
         b = mat_unit(f2, n, 1, 2)
-    if a.field != f2 or b.field != f2 or a.nrows != n or b.nrows != n:
+    if a.field is not f2 or b.field is not f2 or a.nrows != n or b.nrows != n:
         raise ValueError("A and B must be n x n matrices over F_2")
     if a.trace() != f2.scalar(1):
         raise ValueError("A must have trace 1 (otherwise some X <> Y hits it)")

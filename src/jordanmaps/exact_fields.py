@@ -11,6 +11,8 @@ Internal raw-value model (the matrix layer computes on raw values directly):
   galois   -> int in [0, q) encoding the residue polynomial sum(c_i * x^i) as
               sum(c_i * p^i), i.e. base-p digits in ascending power order
 
+Fields are canonical: equal fields are one object; compare fields with `is`.
+
 The public `Scalar` wrapper pairs a raw value with its owning field and
 supports the usual operators. Galois fields have order at most
 `_LOG_TABLE_LIMIT` (4096); larger orders are refused at construction. Every
@@ -29,6 +31,8 @@ characteristic. Characteristic-2 fields add by XOR.
 """
 
 import functools
+import threading
+import weakref
 from fractions import Fraction
 
 from .errors import UnsupportedInput
@@ -137,10 +141,16 @@ class Field:
     construction, and orders above 4096 are refused. Characteristic-2
     fields are constructible (the diamond product is meaningful there) but
     every halving operation — and with it the circ product — rejects them.
+    Equal fields are one object; compare fields with `is`.
     """
 
-    def __init__(self, kind, p=0, k=1, modulus=None):
-        kind, p, k, modulus = self._key = _field_key(kind, p, k, _as_tuple(modulus))
+    def __new__(cls, kind, p=0, k=1, modulus=None):
+        return _canonical(kind, p, k, None if modulus is None else tuple(modulus))
+
+    def __reduce__(self):
+        return Field, (self.kind, self.p, self.k, self.modulus)
+
+    def _setup(self, kind, p, k, modulus):
         self.kind = kind
         self.p = p
         self.k = k
@@ -156,14 +166,6 @@ class Field:
         self._zech = None
         if kind == "galois":
             self._build_log_tables()
-
-    # -- identity / hashing -------------------------------------------------
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Field) and self._key == other._key)
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __repr__(self):
         return f"Field({self.name()})"
@@ -301,7 +303,7 @@ class Field:
         """Coerce `x` to a raw value. Ints embed via the prime subfield;
         galois fields additionally accept ascending coefficient sequences."""
         if isinstance(x, Scalar):
-            if x.field != self:
+            if x.field is not self:
                 raise ValueError(f"scalar from {x.field.name()} used in {self.name()}")
             return x.value
         if isinstance(x, float):
@@ -334,17 +336,19 @@ class Field:
         return _digits(raw, self.p, self.k)
 
 
-def _as_tuple(modulus):
-    return None if modulus is None else tuple(modulus)
+# the one live Field of each validated (kind, p, k, modulus); the lock keeps
+# two threads that miss the cache together from making two of one field
+_live = weakref.WeakValueDictionary()
+_live_lock = threading.Lock()
 
 
 @functools.lru_cache(maxsize=32, typed=True)
-def _field_key(kind, p, k, modulus):
-    """(kind, p, k, modulus) of the field these arguments name, validated:
-    every refusal of Field happens here, and a missing Galois modulus is
-    found by search. Each argument tuple (the modulus a tuple) is validated
-    once while it stays among the last 32 used; a refusal raises and is not
-    cached, so it is repeated on every call."""
+def _canonical(kind, p, k, modulus):
+    """The one live Field these arguments name, every constructor's path:
+    all refusals of Field happen here, and a missing Galois modulus is found
+    by search. The last 32 argument tuples (the modulus a tuple) keep their
+    fields, so a warm Galois field keeps its tables; a refusal raises and is
+    not cached, so it is repeated on every call."""
     if kind not in ("rational", "prime", "galois"):
         raise UnsupportedInput(f"unknown field kind {kind!r}")
     if kind == "rational":
@@ -376,7 +380,13 @@ def _field_key(kind, p, k, modulus):
             raise UnsupportedInput("modulus must be monic of degree k (ascending coefficients)")
         if not is_irreducible(modulus, p):
             raise UnsupportedInput(f"modulus {modulus} is reducible over F_{p}")
-    return kind, p, k, tuple(modulus) if modulus is not None else None
+    key = kind, p, k, tuple(modulus) if modulus is not None else None
+    with _live_lock:
+        field = _live.get(key)
+        if field is None:
+            field = _live[key] = object.__new__(Field)
+            field._setup(*key)
+    return field
 
 
 def _find_irreducible(p, k):
@@ -398,7 +408,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field:
                 raise ValueError("scalars from different fields")
             return other.value
         return self.field.of(other)
@@ -443,7 +453,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
+            return self.field is other.field and self.value == other.value
         try:
             return self.value == self.field.of(other)
         except (TypeError, ValueError):
@@ -495,7 +505,7 @@ class RingEndo:
         return raw if self.e == 0 else self.field.pow_raw(raw, self.field.p ** self.e)
 
     def __call__(self, scalar):
-        if scalar.field != self.field:
+        if scalar.field is not self.field:
             raise ValueError("scalar belongs to a different field")
         return Scalar(self.field, self.apply_raw(scalar.value))
 
@@ -505,7 +515,7 @@ class RingEndo:
         return {"kind": "frobenius", "e": self.e}
 
     def __eq__(self, other):
-        return isinstance(other, RingEndo) and self.field == other.field and self.e == other.e
+        return isinstance(other, RingEndo) and self.field is other.field and self.e == other.e
 
     def __hash__(self):
         return hash((self.field, self.e))
@@ -518,28 +528,16 @@ class RingEndo:
 # -- module-level operations -------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _interned(key):
-    return Field(*key)
-
-
-def _field(kind, p=0, k=1, modulus=None):
-    """The Field of these arguments, shared: equal fields made through here
-    are one object, so `Field.__eq__` answers by identity and each Galois
-    field builds its tables once while it stays among the last 32 used."""
-    return _interned(_field_key(kind, p, k, _as_tuple(modulus)))
-
-
 def rational_field():
-    return _field("rational")
+    return Field("rational")
 
 
 def prime_field(p):
-    return _field("prime", p=p)
+    return Field("prime", p)
 
 
 def galois_field(p, k, modulus=None):
-    return _field("galois", p=p, k=k, modulus=modulus)
+    return Field("galois", p, k, modulus)
 
 
 def endo_enumerate(field):

@@ -24,7 +24,7 @@ def simultaneous_diagonalizer(members):
     members = tuple(members)
     n = len(members)
     if not members or any(
-        q.field != members[0].field or (q.nrows, q.ncols) != (n, n) for q in members
+        q.field is not members[0].field or (q.nrows, q.ncols) != (n, n) for q in members
     ):
         raise InvariantViolation("diagonalizer", "need n matrices of size n x n over one field")
     f = members[0].field

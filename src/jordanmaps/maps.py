@@ -145,7 +145,7 @@ class JordanMap:
         def rows(x):
             if not isinstance(x, Mat):
                 raise UnsupportedInput("table entries must be matrix pairs")
-            return x.rows if x.field is field or x.field == field else None
+            return x.rows if x.field is field else None
 
         items = entries.items() if isinstance(entries, dict) else entries
         return cls._tabled(field, n, ((rows(x), rows(fx)) for x, fx in items), mode, domain)
@@ -182,13 +182,13 @@ class JordanMap:
             raise UnsupportedInput("conjugating matrix must be square")
         t_inv = t.inverse()
         field, n = t.field, t.nrows
-        if endo is not None and endo.field != field:
+        if endo is not None and endo.field is not field:
             raise UnsupportedInput("endomorphism field does not match the matrix field")
         return cls(field, n, mode, ("conjugation", conjugator(t, t_inv, endo, transpose)))
 
     @classmethod
     def constant(cls, field, n, value, mode=CIRC):
-        if value.field != field or not value.is_square:
+        if value.field is not field or not value.is_square:
             raise UnsupportedInput("constant value must be square over the same field")
         return cls(field, n, mode, ("constant", lambda x: value), m=value.nrows)
 
@@ -203,14 +203,14 @@ class JordanMap:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, x):
-        if not isinstance(x, Mat) or (x.field is not self.field and x.field != self.field):
+        if not isinstance(x, Mat) or x.field is not self.field:
             raise UnsupportedInput("input must be a matrix over the map's field")
         if x.nrows != self.n or x.ncols != self.n:
             raise UnsupportedInput(f"input must be {self.n}x{self.n}")
         if self.domain == "upper_triangular" and not _is_upper_triangular(x):
             raise UnsupportedInput("input outside the upper-triangular domain")
         out = self._fn(x)
-        if self._kind == "oracle" and (not isinstance(out, Mat) or out.field != self.field
+        if self._kind == "oracle" and (not isinstance(out, Mat) or out.field is not self.field
                                        or out.nrows != self.m or out.ncols != self.m):
             raise UnsupportedInput("oracle returned a value outside M_m(F)")
         return out

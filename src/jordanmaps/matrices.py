@@ -77,11 +77,7 @@ class Mat:
         return self.nrows == self.ncols
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and (self.field is other.field or self.field == other.field)
-            and self.rows == other.rows
-        )
+        return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -105,7 +101,7 @@ class Mat:
     def _check_same_shape(self, other):
         if not isinstance(other, Mat):
             raise TypeError(f"expected Mat, got {type(other).__name__}")
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("matrices over different fields")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
@@ -139,7 +135,7 @@ class Mat:
     def __matmul__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("matrices over different fields")
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
@@ -211,7 +207,7 @@ def conjugator(a, b, endo=None, transpose=False):
     """The map x -> a @ w(x) @ b, or a @ w(x)^t @ b when `transpose`, with w =
     `endo` entrywise (none when None), prepared once for fixed square a and b
     of one size over one field; x must be a square matrix of that size and field."""
-    if a.field != b.field or (endo is not None and endo.field != a.field):
+    if a.field is not b.field or (endo is not None and endo.field is not a.field):
         raise ValueError("matrices or endomorphism over different fields")
     if not (a.is_square and b.is_square) or a.nrows != b.nrows:
         raise ValueError("conjugator needs square matrices of equal size")
@@ -540,7 +536,7 @@ def mat_unit(field, n, i, j, value=1):
 
 def block_diag(a, b):
     """Block-diagonal sum of two square matrices over one field."""
-    if a.field != b.field:
+    if a.field is not b.field:
         raise ValueError("matrices over different fields")
     if not (a.is_square and b.is_square):
         raise ValueError("block_diag needs square blocks")
@@ -553,7 +549,7 @@ def block_diag(a, b):
 
 
 def _check_product_args(x, y):
-    if x.field is not y.field and x.field != y.field:
+    if x.field is not y.field:
         raise ValueError("matrices over different fields")
     if not (x.is_square and y.is_square) or x.nrows != y.nrows:
         raise ValueError("Jordan products need square matrices of equal size")
@@ -582,7 +578,7 @@ def is_idempotent(x):
 def is_proportional(x, y):
     """Scalar c with x = c*y when both are nonzero and collinear, else None
     (also when either of them is zero)."""
-    if x.field != y.field or (x.nrows, x.ncols) != (y.nrows, y.ncols):
+    if x.field is not y.field or (x.nrows, x.ncols) != (y.nrows, y.ncols):
         raise ValueError("shape or field mismatch")
     f = x.field
     zero = f.zero

@@ -9,6 +9,8 @@ validate structure and raise UnsupportedInput on anything malformed.
 """
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .errors import UnsupportedInput
@@ -72,17 +74,38 @@ def scalar_to_json(s):
     return str(s.value)
 
 
+# the exponent of a Fraction string, as Fraction's own grammar reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _rational(obj):
+    """Fraction(obj), refused unless str() writes its numerator and
+    denominator back: at most `limit` digits each, Python's int-to-str cap
+    (0, no cap, where Python has no getter). An exponent beyond 3 * limit is
+    refused before Fraction scales by it: a mantissa of at most 2 * limit
+    digits cannot bring both parts back under the cap."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    exponent = _EXPONENT.search(obj) if limit and isinstance(obj, str) else None
+    if exponent and abs(int(exponent[1])) > 3 * limit:
+        raise ValueError(f"exponent beyond {3 * limit}")
+    value = Fraction(obj)
+    big = max(abs(value.numerator), value.denominator)
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise ValueError(f"numerator or denominator beyond {limit} digits")
+    return value
+
+
 def _decode_raw(field, obj):
     """The raw value (see exact_fields) of one JSON scalar encoding, decoded
     once, accepting what `field.of` accepts. Q reads strings and integers as
-    `Fraction` does ("7/2", "-1", 3); F_p and F_{p^k} read them as `int`
+    `_rational` does ("7/2", "-1", 3); F_p and F_{p^k} read them as `int`
     does, then reduce mod p; F_{p^k} also reads ascending coefficient lists.
     JSON booleans are refused, also inside a coefficient list."""
     galois = field.kind == "galois"
     prefix = "bad galois scalar encoding" if galois else "bad scalar encoding"
     try:
         if isinstance(obj, (str, int)) and not isinstance(obj, bool):
-            return Fraction(obj) if field.kind == "rational" else int(obj) % field.p
+            return _rational(obj) if field.kind == "rational" else int(obj) % field.p
         if galois and isinstance(obj, list) and not any(isinstance(c, bool) for c in obj):
             return field.of(obj)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -29,7 +29,7 @@ from jordanmaps import (
     rational_field,
 )
 from jordanmaps import classifier
-from jordanmaps.classifier import _normalize_t, _reject
+from jordanmaps.classifier import _aimed, _normalize_t, _probes, _reject
 from jordanmaps.matrices import mat_diag_idempotent, random_invertible
 
 Q = rational_field()
@@ -440,6 +440,16 @@ class TestRejection:
         assert exc.value.stage == "orientation"
         assert exc.value.detail == "a structural fault"
         assert exc.value.witness == culprit
+
+
+def test_aimed_pairs_on_m3():
+    # n = 3 over F3: 5 pairs at x, 6 anchored, 3 with I, 6 square-zero, one
+    # (E_ii, E_jj) per i < j, and one line pair per element of F3
+    x = mat_unit(F3, 3, 1, 2)
+    pairs = list(_aimed(x, _probes(F3, 0)))
+    assert len(pairs) == 5 + 6 + 3 + 6 + 3 + 3
+    e = lambda i: mat_unit(F3, 3, i, i)
+    assert pairs[20:23] == [(e(1), e(2)), (e(1), e(3)), (e(2), e(3))]
 
 
 class TestGuards:

@@ -498,6 +498,30 @@ def test_bad_input_exits_4_with_report(argv, tmp_path, capsys):
     assert report["outcome"]["status"] == "unsupported"
 
 
+@pytest.mark.parametrize(
+    "entry, detail",
+    [
+        ("1" * 5000, "is not valid JSON: Exceeds the limit (4300 digits)"),
+        ('"1e300000"', "bad scalar encoding '1e300000': exponent beyond 12900"),
+        ('"1e-300000"', "bad scalar encoding '1e-300000': exponent beyond 12900"),
+        ('"1e10000000"', "bad scalar encoding '1e10000000': exponent beyond 12900"),
+        ('"1e4300"', "bad scalar encoding '1e4300': numerator or denominator beyond 4300"),
+    ],
+    ids=["5000_digit_literal", "1e300000", "1e-300000", "1e10000000", "1e4300"],
+)
+def test_oversized_rational_exits_4_at_once(entry, detail, tmp_path, capsys):
+    # each would need more digits than str() writes back into the report
+    path = tmp_path / "matrix.json"
+    path.write_text('{"n": 1, "m": 1, "entries": [%s]}' % entry, encoding="utf-8")
+    start = time.monotonic()
+    assert cli.main(["certify", "--field", "Q", "--matrix", str(path)]) == 4
+    assert time.monotonic() - start < 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 4
+    assert report["outcome"]["status"] == "unsupported"
+    assert detail in report["outcome"]["detail"]
+
+
 def test_internal_value_error_is_not_unsupported(monkeypatch):
     def broken(phi, strategy=None):
         raise ValueError("singular matrix")

@@ -1,4 +1,9 @@
+import copy
+import gc
 import hashlib
+import pickle
+import sys
+import threading
 import time
 
 import pytest
@@ -9,6 +14,7 @@ from jordanmaps import (
     RingEndo,
     Scalar,
     Field,
+    Mat,
     UnsupportedInput,
     endo_enumerate,
     galois_field,
@@ -16,7 +22,8 @@ from jordanmaps import (
     prime_field,
     rational_field,
 )
-from jordanmaps.exact_fields import _MR_LIMIT, is_prime
+from jordanmaps.exact_fields import _MR_LIMIT, _canonical, is_prime
+from jordanmaps.maps import _domain
 
 ints = st.integers(min_value=-200, max_value=200)
 
@@ -184,9 +191,56 @@ class TestConstruction:
             galois_field(p, k)
 
     def test_constructor_matches_presets(self):
-        assert Field("prime", p=5) == prime_field(5)
-        assert Field("rational") == rational_field()
-        assert Field("galois", p=3, k=2, modulus=(1, 0, 1)) == preset_field("F9")
+        assert Field("prime", p=5) is prime_field(5)
+        assert Field("rational") is rational_field()
+        assert Field("galois", p=3, k=2, modulus=(1, 0, 1)) is preset_field("F9")
+
+    def test_fields_stay_canonical_past_the_cache(self):
+        # a field that left the constructor cache, still held by a domain,
+        # is found again: the domain's matrices are over the field made now
+        f3 = preset_field("F3")
+        _domain(f3, 2, "full")
+        others = [p for p in range(5, 200) if is_prime(p)][:40]
+        assert len(others) == 40
+        for p in others:
+            prime_field(p)
+        assert prime_field(3) is preset_field("F3") is f3
+        assert _domain(prime_field(3), 2, "full")[0][0].field is f3
+
+    def test_threads_missing_the_cache_share_one_field(self):
+        # rounds of sixteen threads that ask at once for a field no cache
+        # holds: in each round all of them get one fully built field
+        def ask():
+            barrier.wait(timeout=30)
+            fields.append(galois_field(7, 3))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                _canonical.cache_clear()
+                fields, barrier = [], threading.Barrier(16)
+                gc.collect()
+                threads = [threading.Thread(target=ask) for _ in range(16)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(fields) == 16 and all(f is fields[0] for f in fields)
+                assert fields[0].order == 343
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_copies_keep_the_field(self, clone):
+        f9 = preset_field("F9")
+        m = Mat(f9, [[1, [0, 1]], [2, 0]])
+        assert clone(m).field is f9 and clone(m) == m
+        assert clone(rational_field()) is rational_field()
+        assert clone(f9) is f9
 
     def test_constructors_share_equal_fields(self):
         # equal fields from the constructors are one object, keyed after

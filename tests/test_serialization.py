@@ -94,6 +94,14 @@ DECODED = [
     ("-1", 4, Fraction(-1), 2),
     ("1_0", 0, Fraction(10), 1),
     ("7/2", REFUSED, Fraction(7, 2), REFUSED),
+    ("0.5", REFUSED, Fraction(1, 2), REFUSED),
+    ("1e3", REFUSED, Fraction(1000), REFUSED),
+    # Q keeps what str() writes back: at most 4300 digits above and below
+    ("1e4299", REFUSED, Fraction(10 ** 4299), REFUSED),
+    ("-1e-4299", REFUSED, Fraction(-1, 10 ** 4299), REFUSED),
+    ("1e4300", REFUSED, REFUSED, REFUSED),
+    ("1e-4300", REFUSED, REFUSED, REFUSED),
+    ("1e300000", REFUSED, REFUSED, REFUSED),
     ("1/0", REFUSED, REFUSED, REFUSED),
     ("socks", REFUSED, REFUSED, REFUSED),
     ("", REFUSED, REFUSED, REFUSED),

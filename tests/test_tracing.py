@@ -44,6 +44,14 @@ table_cache.cache_clear()
 assert jm.check_multiplicative(phi, jm.Strategy.exhaustive())
 assert counts["maps.table_builds"] == 3, counts
 assert jm.maps._product_table(F3, 2, "circ", "full")[0] is jm.maps._domain(F3, 2, "full")[0]
+# Field inherits object's equality and hash, and the counter wraps them: an
+# == of one field counts once, a != of two consults both operands' __eq__,
+# and a dict finds a field by identity without any
+before = counts["exact_fields.field_eq"]
+assert jm.preset_field("F5") == F5
+assert F5 != F7
+assert {F5: 1}[jm.prime_field(5)] == 1
+assert counts["exact_fields.field_eq"] - before == 1 + 2, counts
 """
 
 
