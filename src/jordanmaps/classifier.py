@@ -29,7 +29,6 @@ Structural failures where no witness pair surfaced within budget raise
 InvariantViolation tagged with the stage that broke.
 """
 
-import operator
 import random
 from dataclasses import dataclass
 from itertools import chain, permutations
@@ -425,6 +424,8 @@ def preservation_suite(phi, samples=20, seed=0):
     is recorded with the witnessing inputs. The probe log lists every
     (item, role, input) consumed, so external harnesses can target them.
     """
+    if samples < 1:
+        raise ValueError("the preservation suite needs samples >= 1")
     f, n = phi.field, phi.n
     if f.char2:
         raise UnsupportedInput("the preservation suite needs characteristic != 2")
@@ -433,13 +434,11 @@ def preservation_suite(phi, samples=20, seed=0):
     rng = random.Random(seed)
     draw = _raw_draw(f, rng)
     log = []
-    items = []
+    eye = mat_identity(f, n)
 
     zero_ok = phi(mat_zero(f, n)).is_zero
     probe_units = [phi(mat_unit(f, n, j, j)) for j in range(1, n + 1)]
-    looks_zero = zero_ok and all(u.is_zero for u in probe_units) and phi(
-        mat_identity(f, n)
-    ).is_zero
+    looks_zero = zero_ok and all(u.is_zero for u in probe_units) and phi(eye).is_zero
     square = phi.m == phi.n
     skip_cd = None
     if not zero_ok:
@@ -448,116 +447,102 @@ def preservation_suite(phi, samples=20, seed=0):
         skip_cd = "map vanishes on all probes"
     skip_eh = skip_cd if skip_cd else (None if square else "codomain size differs")
 
-    def family(widths):
-        """Orthogonal idempotents of the given ranks, in order, under one
-        seeded conjugation."""
+    def family(item, spans):
+        """One idempotent per (role, lo, hi) of `spans`, the diagonal
+        idempotent on lo..hi-1 under one seeded conjugation, logged under
+        its role (unless the role is None)."""
         t, t_inv = random_invertible(f, n, rng)
-        out, lo = [], 0
-        for width in widths:
-            out.append(conjugated_idempotent(t, t_inv, lo, lo + width))
-            lo += width
+        out = [conjugated_idempotent(t, t_inv, lo, hi) for _, lo, hi in spans]
+        log.extend((item, role, p) for (role, _, _), p in zip(spans, out) if role)
         return out
 
-    def run(item, label, skip, body):
-        if skip:
-            items.append(ItemResult(item, label, ok=True, skipped=skip))
-            return
-        witnesses = (body() for _ in range(samples))
-        witness, done = _first_failure(witnesses, lambda w: w is not None)
-        items.append(ItemResult(item, label, ok=witness is None,
-                                checked=done, witness=witness))
+    def single(item, top):
+        """An idempotent P of a seeded rank in 1..top, and that rank."""
+        rank = rng.randint(1, top)
+        return family(item, [("P", 0, rank)])[0], rank
 
-    def body_a():
-        (p,) = family([rng.randint(1, n)])
-        log.append(("a", "P", p))
-        fp = phi(p)
-        return None if is_idempotent(fp) else (p, fp)
-
-    def body_b():
-        # P <= Q is drawn as P and Q = P + P' for an orthogonal pair
-        # (P, P'); conjugation is linear, so Q is the conjugated diagonal
-        # idempotent of rank r. The check is the raw circ identity: images
-        # of a corrupted map need not be idempotent, and that case must
-        # yield a witness, not an exception.
-        r = rng.randint(1, n - 1)
-        lo = rng.randint(1, r)
-        p, rest = family([lo, r - lo])
-        qq = p + rest
-        log.append(("b", "P", p))
-        log.append(("b", "Q", qq))
-        fp = phi(p)
-        return None if jordan_circ(fp, phi(qq)) == fp else (p, qq)
-
-    def body_c():
+    def orthogonal(item):
+        """An orthogonal pair (P, Q) of seeded ranks a and b, a + b <= n."""
         a = rng.randint(1, n - 1)
         b = rng.randint(1, n - a)
-        p, qq = family([a, b])
-        log.append(("c", "P", p))
-        log.append(("c", "Q", qq))
-        return None if jordan_circ(phi(p), phi(qq)).is_zero else (p, qq)
+        return family(item, [("P", 0, a), ("Q", a, a + b)])
 
-    def rank_body(item, holds):
-        def body():
-            rank = rng.randint(1, n)
-            (p,) = family([rank])
-            log.append((item, "P", p))
+    def single_image(holds):
+        """The body that draws a single P of rank 1..n and tests
+        holds(phi(P), rank)."""
+        def body(item):
+            p, rank = single(item, n)
             fp = phi(p)
-            return None if holds(fp.rank(), rank) else (p, fp)
+            return None if holds(fp, rank) else (p, fp)
 
         return body
 
-    def body_f():
-        (p,) = family([rng.randint(1, n - 1)])
-        comp = mat_identity(f, n) - p
-        log.append(("f", "P", p))
-        log.append(("f", "P_perp", comp))
-        ok = phi(comp) == mat_identity(f, n) - phi(p)
-        return None if ok else (p, comp)
+    body_a = single_image(lambda fp, rank: is_idempotent(fp))
+    body_d = single_image(lambda fp, rank: fp.rank() >= rank)
+    body_e = single_image(lambda fp, rank: fp.rank() == rank)
 
-    def body_g():
-        a = rng.randint(1, n - 1)
-        b = rng.randint(1, n - a)
-        p, qq = family([a, b])
-        total = p + qq
-        log.append(("g", "P", p))
-        log.append(("g", "Q", qq))
-        log.append(("g", "P+Q", total))
-        ok = phi(total) == phi(p) + phi(qq)
-        return None if ok else (p, qq)
+    def body_b(item):
+        # P <= Q is drawn as P of rank lo and Q = P + P' of rank r under one
+        # conjugation. The check is the raw circ identity: images of a
+        # corrupted map need not be idempotent, and that case must yield a
+        # witness, not an exception.
+        r = rng.randint(1, n - 1)
+        lo = rng.randint(1, r)
+        p, q = family(item, [("P", 0, lo), ("Q", 0, r)])
+        fp = phi(p)
+        return None if jordan_circ(fp, phi(q)) == fp else (p, q)
 
-    def body_h():
-        count = rng.randint(2, n)
-        parts, room = [], n
-        for idx in range(count):
-            width = rng.randint(1, room - (count - idx - 1))
-            parts.append(width)
-            room -= width
-        members = family(parts)
-        lams = []
-        for _ in members:
+    def body_c(item):
+        p, q = orthogonal(item)
+        return None if jordan_circ(phi(p), phi(q)).is_zero else (p, q)
+
+    def body_f(item):
+        p, _ = single(item, n - 1)
+        comp = eye - p
+        log.append((item, "P_perp", comp))
+        return None if phi(comp) == eye - phi(p) else (p, comp)
+
+    def body_g(item):
+        p, q = orthogonal(item)
+        total = p + q
+        log.append((item, "P+Q", total))
+        return None if phi(total) == phi(p) + phi(q) else (p, q)
+
+    def nonzero():
+        lam = Scalar(f, draw())
+        while lam.is_zero:
             lam = Scalar(f, draw())
-            while lam.is_zero:
-                lam = Scalar(f, draw())
-            lams.append(lam)
-        combo = mat_zero(f, n)
-        pieces = []
-        for lam, p in zip(lams, members):
-            piece = p.scale(lam)
-            pieces.append(piece)
-            combo = combo + piece
-            log.append(("h", "lambda*P", piece))
-        log.append(("h", "combo", combo))
-        total = mat_zero(f, phi.m)
-        for piece in pieces:
-            total = total + phi(piece)
+        return lam
+
+    def body_h(item):
+        count = rng.randint(2, n)
+        spans, lo = [], 0
+        for idx in range(count):
+            width = rng.randint(1, n - lo - (count - idx - 1))
+            spans.append((None, lo, lo + width))
+            lo += width
+        pieces = [p.scale(nonzero()) for p in family(item, spans)]
+        combo = sum(pieces, mat_zero(f, n))
+        log.extend((item, "lambda*P", piece) for piece in pieces)
+        log.append((item, "combo", combo))
+        total = sum(map(phi, pieces), mat_zero(f, phi.m))
         return None if phi(combo) == total else (combo, tuple(pieces))
 
-    run("a", "idempotents map to idempotents", None, body_a)
-    run("b", "domination is preserved", None, body_b)
-    run("c", "orthogonality is preserved", skip_cd, body_c)
-    run("d", "rank does not drop", skip_cd, rank_body("d", operator.ge))
-    run("e", "rank is preserved exactly", skip_eh, rank_body("e", operator.eq))
-    run("f", "complements map to complements", skip_eh, body_f)
-    run("g", "orthogonal sums split", skip_eh, body_g)
-    run("h", "weighted orthogonal sums split", skip_eh, body_h)
+    items = []
+    for item, label, skip, body in (
+        ("a", "idempotents map to idempotents", None, body_a),
+        ("b", "domination is preserved", None, body_b),
+        ("c", "orthogonality is preserved", skip_cd, body_c),
+        ("d", "rank does not drop", skip_cd, body_d),
+        ("e", "rank is preserved exactly", skip_eh, body_e),
+        ("f", "complements map to complements", skip_eh, body_f),
+        ("g", "orthogonal sums split", skip_eh, body_g),
+        ("h", "weighted orthogonal sums split", skip_eh, body_h),
+    ):
+        if skip:
+            items.append(ItemResult(item, label, ok=True, skipped=skip))
+            continue
+        witnesses = (body(item) for _ in range(samples))
+        witness, done = _first_failure(witnesses, lambda w: w is not None)
+        items.append(ItemResult(item, label, ok=witness is None, checked=done, witness=witness))
     return SuiteReport(items=tuple(items), probe_log=tuple(log))

@@ -12,8 +12,9 @@ x <> y = xy + yx (the char-2-safe variant). A body is one function, of a kind:
   * constant / zero,
   * oracle       -- arbitrary callable, whose outputs are checked.
 
-Verification budgets are carried by Strategy values so every probabilistic
-answer is reproducible from (count, seed).
+Verification budgets are carried by Strategy values: a sampled strategy is
+(count, seed) and nothing else, so its description "sampled:COUNT:SEED"
+replays it and every probabilistic answer is reproducible from it.
 """
 
 import functools
@@ -45,36 +46,30 @@ _PAIR_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class Strategy:
-    """How much checking to do: every pair, or `count` seeded random draws.
+    """How much checking to do: every pair, or the seeded sample (count, seed).
 
-    `pairs` optionally gives multiplicativity pre-checks a smaller budget than
-    point-wise map comparisons; it defaults to `count`.
+    A sampled strategy is its whole budget: the pre-check draws `count`
+    pairs and a form check `count` points, each from `seed`, and
+    `_parse_strategy(describe())` gives the strategy back.
     """
 
     kind: str
     count: int = 1000
     seed: int = 0
-    pairs: int = None
 
     def __post_init__(self):
         if self.kind not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "sampled" and self.count < 1:
             raise ValueError("sampled strategy needs count >= 1")
-        if self.pairs is not None and self.pairs < 1:
-            raise ValueError("strategy needs pairs >= 1")
 
     @staticmethod
     def exhaustive():
         return Strategy(kind="exhaustive")
 
     @staticmethod
-    def sampled(count=1000, seed=0, pairs=None):
-        return Strategy(kind="sampled", count=count, seed=seed, pairs=pairs)
-
-    @property
-    def pair_budget(self):
-        return self.count if self.pairs is None else self.pairs
+    def sampled(count=1000, seed=0):
+        return Strategy(kind="sampled", count=count, seed=seed)
 
     def describe(self):
         if self.kind == "exhaustive":
@@ -504,7 +499,7 @@ def check_multiplicative(phi, strategy=None):
                 b = next(b for b in range(a, size) if lhs[b] != rhs[b])
                 return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
         return MultReport(True, size * size, "exhaustive")
-    pairs = _sampled_pairs(phi, strategy.seed, strategy.pair_budget)
+    pairs = _sampled_pairs(phi, strategy.seed, strategy.count)
     witness, checked = _first_failure(pairs, _breaks_law(phi))
     return MultReport(witness is None, checked, strategy.describe(), witness)
 

@@ -196,7 +196,7 @@ def crit_roundtrip_batch(seed):
         if f.order ** (n * n) <= 81:
             strategy = Strategy.exhaustive()
         else:
-            strategy = Strategy.sampled(count=400, seed=seed + idx, pairs=150)
+            strategy = Strategy.sampled(count=150, seed=seed + idx)
         form, report = classify_with_report(phi, strategy)
         if not forms_equivalent(form, planted) or (
             strategy.kind == "exhaustive" and report.get("points_checked") != 81

@@ -21,6 +21,7 @@ from jordanmaps import (
     endo_enumerate,
     forms_equivalent,
     jordan_circ,
+    jordan_diamond,
     mat_identity,
     mat_unit,
     mat_zero,
@@ -30,13 +31,22 @@ from jordanmaps import (
 )
 from jordanmaps import classifier
 from jordanmaps.classifier import _aimed, _normalize_t, _probes, _reject
-from jordanmaps.matrices import mat_diag_idempotent, random_invertible
+from jordanmaps.maps import _domain
+from jordanmaps.matrices import (
+    conjugator,
+    is_idempotent,
+    mat_diag_idempotent,
+    random_invertible,
+    random_mat,
+)
 
 Q = rational_field()
 F3 = preset_field("F3")
 F5 = preset_field("F5")
 F7 = preset_field("F7")
 F9 = preset_field("F9")
+F25 = preset_field("F25")
+F27 = preset_field("gf:3:3")
 
 
 def as_table(base):
@@ -534,6 +544,67 @@ def test_conjugation_form_evaluates_as_its_map(frobenius, transpose, mode):
             assert form.evaluate(x) == phi(x)
 
 
+def additive_basis(field, n):
+    """g^s E_ij for s < k, with g the generator of F_{p^k}^x: an F_p-basis of
+    M_n(F) (the matrix units over F_p, and over Q, where additive is linear)."""
+    powers = [field._exp[s] for s in range(field.k)] if field.kind == "galois" else [field.one]
+    return [mat_unit(field, n, i, j, Scalar(field, g))
+            for g in powers for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
+def breaks_law(fn, law, basis):
+    """The first basis pair on which fn breaks the product `law`, or None.
+    For an additive fn both sides of the law are biadditive, so none on
+    the basis means none on all of M_n(F)."""
+    return next(((x, y) for x in basis for y in basis
+                 if fn(law(x, y)) != law(fn(x), fn(y))), None)
+
+
+LAWS = ((CIRC, jordan_circ), (DIAMOND, jordan_diamond))
+
+
+class TestFormsPreserveTheLaw:
+    """The theorem's "if" direction for the forms the library builds: every
+    form satisfies the law of its mode."""
+
+    @pytest.mark.parametrize("field, n", [
+        (F3, 2), (F3, 3), (F5, 2), (F5, 3), (Q, 2), (Q, 3),
+        (F9, 2), (F25, 2), (F27, 2), (F9, 3),
+    ], ids=lambda v: v if isinstance(v, int) else v.name())
+    def test_conjugation_forms(self, field, n):
+        rng = random.Random(n)
+        basis = additive_basis(field, n)
+        for omega in endo_enumerate(field):
+            for transpose in (False, True):
+                t = random_invertible(field, n, rng)[0]
+                for mode, law in LAWS:
+                    form = CanonicalForm.conjugation_form(
+                        t, omega=omega, transpose=transpose, mode=mode)
+                    fn = form.evaluate
+                    for _ in range(20):
+                        x, y = random_mat(field, n, rng), random_mat(field, n, rng)
+                        assert fn(x + y) == fn(x) + fn(y)
+                    assert breaks_law(fn, law, basis) is None
+
+    def test_constant_forms_at_the_idempotents_of_m2_f3(self):
+        idempotents = [x for x in _domain(F3, 2, "full")[0] if is_idempotent(x)]
+        assert len(idempotents) == 14
+        for p in idempotents:
+            for mode, law in LAWS:
+                # c o c = c, and for the diamond product 2c^2 = c with c = P/2
+                c = CanonicalForm.constant_form(p, 2, mode=mode).evaluate(p)
+                assert law(c, c) == c
+
+    def test_other_two_sided_products_break_it(self):
+        rng = random.Random(7)
+        t, t_inv = random_invertible(F9, 2, rng)
+        s = random_invertible(F9, 2, rng)[0]
+        assert s != t_inv
+        fn = conjugator(t, s)
+        for _, law in LAWS:
+            assert breaks_law(fn, law, additive_basis(F9, 2)) is not None
+
+
 class TestRectangular:
     def test_constant_accepted(self):
         one = Mat(F3, [[1]])
@@ -626,6 +697,17 @@ class TestPreservationSuite:
                     report = preservation_suite(phi, samples=4, seed=seed)
                     digest.update(repr((report.items, report.probe_log)).encode())
         assert digest.hexdigest() == "cc1946c2df54c7cf2d3043ff44ada260c4754026661739de9e8c94c500826c3e"
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_must_be_positive(self, samples):
+        # phi = 2I fails item (a) at samples=2; with no sample it must not pass
+        twice_i = mat_identity(F5, 2).scale(2)
+        assert not preservation_suite(JordanMap.constant(F5, 2, twice_i), samples=2).ok
+        seen = []
+        phi = JordanMap.from_oracle(F5, 2, lambda x: seen.append(x) or twice_i)
+        with pytest.raises(ValueError, match="samples >= 1"):
+            preservation_suite(phi, samples=samples)
+        assert seen == []
 
     def test_guards(self):
         with pytest.raises(UnsupportedSize):

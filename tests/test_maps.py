@@ -603,15 +603,11 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy.sampled(count=0)
 
-    @pytest.mark.parametrize("pairs", [0, -3])
-    def test_pairs_must_be_positive(self, pairs):
-        with pytest.raises(ValueError, match="pairs >= 1"):
-            Strategy.sampled(count=10, pairs=pairs)
-
     def test_least_budgets_are_accepted(self):
         assert Strategy.sampled(count=1).describe() == "sampled:1:0"
-        assert Strategy.sampled(count=10, pairs=1).pair_budget == 1
 
-    def test_pair_budget(self):
-        assert Strategy.sampled(count=100).pair_budget == 100
-        assert Strategy.sampled(count=100, pairs=7).pair_budget == 7
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.exhaustive(), Strategy.sampled(50, 3), Strategy.sampled(1, 0)],
+        ids=Strategy.describe)
+    def test_description_replays_the_strategy(self, strategy):
+        assert maps._parse_strategy(strategy.describe()) == strategy
