@@ -9,7 +9,6 @@ from .classifier import (
     classify,
     classify_rectangular,
     classify_with_report,
-    forms_equivalent,
     preservation_suite,
 )
 from .counterexamples import (
@@ -61,7 +60,6 @@ from .matrices import (
     Mat,
     block_diag,
     is_idempotent,
-    is_proportional,
     jordan_circ,
     jordan_diamond,
     mat_identity,
@@ -108,10 +106,8 @@ __all__ = [
     "classify_with_report",
     "diamond_to_circ",
     "endo_enumerate",
-    "forms_equivalent",
     "galois_field",
     "is_idempotent",
-    "is_proportional",
     "jordan_circ",
     "jordan_diamond",
     "ladder",

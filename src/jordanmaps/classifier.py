@@ -57,7 +57,6 @@ from .matrices import (
     conjugated_idempotent,
     conjugator,
     is_idempotent,
-    is_proportional,
     jordan_circ,
     mat_identity,
     mat_unit,
@@ -68,9 +67,25 @@ from .matrices import (
 _SCAN_BUDGET = 300
 
 
+def _normalize_t(t):
+    """Scale so the first nonzero entry (row-major) is 1; conjugation by T is
+    insensitive to scaling, so this fixes a unique representative."""
+    f = t.field
+    for row in t.rows:
+        for v in row:
+            if v != f.zero:
+                return t.scale(Scalar(f, f.inv(v))) if v != f.one else t
+    return t
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
-    """The classified shape of a map; `evaluate(x)` re-evaluates it at x."""
+    """The classified shape of a map; `evaluate(x)` re-evaluates it at x.
+
+    The form is canonical: a conjugation form's T is normalized by
+    `_normalize_t` when the form is built, however it is built, so two forms
+    are `==` (and hash alike) exactly when they name the same map for the same
+    product."""
 
     variant: str
     field: object
@@ -90,6 +105,7 @@ class CanonicalForm:
         if self.variant == "conjugation":
             if self.omega is None:
                 object.__setattr__(self, "omega", RingEndo(self.field))
+            object.__setattr__(self, "t", _normalize_t(self.t))
             evaluate = conjugator(self.t, self.t.inverse(), self.omega, self.transpose)
         else:
             if self.variant == "zero":
@@ -215,17 +231,6 @@ def _form_mismatch(phi, form, strategy):
                           lambda x: phi(x) != form.evaluate(x))
 
 
-def _normalize_t(t):
-    """Scale so the first nonzero entry (row-major) is 1; conjugation by T is
-    insensitive to scaling, so this fixes a unique representative."""
-    f = t.field
-    for row in t.rows:
-        for v in row:
-            if v != f.zero:
-                return t.scale(Scalar(f, f.inv(v))) if v != f.one else t
-    return t
-
-
 def classify(phi, verification=None):
     form, _ = classify_with_report(phi, verification)
     return form
@@ -344,9 +349,7 @@ def classify_with_report(phi, verification=None):
         line += [f.mul(a, b), f.add(a, b)]
     x = e11
     if t.rank() == n:
-        form = CanonicalForm.conjugation_form(
-            _normalize_t(t), omega=omega, transpose=transpose, mode=phi.mode
-        )
+        form = CanonicalForm.conjugation_form(t, omega=omega, transpose=transpose, mode=phi.mode)
         units = [mat_unit(f, n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         read = chain(units, (mat_unit(f, n, 1, 1, Scalar(f, raw)) for raw in dict.fromkeys(line)))
         x, _ = _first_failure(read, lambda x: phic(x) != form.evaluate(x))
@@ -357,20 +360,6 @@ def classify_with_report(phi, verification=None):
     report["stages"].append("endomorphism")
     report["omega"] = omega.describe()
     return accept("final", "map disagrees with the reconstructed form", form)
-
-
-def forms_equivalent(a, b):
-    """Do two canonical forms define the same map? Conjugation forms compare
-    modulo scaling of T; everything else compares on the nose."""
-    if a.field is not b.field or (a.variant, a.n, a.m, a.mode) != (b.variant, b.n, b.m, b.mode):
-        return False
-    if a.variant == "zero":
-        return True
-    if a.variant == "constant_idempotent":
-        return a.idempotent == b.idempotent
-    if a.transpose != b.transpose or a.omega != b.omega:
-        return False
-    return is_proportional(a.t, b.t) is not None
 
 
 def classify_rectangular(phi, verification=None):

@@ -573,23 +573,3 @@ def jordan_circ(x, y):
 
 def is_idempotent(x):
     return x.is_square and (x @ x) == x
-
-
-def is_proportional(x, y):
-    """Scalar c with x = c*y when both are nonzero and collinear, else None
-    (also when either of them is zero)."""
-    if x.field is not y.field or (x.nrows, x.ncols) != (y.nrows, y.ncols):
-        raise ValueError("shape or field mismatch")
-    f = x.field
-    zero = f.zero
-    anchor = next(
-        ((i, j) for i, row in enumerate(y.rows) for j, v in enumerate(row) if v != zero),
-        None,
-    )
-    if anchor is None or x.is_zero:
-        return None
-    i, j = anchor
-    c = f.div(x.rows[i][j], y.rows[i][j])
-    if x == y.scale(Scalar(f, c)):
-        return Scalar(f, c)
-    return None

@@ -19,7 +19,6 @@ from jordanmaps import (
     classify_rectangular,
     classify_with_report,
     endo_enumerate,
-    forms_equivalent,
     jordan_circ,
     jordan_diamond,
     mat_identity,
@@ -232,7 +231,7 @@ class TestConjugationRecovery:
         assert form.variant == "conjugation"
         assert form.transpose
         planted = CanonicalForm.conjugation_form(t, transpose=True)
-        assert forms_equivalent(form, planted)
+        assert form == planted
         for x in phi.domain_iter():
             assert form.evaluate(x) == phi(x)
         assert report["pairs_checked"] == 81 * 81
@@ -283,7 +282,7 @@ class TestConjugationRecovery:
         t = Mat(F3, [[1, 1], [0, 1]])
         form = classify(JordanMap.conjugation(t.scale(2)), verification="exhaustive")
         planted = CanonicalForm.conjugation_form(t)
-        assert forms_equivalent(form, planted)
+        assert form == planted
 
     def test_report_shape(self):
         phi = JordanMap.conjugation(Mat(F9, T3), endo=RingEndo(F9, 1), transpose=True)
@@ -324,7 +323,7 @@ class TestConjugationRecovery:
         t = Mat(F3, [[1, 0], [2, 1]])
         table = as_table(JordanMap.conjugation(t, transpose=True))
         form = classify(table, verification="exhaustive")
-        assert forms_equivalent(form, CanonicalForm.conjugation_form(t, transpose=True))
+        assert form == CanonicalForm.conjugation_form(t, transpose=True)
 
 
 class TestRejection:
@@ -492,36 +491,79 @@ class TestFormsEquivalent:
     def test_zero_forms(self):
         a = CanonicalForm.zero_form(F5, 2)
         b = CanonicalForm.zero_form(F5, 2)
-        assert forms_equivalent(a, b)
-        assert not forms_equivalent(a, CanonicalForm.zero_form(F3, 2))
+        assert a == b
+        assert a != CanonicalForm.zero_form(F3, 2)
 
     def test_constant_forms(self):
         p = mat_unit(F5, 2, 1, 1)
-        assert forms_equivalent(
-            CanonicalForm.constant_form(p, 2), CanonicalForm.constant_form(p, 2)
-        )
+        assert CanonicalForm.constant_form(p, 2) == CanonicalForm.constant_form(p, 2)
         q = mat_unit(F5, 2, 2, 2)
-        assert not forms_equivalent(
-            CanonicalForm.constant_form(p, 2), CanonicalForm.constant_form(q, 2)
-        )
+        assert CanonicalForm.constant_form(p, 2) != CanonicalForm.constant_form(q, 2)
 
     def test_conjugation_scale_invariance(self):
         t = Mat(F5, [[1, 2], [0, 1]])
         a = CanonicalForm.conjugation_form(t)
         b = CanonicalForm.conjugation_form(t.scale(3))
-        assert forms_equivalent(a, b)
+        assert a == b
 
     def test_transpose_flag_distinguishes(self):
         t = mat_identity(F5, 2)
         a = CanonicalForm.conjugation_form(t)
         b = CanonicalForm.conjugation_form(t, transpose=True)
-        assert not forms_equivalent(a, b)
+        assert a != b
 
     def test_variant_mismatch(self):
         t = mat_identity(F5, 2)
-        assert not forms_equivalent(
-            CanonicalForm.conjugation_form(t), CanonicalForm.zero_form(F5, 2)
-        )
+        assert CanonicalForm.conjugation_form(t) != CanonicalForm.zero_form(F5, 2)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+    def test_one_form_per_map_over_m2_f3(self, mode):
+        # all 48 invertible T and both orientations name 48 maps (T counts
+        # only up to a scalar); two forms are == exactly when their tables
+        # agree at all 81 points, and each table classifies to its form
+        domain = _domain(F3, 2, "full")[0]
+        invertible = [t for t in domain if t.rank() == 2]
+        assert len(invertible) == 48
+        forms = {}
+        for t in invertible:
+            for transpose in (False, True):
+                form = CanonicalForm.conjugation_form(t, transpose=transpose, mode=mode)
+                assert form.t == _normalize_t(t)
+                table = tuple(form.evaluate(x) for x in domain)
+                forms.setdefault(table, set()).add(form)
+        assert len(forms) == 48
+        assert all(len(group) == 1 for group in forms.values())
+        assert len(set().union(*forms.values())) == 48
+        for table, (form,) in forms.items():
+            phi = JordanMap.from_table(F3, 2, dict(zip(domain, table)), mode=mode)
+            assert classify(phi, verification="exhaustive") == form
+
+    def test_scaled_t_gives_the_same_form_over_f9(self):
+        rng = random.Random(9)
+        c = F9.scalar([1, 1])
+        for omega in endo_enumerate(F9):
+            for transpose in (False, True):
+                t, _ = random_invertible(F9, 3, rng)
+                a = CanonicalForm.conjugation_form(t, omega=omega, transpose=transpose)
+                b = CanonicalForm.conjugation_form(t.scale(c), omega=omega, transpose=transpose)
+                assert a == b and hash(a) == hash(b)
+                assert next(v for row in a.t.rows for v in row if v != F9.zero) == F9.one
+
+    def test_scaled_t_gives_the_same_form_over_q(self):
+        t = Mat(Q, [[0, 3], [2, 5]])
+        a = CanonicalForm.conjugation_form(t)
+        b = CanonicalForm.conjugation_form(t.scale(Q.scalar("-2/3")))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.t == Mat(Q, [[0, 1], ["2/3", "5/3"]])
+
+    def test_the_dataclass_normalizes_t(self):
+        t = Mat(F5, [[0, 2], [3, 0]])
+        form = CanonicalForm(variant="conjugation", field=F5, n=2, t=t)
+        assert form.t == Mat(F5, [[0, 1], [4, 0]])
+        assert form == CanonicalForm.conjugation_form(t)
 
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])

@@ -226,6 +226,23 @@ def test_verify_form_against_map(tmp_path):
     assert read(out)["outcome"]["status"] == "mismatch"
 
 
+def test_verify_form_with_a_scaled_t(tmp_path):
+    # the loader normalizes T, so a form stored with 2T verifies as the form of T
+    from jordanmaps import CanonicalForm
+
+    t = Mat(F5, [[1, 2], [1, 1]])
+    mp = write(tmp_path / "map.json", table_to_json(conjugation_table(F5, t)))
+    blob = form_to_json(CanonicalForm.conjugation_form(t))
+    out = tmp_path / "r.json"
+    outcomes = []
+    for scale in (1, 2):
+        blob["T"] = mat_to_json(t.scale(scale))
+        form = write(tmp_path / f"form{scale}.json", blob)
+        assert cli.main(["verify", "--form", form, "--map", mp, "--out", str(out)]) == 0
+        outcomes.append(read(out)["outcome"])
+    assert outcomes[0] == outcomes[1] == {"status": "verified", "points": 625}
+
+
 def test_sampled_verify_of_an_upper_triangular_table(tmp_path):
     # the sampled points stay inside the map's domain: the units E_11, E_12,
     # E_22, then 0, I and the draws
@@ -560,8 +577,10 @@ def test_suite_report_on_stdout_and_ledger_on_stderr(tmp_path, monkeypatch, caps
     ["classify", "--mode", "bogus"],
     ["counterexample", "--name", "nope"],
     ["certify", "--n", "x"],
+    ["verify", "--certificate", "c.json", "--seed", "1"],
+    ["counterexample", "--name", "char2", "--seed", "1"],
     [],
-], ids=["subcommand", "mode", "name", "n", "bare"])
+], ids=["subcommand", "mode", "name", "n", "verify-seed", "counterexample-seed", "bare"])
 def test_unknown_subcommand_errors(argv, capsys):
     # a usage error exits 4, never the 2 of a map that is not Jordan multiplicative
     with pytest.raises(SystemExit) as exc:

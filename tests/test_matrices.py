@@ -15,7 +15,6 @@ from jordanmaps import (
     endo_enumerate,
     galois_field,
     is_idempotent,
-    is_proportional,
     jordan_circ,
     jordan_diamond,
     mat_identity,
@@ -373,16 +372,6 @@ def test_is_idempotent():
     assert is_idempotent(mat_identity(F5, 2))
     assert is_idempotent(Mat(F5, [[1, 1], [0, 0]]))
     assert not is_idempotent(Mat(F5, [[2, 0], [0, 0]]))
-
-
-def test_is_proportional():
-    e12 = mat_unit(F5, 2, 1, 2)
-    c = is_proportional(e12.scale(-2), e12)
-    assert isinstance(c, Scalar) and c == F5.scalar(-2)
-    assert is_proportional(mat_zero(F5, 2), mat_zero(F5, 2)) is None
-    assert is_proportional(e12, mat_unit(F5, 2, 2, 1)) is None
-    # mixed support can never be a scalar multiple
-    assert is_proportional(e12 + mat_unit(F5, 2, 2, 1), e12) is None
 
 
 def test_block_diag():

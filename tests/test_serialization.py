@@ -441,11 +441,25 @@ def test_form_roundtrips():
     ]
     for form in forms:
         back = form_from_json(form_to_json(form))
+        assert back == form
         assert back.variant == form.variant
         assert back.field == form.field
         assert back.transpose == form.transpose
         x = mat_identity(form.field, form.n) + mat_unit(form.field, form.n, 1, 2)
         assert back.evaluate(x) == form.evaluate(x)
+
+
+def test_form_loads_with_a_normalized_t():
+    # a stored 2T loads as the form of T and is written back normalized
+    t = Mat(F5, [[1, 2], [1, 1]])
+    form = CanonicalForm.conjugation_form(t, transpose=True)
+    blob = form_to_json(form)
+    blob["T"] = mat_to_json(t.scale(2))
+    back = form_from_json(blob)
+    assert back == form
+    assert back.t == t
+    assert form_to_json(back) == form_to_json(form)
+    assert form_to_json(back)["T"] == mat_to_json(t)
 
 
 @pytest.mark.parametrize("m", [0, -1, 3])
