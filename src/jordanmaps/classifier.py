@@ -44,6 +44,8 @@ from .maps import (
     CIRC,
     DIAMOND,
     _breaks_law,
+    _domain,
+    _domain_sums,
     _first_failure,
     _free_positions,
     _resolve_strategy,
@@ -226,9 +228,23 @@ def _verification_points(phi, strategy):
 def _form_mismatch(phi, form, strategy):
     """The form check of classify and `verify --form`: the first of
     `_verification_points` where phi disagrees with the form, or None, and
-    the number of points checked."""
-    return _first_failure(_verification_points(phi, strategy),
-                          lambda x: phi(x) != form.evaluate(x))
+    the number of points checked.
+
+    A table body is not evaluated: its image at a point is read by the
+    point's domain index and image id, and compared as raw rows with the
+    form's value there. Over the whole domain, whose points come in `_domain`
+    order, a conjugation form is additive, so its values are taken from
+    `_domain_sums`, one raw add a point, instead of one evaluation each."""
+    points = _verification_points(phi, strategy)
+    if not phi._table:
+        return _first_failure(points, lambda x: phi(x) != form.evaluate(x))
+    ids, images = phi._table
+    index = _domain(phi.field, phi.n, phi.domain)[1]
+    value = lambda x: form.evaluate(x).rows
+    if strategy.kind == "exhaustive" and form.variant == "conjugation":
+        sums = _domain_sums(phi.field, phi.n, phi.domain, value)
+        value = lambda x: next(sums)
+    return _first_failure(points, lambda x: images[ids[index[x.rows]]] != value(x))
 
 
 def classify(phi, verification=None):

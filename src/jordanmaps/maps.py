@@ -33,6 +33,7 @@ from .matrices import (
     conjugator,
     jordan_circ,
     jordan_diamond,
+    mat_unit,
     mat_zero,
     random_mat,
 )
@@ -299,12 +300,32 @@ def _domain(field, n, domain):
     return tuple(mats), {x.rows: k for k, x in enumerate(mats)}
 
 
-def _product_codes(field, mode, raws, positions):
+def _domain_sums(field, n, domain, value):
+    """The raw rows `value(x)` of an additive map at each domain matrix x, in
+    `_domain` order, lazily. `value` is called at 0 and at d E_ij, for each
+    free position (i, j) and raw d != 0, alone: a matrix whose most
+    significant nonzero code digit is d, at free position (i, j), is d E_ij
+    plus a matrix earlier in the order, so its value is one raw add."""
+    add = field.add
+    out = [value(mat_zero(field, n))]
+    yield out[0]
+    for i, j in _free_positions(n, domain):
+        head = len(out)
+        for d in range(1, field.order):
+            unit = value(mat_unit(field, n, i + 1, j + 1, Scalar(field, d)))
+            for rows in out[:head]:
+                rows = tuple(tuple(map(add, r, s)) for r, s in zip(rows, unit))
+                out.append(rows)
+                yield rows
+
+
+def _product_codes(field, mode, raws, points, positions):
     """The code kernel of Jordan products, shared by `_product_table` and the
     exhaustive scan: codes(a) iterates, for b = a, a + 1, ..., the code of
-    raws[a] * raws[b], the product of `mode` of two square raw matrices over
-    the finite field. A matrix's code is the sum of entry * q^k over
-    `positions`, the k-th free position; entries off them must be 0.
+    x_a * x_b, the product of `mode` of two square raw matrices over the
+    finite field, where x_a = raws[points[a]]: each of `raws` is read once,
+    however many points share it. A matrix's code is the sum of entry * q^k
+    over `positions`, the k-th free position; entries off them must be 0.
 
     The distinct vectors among the rows and columns of `raws` get ids in
     order of first appearance, and dot products are tabled between those
@@ -325,6 +346,8 @@ def _product_codes(field, mode, raws, positions):
     row_ids = [[ids.setdefault(x[i], len(ids)) for x in raws] for i in dims]
     columns = [tuple(zip(*x)) for x in raws]
     col_ids = [[ids.setdefault(x[j], len(ids)) for x in columns] for j in dims]
+    row_ids = [list(map(r.__getitem__, points)) for r in row_ids]
+    col_ids = [list(map(c.__getitem__, points)) for c in col_ids]
     vectors = list(ids)
     grid = tuple(zip(*vectors))  # every vector as a column
     dots = functools.cache(lambda v: _matmul_raw(field, (vectors[v],), grid)[0])
@@ -344,7 +367,7 @@ def _product_codes(field, mode, raws, positions):
             v = map(dots(cc[a]).__getitem__, itertools.islice(rc, a, None))
             part = map(cell.__getitem__, map(add, u, v))
             out = part if out is None else map(add, out, part)
-        return itertools.repeat(0, len(raws) - a) if out is None else out
+        return itertools.repeat(0, len(points) - a) if out is None else out
 
     return codes
 
@@ -367,7 +390,8 @@ def _product_table(field, n, mode, domain):
     if mode == CIRC and field.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
     mats, raw_index = _domain(field, n, domain)
-    codes = _product_codes(field, mode, [x.rows for x in mats], _free_positions(n, domain))
+    codes = _product_codes(
+        field, mode, [x.rows for x in mats], range(len(mats)), _free_positions(n, domain))
     rows = []
     for a in range(len(mats)):
         row = array("H", map(itemgetter(a), rows))
@@ -447,8 +471,10 @@ def check_multiplicative(phi, strategy=None):
         coded over all m*m positions in base q, and the codes of
         phi(x_a * x_b) are compared with those the kernel `_product_codes`
         gives for phi(x_a) * phi(x_b). A product that is no image matches
-        no image code. The kernel tables only the dot products a scan row
-        needs, so an early rejection builds few.
+        no image code. The kernel is handed the distinct images and the
+        points' image ids, so it reads each image's rows and columns once,
+        and it tables only the dot products a scan row needs, so an early
+        rejection builds few.
 
     Either way the right-hand side of a row is kept under the row's image
     id: it depends on phi(x_a) alone, and a row that passed whole holds the
@@ -483,7 +509,7 @@ def check_multiplicative(phi, strategy=None):
             q, positions = phi.field.order, _free_positions(phi.m, "full")
             weights = [q ** k for k in range(len(positions))]
             keys = gather([sum(map(mul, itertools.chain(*rows), weights)) for rows in images])
-            codes = _product_codes(phi.field, phi.mode, gather(images), positions)
+            codes = _product_codes(phi.field, phi.mode, images, ids, positions)
 
             def rhs_row(a, lhs):
                 # the pairs b < a passed as (b, a) in an earlier row

@@ -8,6 +8,7 @@ integers as scalars, and refuse JSON booleans wherever a number is due. They
 validate structure and raise UnsupportedInput on anything malformed.
 """
 
+import functools
 import json
 import re
 import sys
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .errors import UnsupportedInput
 from .exact_fields import RingEndo, Scalar, galois_field, prime_field, rational_field
 from .generation import Certificate
-from .maps import CIRC, DIAMOND, JordanMap, _table_size
+from .maps import CIRC, DIAMOND, JordanMap, _domain, _table_size
 from .matrices import Mat
 
 SCHEMA = "1"
@@ -208,9 +209,23 @@ def table_to_json(phi):
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _encodings(field, n, domain):
+    """The raw rows of each domain matrix by the tuple of the entries that
+    `mat_to_json` writes for it. Built for prime fields alone: their entries
+    are strings, which equal no other JSON value."""
+    return {tuple(mat_to_json(x)["entries"]): x.rows for x in _domain(field, n, domain)[0]}
+
+
 def map_from_json(obj):
     """The table map of a map-table document. Every key and value is decoded
-    to raw rows before `JordanMap._tabled` places any; no key becomes a `Mat`."""
+    to raw rows before `JordanMap._tabled` places any; no key becomes a `Mat`.
+
+    Over a prime field, an n x n key or value whose entries are the ones
+    `mat_to_json` writes for a domain matrix is that matrix: its raw rows are
+    looked up in `_encodings`, not parsed. Any other spelling, and every
+    F_{p^k} coefficient list, goes through the parser, so each refusal and its
+    order stay those of the parser."""
     _check_schema(obj)
     field = field_from_json(_need(obj, "field", dict))
     n = _need(obj, "n", int)
@@ -222,7 +237,19 @@ def map_from_json(obj):
     entries = _need(obj, "entries", list)
     if len(entries) != size:
         raise UnsupportedInput(f"table lists {len(entries)} entries for {size} domain matrices")
-    read = _reader(field)
+    read = parse = _reader(field)
+    if field.kind == "prime":
+        known = _encodings(field, n, domain)
+
+        def read(obj):
+            get = obj.get
+            rows, cols, values = get("n"), get("m"), get("entries")
+            if type(rows) is type(cols) is int and rows == cols == n and type(values) is list:
+                try:
+                    return known[tuple(values)]
+                except (KeyError, TypeError):  # not our encoding, or an unhashable entry
+                    pass
+            return parse(obj)
 
     def pair(entry):
         x, fx = (entry.get("x"), entry.get("fx")) if type(entry) is dict else (None, None)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from jordanmaps import (
     NotJordanMultiplicative,
     RingEndo,
     Scalar,
+    Strategy,
     UnsupportedInput,
     UnsupportedSize,
     classify,
@@ -29,7 +31,7 @@ from jordanmaps import (
     rational_field,
 )
 from jordanmaps import classifier
-from jordanmaps.classifier import _aimed, _normalize_t, _probes, _reject
+from jordanmaps.classifier import _aimed, _form_mismatch, _normalize_t, _probes, _reject
 from jordanmaps.maps import _domain
 from jordanmaps.matrices import (
     conjugator,
@@ -584,6 +586,57 @@ def test_conjugation_form_evaluates_as_its_map(frobenius, transpose, mode):
             points = [phi.sample_domain(rng) for _ in range(count)]
         for x in points:
             assert form.evaluate(x) == phi(x)
+
+
+def _form_cases():
+    e11 = mat_unit(F3, 2, 1, 1)
+    yield "M2F3-conjugation", CanonicalForm.conjugation_form(Mat(F3, [[1, 1], [2, 0]]),
+                                                             transpose=True), "full"
+    yield "M2F3-constant", CanonicalForm.constant_form(e11, 2, mode=DIAMOND), "full"
+    yield "M2F3-zero", CanonicalForm.zero_form(F3, 2, m=1), "full"
+    yield "T2F9-frobenius", CanonicalForm.conjugation_form(
+        Mat(F9, [[1, 2], [0, 1]]), omega=RingEndo(F9, 1)), "upper_triangular"
+
+
+@pytest.mark.parametrize("strategy", [Strategy.exhaustive(), Strategy.sampled(40, 3)],
+                         ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("case", list(_form_cases()), ids=lambda case: case[0])
+def test_form_check_of_a_table_stops_where_evaluation_does(case, strategy):
+    # the form check reads a table's images by id (and over the whole domain
+    # sums a conjugation form's values): on the form's own table and on each
+    # single-point change of it, it stops where the check that evaluates the
+    # same map as an oracle stops, with the same count
+    _, form, domain = case
+    xs = list(JordanMap.from_oracle(form.field, 2, None, domain=domain).domain_iter())
+    values = [form.evaluate(x) for x in xs]
+    other = mat_identity(form.field, form.m)
+    for k in (None, 0, 1, len(xs) // 2, len(xs) - 1):
+        changed = list(values)
+        if k is not None:
+            changed[k] = other if changed[k] != other else mat_zero(form.field, form.m)
+        table = JordanMap.from_table(form.field, 2, list(zip(xs, changed)), mode=form.mode,
+                                     domain=domain)
+        oracle = JordanMap.from_oracle(form.field, 2, dict(zip(xs, changed)).__getitem__,
+                                       mode=form.mode, m=form.m, domain=domain)
+        found = _form_mismatch(table, form, strategy)
+        assert found == _form_mismatch(oracle, form, strategy)
+        if strategy.kind == "exhaustive":
+            assert found == ((None, len(xs)) if k is None else (xs[k], k + 1))
+
+
+def test_form_check_of_a_table_sums_a_conjugation():
+    # over the whole domain a conjugation form is evaluated at 0 and at the
+    # 8 nonzero multiples of the matrix units of M_2(F_3), not at 81 points;
+    # a sampled check evaluates it at each of its points
+    real = next(_form_cases())[1]
+    table = as_table(JordanMap.conjugation(real.t, transpose=True))
+    asked = []
+    form = SimpleNamespace(variant=real.variant,
+                           evaluate=lambda x: asked.append(x) or real.evaluate(x))
+    assert _form_mismatch(table, form, Strategy.exhaustive()) == (None, 81)
+    assert len(asked) == 1 + 4 * 2
+    assert _form_mismatch(table, form, Strategy.sampled(10, 1)) == (None, 16)
+    assert len(asked) == 9 + 16
 
 
 def additive_basis(field, n):

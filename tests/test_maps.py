@@ -12,6 +12,7 @@ from jordanmaps import (
     DIAMOND,
     JordanMap,
     Mat,
+    Scalar,
     Strategy,
     UnsupportedInput,
     block_diag,
@@ -28,7 +29,13 @@ from jordanmaps import (
     rational_field,
 )
 from jordanmaps import maps
-from jordanmaps.maps import _domain, _free_positions, _product_codes, _product_table
+from jordanmaps.maps import (
+    _domain,
+    _domain_sums,
+    _free_positions,
+    _product_codes,
+    _product_table,
+)
 from jordanmaps.matrices import _raw_draw, random_mat
 from jordanmaps.serialization import dumps, map_from_json, table_to_json
 
@@ -498,7 +505,7 @@ def test_kernel_drops_terms_that_are_always_zero(m, mode):
     # constant E_12 table is rejected at (0, 0), through ids into M_2 and
     # through codes into M_4
     e12 = mat_unit(F3, m, 1, 2)
-    codes = _product_codes(F3, mode, [e12.rows] * 81, _free_positions(m, "full"))
+    codes = _product_codes(F3, mode, [e12.rows], [0] * 81, _free_positions(m, "full"))
     assert [list(codes(a)) for a in (0, 40, 80)] == [[0] * 81, [0] * 41, [0]]
     phi = JordanMap.from_table(F3, 2, {x: e12 for x in _domain(F3, 2, "full")[0]}, mode=mode)
     report = check_multiplicative(phi, Strategy.exhaustive())
@@ -523,6 +530,70 @@ def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
     report = check_multiplicative(phi, Strategy.exhaustive())
     assert (report.ok, report.pairs_checked, report.witness) == (True, 81 * 81, None)
     assert rows == [0]
+
+
+@pytest.mark.parametrize("field, domain", [(F3, "full"), (F9, "upper_triangular")],
+                         ids=["M2F3", "T2F9"])
+def test_domain_sums_reads_an_additive_map_at_unit_multiples(field, domain):
+    # x -> T x^t is additive: its values at the domain matrices, in domain
+    # order, come from its values at 0 and at d E_ij alone
+    t = Mat(field, [[1, 2], [1, 0]])
+    asked = []
+
+    def value(x):
+        asked.append(x)
+        return (t @ x.transpose()).rows
+
+    mats = _domain(field, 2, domain)[0]
+    assert list(_domain_sums(field, 2, domain, value)) == [(t @ x.transpose()).rows for x in mats]
+    units = [mat_unit(field, 2, i + 1, j + 1, Scalar(field, d))
+             for i, j in _free_positions(2, domain) for d in range(1, field.order)]
+    assert asked == [mat_zero(field, 2)] + units
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("seed", range(4))
+def test_codes_scan_reads_each_image_once(monkeypatch, seed, mode):
+    # a scattered M_2(F_3) -> M_1 table has three distinct images: the kernel
+    # is handed those three and the points' image ids, not one matrix per
+    # point, and the scan finds the reference scan's witness and count
+    _product_table(F3, 2, mode, "full")  # built before the count starts
+    handed = []
+
+    def counting(field, mode, raws, points, positions):
+        handed.append((list(raws), points))
+        return _product_codes(field, mode, raws, points, positions)
+
+    monkeypatch.setattr(maps, "_product_codes", counting)
+    rng = random.Random(seed)
+    values = [Mat(F3, [[c]]) for c in (0, 1, 2)]
+    phi = JordanMap.from_table(
+        F3, 2, {x: rng.choice(values) for x in _domain(F3, 2, "full")[0]}, mode=mode)
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+    ids, images = phi._table
+    assert handed == [(images, ids)] and len(images) == 3
+
+
+def test_codes_scan_rejecting_early_builds_few_dot_rows(monkeypatch):
+    # an M_2(F_3) -> M_3 table with phi(0) = 0 and 81 distinct images fails
+    # in row 1: the kernel tables the dot products of the vectors of the two
+    # images it scanned, at most 2 * (3 rows + 3 columns), not of all 81
+    rng = random.Random(5)
+    keys = list(_domain(F3, 2, "full")[0])
+    values = {mat_zero(F3, 3)}
+    while len(values) < len(keys):
+        values.add(Mat(F3, [[rng.randrange(3) for _ in range(3)] for _ in range(3)]))
+    entries = dict(zip(keys, [mat_zero(F3, 3)] + sorted(values - {mat_zero(F3, 3)}, key=repr)))
+    phi = JordanMap.from_table(F3, 2, entries)
+    _product_table(F3, 2, CIRC, "full")
+    rows = []
+    matmul = maps._matmul_raw
+    monkeypatch.setattr(maps, "_matmul_raw", lambda f, a, b: rows.append(a) or matmul(f, a, b))
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+    assert report.pairs_checked < 2 * 81
+    assert 0 < len(rows) <= 2 * 6
 
 
 def test_exhaustive_scan_outside_the_domain_stops_early():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanmaps import serialization
 from jordanmaps import (
     CanonicalForm,
     JordanMap,
@@ -180,6 +181,72 @@ def test_decoded_field_is_the_domain_field(field):
     assert back.field is _domain(field, 2, "full")[0][0].field
 
 
+def _counting_decodes(monkeypatch):
+    decoded = []
+    parse = serialization._decode_raw
+    monkeypatch.setattr(serialization, "_decode_raw",
+                        lambda field, obj: decoded.append(obj) or parse(field, obj))
+    return decoded
+
+
+@pytest.mark.parametrize(
+    "field, domain",
+    [(F3, "full"), (F5, "upper_triangular"), (preset_field("F7"), "upper_triangular")],
+    ids=["M2F3", "T2F5", "T2F7"],
+)
+def test_map_from_json_looks_up_its_own_encodings(monkeypatch, field, domain):
+    # every key and every value inside the domain, as table_to_json writes
+    # them, is looked up and never parsed; another spelling is parsed
+    xs = list(JordanMap.from_oracle(field, 2, None, domain=domain).domain_iter())
+    t = Mat(field, [[1, 1], [0, 2]])
+    blob = json.loads(dumps(table_to_json(
+        JordanMap.from_table(field, 2, {x: t @ x for x in xs}, domain=domain))))
+    decoded = _counting_decodes(monkeypatch)
+    back = map_from_json(blob)
+    assert decoded == []
+    assert [back(x) for x in xs] == [t @ x for x in xs]
+    respelled = blob["entries"][-1]["fx"]["entries"]
+    respelled[0] = int(respelled[0])
+    assert map_from_json(blob)._table == back._table
+    assert decoded[0] == respelled[0] and len(decoded) <= 4
+
+
+def test_map_from_json_looks_up_a_table_written_by_hand(monkeypatch):
+    # string entries and keys in domain order, as a script writes a table
+    # without the library's encoder: the k-th key carries the base-3 digits
+    # of k, row-major, least significant first; the value is the transpose
+    def digits(k):
+        return [k // 3 ** i % 3 for i in range(4)]
+
+    def mat(entries):
+        return {"n": 2, "m": 2, "entries": [str(e) for e in entries]}
+
+    entries = [{"x": mat(digits(k)), "fx": mat(digits(k)[::2] + digits(k)[1::2])}
+               for k in range(81)]
+    text = json.dumps({"schema": "1", "field": {"kind": "prime", "p": 3}, "n": 2,
+                       "mode": "circ", "entries": entries})
+    decoded = _counting_decodes(monkeypatch)
+    back = map_from_json(json.loads(text))
+    assert decoded == []
+    assert all(back(x) == x.transpose() for x in back.domain_iter())
+    # an integer is no string: the same table spelled with one 1 is parsed there
+    entries[5]["x"]["entries"][1] = 1
+    again = map_from_json(json.loads(json.dumps({**json.loads(text), "entries": entries})))
+    assert decoded == ["2", 1, "0"]  # key 5, each distinct spelling once
+    assert again._table == back._table
+
+
+@pytest.mark.parametrize("part, key", [("x", "n"), ("x", "m"), ("fx", "n"), ("fx", "m")])
+def test_map_from_json_refuses_a_boolean_size_of_its_own_spelling(part, key):
+    # on M_1(F_3), true == 1 == n: a key or value whose entries are the
+    # library's own is still refused for a boolean size, as the parser does
+    blob = table_to_json(JordanMap.from_table(F3, 1, {x: x for x in _domain(F3, 1, "full")[0]}))
+    blob["entries"][1][part][key] = True
+    with pytest.raises(UnsupportedInput) as exc:
+        map_from_json(blob)
+    assert str(exc.value) == f"key {key!r} has unexpected type bool"
+
+
 @pytest.mark.parametrize("late", [True, 1.0])
 def test_map_from_json_keeps_encodings_of_one_value_apart(late):
     # 1 is read first; a later true or 1.0, equal to 1 in Python, is still
@@ -315,6 +382,12 @@ def _fx_entry(i, value):
     return fault
 
 
+def _x_entry(i, value):
+    def fault(blob, k):
+        blob["entries"][k]["x"]["entries"][i] = value
+    return fault
+
+
 def _duplicate(blob, k):
     # entry k repeats the key of its neighbour
     entries = blob["entries"]
@@ -359,6 +432,9 @@ _REFUSALS = {
     ),
     "inconsistent_values": (_resized("fx", 3, 3), "table values have inconsistent sizes"),
     "duplicate_key": (_duplicate, "duplicate table key"),
+    "unhashable_key_entry": (_x_entry(0, ["1"]), "bad scalar encoding ['1']"),
+    "unhashable_value_entry": (_fx_entry(3, ["1"]), "bad scalar encoding ['1']"),
+    "boolean_in_key": (_x_entry(1, True), "bad scalar encoding True"),
 }
 
 
@@ -397,6 +473,9 @@ _PRECEDENCE = [
      "bad scalar encoding 'w': invalid literal for int() with base 10: 'w'"),
     ((_set("fx", "n", True), 7), (_pop("entries", "fx"), 7), "key 'n' has unexpected type bool"),
     ((_pop("m", "x"), 9), (_set("x", "n", 0), 9), "missing key 'm' in JSON object"),
+    ((_fx_entry(2, ["1"]), 6), (_x_entry(1, True), 6), "bad scalar encoding True"),
+    ((_x_entry(0, ["1"]), 30), (_fx_entry(1, True), 31), "bad scalar encoding ['1']"),
+    ((_duplicate, 2), (_x_entry(3, True), 80), "bad scalar encoding True"),
 ]
 
 
@@ -404,6 +483,8 @@ _PRECEDENCE = [
     "duplicate_then_bad_scalar", "non_square_then_missing_fx", "outside_then_earlier_duplicate",
     "key_before_value", "size_before_duplicate", "non_square_then_inconsistent",
     "x_before_fx", "x_scalar_before_fx_scalar", "n_before_entries", "m_before_claims",
+    "boolean_key_before_unhashable_value", "unhashable_key_then_boolean_value",
+    "duplicate_then_boolean_key",
 ])
 def test_map_from_json_refusal_precedence(first, second, detail):
     blob = _valid_table("M2F3")

@@ -5,7 +5,9 @@ cache). It patches the package, so it runs in a subprocess of its own, and
 it sets up as perfbench/run.py does: a bare `import jordanmaps`, the
 product-table cache cleared, then the tracer installed. Between its set-up
 reps run.py clears that cache again: the next scan rebuilds the table, one
-more build, over the cached domain matrices."""
+more build, over the cached domain matrices. The classifier's form check
+still draws its points through `_verification_points`, which the tracer
+counts."""
 
 import os
 import subprocess
@@ -16,6 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
 from array import array
+from collections import Counter
 
 import jordanmaps as jm
 import tracing
@@ -44,6 +47,12 @@ table_cache.cache_clear()
 assert jm.check_multiplicative(phi, jm.Strategy.exhaustive())
 assert counts["maps.table_builds"] == 3, counts
 assert jm.maps._product_table(F3, 2, "circ", "full")[0] is jm.maps._domain(F3, 2, "full")[0]
+# one exhaustive classify of the table draws its 81 form-check points through
+# _verification_points, and reads the table's images there without evaluating it
+before = Counter(counts)
+jm.classify_with_report(phi)
+assert counts["classifier.points_checked"] - before["classifier.points_checked"] == 81, counts
+assert counts["maps.eval"] - before["maps.eval"] < 81, counts
 # Field inherits object's equality and hash, and the counter wraps them: an
 # == of one field counts once, a != of two consults both operands' __eq__,
 # and a dict finds a field by identity without any
