@@ -31,7 +31,7 @@ InvariantViolation tagged with the stage that broke.
 
 import random
 from dataclasses import dataclass
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 
 from .errors import (
     InvariantViolation,
@@ -210,19 +210,19 @@ def _aimed(x, probes):
 
 def _verification_points(phi, strategy):
     """Domain points used to confirm a candidate form against the map: the
-    whole domain, or else the matrix units inside it (row-major), 0, I and
-    `strategy.count` seeded draws."""
+    whole domain in `_domain` order, or else the matrix units inside it
+    (row-major), 0, I and the first `strategy.count` matrices of the
+    pre-check's own pair stream `_sampled_pairs` (x_1, y_1, x_2, ...)."""
     if strategy.kind == "exhaustive":
         yield from phi.domain_iter()
         return
-    rng = random.Random(strategy.seed)
     f, n = phi.field, phi.n
     for i, j in _free_positions(n, phi.domain):
         yield mat_unit(f, n, i + 1, j + 1)
     yield mat_zero(f, n)
     yield mat_identity(f, n)
-    for _ in range(strategy.count):
-        yield phi.sample_domain(rng)
+    pairs = _sampled_pairs(phi, strategy.seed, strategy.count)
+    yield from islice(chain.from_iterable(pairs), strategy.count)
 
 
 def _form_mismatch(phi, form, strategy):
@@ -230,21 +230,24 @@ def _form_mismatch(phi, form, strategy):
     `_verification_points` where phi disagrees with the form, or None, and
     the number of points checked.
 
-    A table body is not evaluated: its image at a point is read by the
-    point's domain index and image id, and compared as raw rows with the
-    form's value there. Over the whole domain, whose points come in `_domain`
-    order, a conjugation form is additive, so its values are taken from
-    `_domain_sums`, one raw add a point, instead of one evaluation each."""
-    points = _verification_points(phi, strategy)
-    if not phi._table:
-        return _first_failure(points, lambda x: phi(x) != form.evaluate(x))
-    ids, images = phi._table
-    index = _domain(phi.field, phi.n, phi.domain)[1]
-    value = lambda x: form.evaluate(x).rows
+    Two independent choices feed one comparison of raw rows. phi is read by
+    a table's image ids (the point's `_domain` index, then its image), so a
+    table body is not evaluated, and any other body by evaluation. A
+    conjugation form is additive, so over the whole domain, whose points
+    come in `_domain` order, its values are taken from `_domain_sums`, one
+    raw add a point; any other form, or a sampled check, evaluates it."""
+    if phi._table:
+        ids, images = phi._table
+        index = _domain(phi.field, phi.n, phi.domain)[1]
+        got = lambda x: images[ids[index[x.rows]]]
+    else:
+        got = lambda x: phi(x).rows
+    want = lambda x: form.evaluate(x).rows
     if strategy.kind == "exhaustive" and form.variant == "conjugation":
-        sums = _domain_sums(phi.field, phi.n, phi.domain, value)
-        value = lambda x: next(sums)
-    return _first_failure(points, lambda x: images[ids[index[x.rows]]] != value(x))
+        sums = _domain_sums(phi.field, phi.n, phi.domain, want)
+        want = lambda x: next(sums)
+    points = _verification_points(phi, strategy)
+    return _first_failure(points, lambda x: got(x) != want(x))
 
 
 def classify(phi, verification=None):

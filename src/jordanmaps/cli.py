@@ -72,7 +72,9 @@ def _check_n(n):
         raise UnsupportedSize(f"--n {n} exceeds the cap of {_MAX_N}")
 
 
-def _read_json(path):
+def _read_json(path, report):
+    """The parsed JSON of the file at `path`; its path and sha256 are
+    appended to the report's inputs."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -83,7 +85,8 @@ def _read_json(path):
     except ValueError as exc:
         # bad UTF-8, bad JSON, or an integer literal beyond Python's digit cap
         raise UnsupportedInput(f"{path} is not valid JSON: {exc}") from exc
-    return obj, hashlib.sha256(data).hexdigest()
+    report["inputs"].append({"path": path, "sha256": hashlib.sha256(data).hexdigest()})
+    return obj
 
 
 def _write_atomic(path, text):
@@ -163,9 +166,7 @@ def cmd_certify(args, report):
     field = preset_field(args.field)
     report["field"] = field_to_json(field)
     if args.matrix:
-        obj, digest = _read_json(args.matrix)
-        report["inputs"].append({"path": args.matrix, "sha256": digest})
-        x = mat_from_json(field, obj)
+        x = mat_from_json(field, _read_json(args.matrix, report))
         if not x.is_square:
             raise UnsupportedInput("certificates need a square matrix")
     elif args.random:
@@ -188,9 +189,7 @@ def cmd_certify(args, report):
 
 def _load_or_random_map(args, report):
     if args.map:
-        obj, digest = _read_json(args.map)
-        report["inputs"].append({"path": args.map, "sha256": digest})
-        phi = map_from_json(obj)
+        phi = map_from_json(_read_json(args.map, report))
         report["field"] = field_to_json(phi.field)
         return phi, None
     if args.random:
@@ -231,9 +230,7 @@ def cmd_classify(args, report):
 
 def cmd_verify(args, report):
     if args.certificate:
-        obj, digest = _read_json(args.certificate)
-        report["inputs"].append({"path": args.certificate, "sha256": digest})
-        cert = certificate_from_json(obj)
+        cert = certificate_from_json(_read_json(args.certificate, report))
         report["field"] = field_to_json(cert.field)
         result = replay(cert)
         if result:
@@ -244,12 +241,8 @@ def cmd_verify(args, report):
             "reason": result.reason,
         }
     if args.form and args.map:
-        form_obj, form_digest = _read_json(args.form)
-        report["inputs"].append({"path": args.form, "sha256": form_digest})
-        form = form_from_json(form_obj)
-        map_obj, map_digest = _read_json(args.map)
-        report["inputs"].append({"path": args.map, "sha256": map_digest})
-        phi = map_from_json(map_obj)
+        form = form_from_json(_read_json(args.form, report))
+        phi = map_from_json(_read_json(args.map, report))
         report["field"] = field_to_json(phi.field)
         if form.field is not phi.field or (form.n, form.m, form.mode) != (phi.n, phi.m, phi.mode):
             raise UnsupportedInput("form and map disagree on field, size, or mode")

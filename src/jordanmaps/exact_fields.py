@@ -156,7 +156,6 @@ class Field:
         self.k = k
         self.modulus = modulus
         self.order = p ** k if kind != "rational" else None
-        self.char = p
         self.is_finite = kind != "rational"
         self.char2 = p == 2
         self.zero = 0 if self.is_finite else Fraction(0)
@@ -166,6 +165,7 @@ class Field:
         self._zech = None
         if kind == "galois":
             self._build_log_tables()
+        self._half = None if self.char2 else self.inv(self.of(2))
 
     def __repr__(self):
         return f"Field({self.name()})"
@@ -238,14 +238,11 @@ class Field:
 
     @property
     def half_one(self):
-        """Raw value of 1/2 (cached); undefined in characteristic 2."""
-        if self.p == 2:
+        """Raw value of 1/2, computed once when the field is set up;
+        undefined in characteristic 2."""
+        if self._half is None:
             raise UnsupportedInput("1/2 does not exist in characteristic 2")
-        cached = self.__dict__.get("_half_one")
-        if cached is None:
-            cached = self.inv(self.of(2))
-            self.__dict__["_half_one"] = cached
-        return cached
+        return self._half
 
     def pow_raw(self, a, e):
         if self.kind == "rational":

@@ -285,28 +285,26 @@ def _table_size(field, n, domain):
 
 @functools.lru_cache(maxsize=8)
 def _domain(field, n, domain):
-    """The domain matrices in row-major base-q code order (the first free
-    position varies fastest) and the index of each by its raw rows. Refuses
-    what `_table_size` refuses first, so it never holds over _TABLE_CAP."""
+    """The domain matrices in code order, and the index of each by its raw
+    rows: the k-th matrix is the one whose code, the sum of raw entry * q^k
+    over the k-th free position, is k, so the first free position varies
+    fastest. They are the identity map's `_domain_sums`, the one place that
+    order is written. Refuses what `_table_size` refuses first, so it never
+    holds over _TABLE_CAP."""
     _table_size(field, n, domain)
-    zero = field.zero
-    positions = _free_positions(n, domain)
-    mats = []
-    for digits in itertools.product(range(field.order), repeat=len(positions)):
-        rows = [[zero] * n for _ in range(n)]
-        for (i, j), d in zip(positions, reversed(digits)):
-            rows[i][j] = d
-        mats.append(Mat._from_raw(field, tuple(map(tuple, rows))))
-    return tuple(mats), {x.rows: k for k, x in enumerate(mats)}
+    sums = _domain_sums(field, n, domain, lambda x: x.rows)
+    mats = tuple(Mat._from_raw(field, rows) for rows in sums)
+    return mats, {x.rows: k for k, x in enumerate(mats)}
 
 
 def _domain_sums(field, n, domain, value):
     """The raw rows `value(x)` of an additive map at each domain matrix x, in
-    `_domain` order, lazily. `value` is called at 0 and at d E_ij, for each
-    free position (i, j) and raw d != 0, alone: a matrix whose most
-    significant nonzero code digit is d, at free position (i, j), is d E_ij
-    plus a matrix earlier in the order, so its value is one raw add."""
-    add = field.add
+    code order, lazily; `_domain` is this order for the identity map. `value`
+    is called at 0 and at d E_ij, for each free position (i, j) and raw
+    d != 0, alone: a matrix whose most significant nonzero code digit is d,
+    at free position (i, j), is d E_ij plus a matrix earlier in the order,
+    so its value is one raw add."""
+    adds = itertools.repeat(field.add)
     out = [value(mat_zero(field, n))]
     yield out[0]
     for i, j in _free_positions(n, domain):
@@ -314,7 +312,7 @@ def _domain_sums(field, n, domain, value):
         for d in range(1, field.order):
             unit = value(mat_unit(field, n, i + 1, j + 1, Scalar(field, d)))
             for rows in out[:head]:
-                rows = tuple(tuple(map(add, r, s)) for r, s in zip(rows, unit))
+                rows = tuple(map(tuple, map(map, adds, rows, unit)))
                 out.append(rows)
                 yield rows
 

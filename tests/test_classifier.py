@@ -327,6 +327,18 @@ class TestConjugationRecovery:
         form = classify(table, verification="exhaustive")
         assert form == CanonicalForm.conjugation_form(t, transpose=True)
 
+    def test_prime_field_above_the_probe_cap(self):
+        # over F_4099 the line through E_11 is probed at 0, 1, -1, 2, 3 and
+        # 48 seeded draws, not at all 4099 elements
+        f = preset_field("p:4099")
+        draws = random.Random(0)
+        expected = [0, 1, 4098, 2, 3] + [draws.randrange(4099) for _ in range(48)]
+        assert _probes(f, 0) == list(dict.fromkeys(expected))
+        t = Mat(f, [[2, 7], [1, 4098]])
+        phi = JordanMap.conjugation(t, transpose=True)
+        form = classify(phi, verification="sampled:20:0")
+        assert form == CanonicalForm.conjugation_form(t, transpose=True)
+
 
 class TestRejection:
     def test_single_corrupted_image(self):
@@ -637,6 +649,22 @@ def test_form_check_of_a_table_sums_a_conjugation():
     assert len(asked) == 1 + 4 * 2
     assert _form_mismatch(table, form, Strategy.sampled(10, 1)) == (None, 16)
     assert len(asked) == 9 + 16
+
+
+def test_form_check_of_any_map_sums_a_conjugation():
+    # over the whole domain the form is read by sums whatever the map's body:
+    # a conjugation body, and a map wrong at I alone, which is found at I
+    real = next(_form_cases())[1]
+    phi = JordanMap.conjugation(real.t, transpose=True)
+    asked = []
+    form = SimpleNamespace(variant=real.variant,
+                           evaluate=lambda x: asked.append(x) or real.evaluate(x))
+    assert _form_mismatch(phi, form, Strategy.exhaustive()) == (None, 81)
+    assert len(asked) == 1 + 4 * 2
+    eye = mat_identity(F3, 2)
+    k = list(phi.domain_iter()).index(eye)
+    wrong = single_point(phi, eye, mat_zero(F3, 2))
+    assert _form_mismatch(wrong, real, Strategy.exhaustive()) == (eye, k + 1)
 
 
 def additive_basis(field, n):

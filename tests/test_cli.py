@@ -515,6 +515,33 @@ def test_bad_input_exits_4_with_report(argv, tmp_path, capsys):
     assert report["outcome"]["status"] == "unsupported"
 
 
+_NO_INPUT = "verify needs --certificate FILE, or --form FILE with --map FILE"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["certify", "--field", "F5", "--matrix", {"n": 2, "m": 3, "entries": ["1"] * 6}],
+     "certificates need a square matrix"),
+    (["certify", "--field", "F5"], "certify needs --matrix FILE or --random"),
+    (["classify"], "classify needs --map FILE or --random"),
+    (["verify"], _NO_INPUT),
+    (["verify", "--form", {"variant": "zero"}], _NO_INPUT),
+    (["classify", "--random", "--field", "F2"], "random structured maps need characteristic != 2"),
+], ids=["non_square_matrix", "certify", "classify", "verify", "verify_form_alone", "random_f2"])
+def test_refusals_exit_4_with_their_detail(argv, detail, tmp_path, capsys):
+    # a dict stands for a JSON file, which is read (and listed in the
+    # report's inputs) only where the subcommand reads it
+    files = [tmp_path / f"input{k}.json" for k in range(len(argv))]
+    argv = [write(path, a) if isinstance(a, dict) else a for path, a in zip(files, argv)]
+    assert cli.main(argv) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit_code"] == 4
+    assert report["outcome"] == {"status": "unsupported", "detail": detail}
+    read = [] if argv[0] == "verify" else [path for path in files if path.exists()]
+    assert report["inputs"] == [
+        {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+        for path in read]
+
+
 @pytest.mark.parametrize(
     "entry, detail",
     [

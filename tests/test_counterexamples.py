@@ -1,9 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from jordanmaps import counterexamples
 from jordanmaps import (
+    JordanMap,
     Mat,
     Scalar,
     UnsupportedInput,
@@ -114,6 +116,29 @@ class TestBlockEmbedding:
     def test_char2_rejected(self):
         with pytest.raises(UnsupportedInput):
             block_embedding_example(F2)
+
+
+class TestVerifyFails:
+    # `replace` builds a new bundle, whose evidence is checked again
+    def test_when_the_evidence_fails(self):
+        doubled = JordanMap.from_oracle(F5, 2, lambda x: x.scale(2), domain="upper_triangular")
+        bundle = replace(triangular_example(F5), map=doubled)
+        assert not bundle.evidence
+        assert not bundle.verify()
+
+    def test_when_the_non_additivity_pair_does_not_replay(self):
+        # both E_12 and 2 E_12 map to 0
+        x = mat_unit(F5, 2, 1, 2)
+        bundle = replace(triangular_example(F5), non_additivity=(x, x))
+        assert bundle.evidence
+        assert not bundle.verify()
+
+    def test_when_the_non_constancy_pair_does_not_replay(self):
+        bundle = char2_example()
+        a = bundle.non_constancy[0]
+        bundle = replace(bundle, non_constancy=(a, a))
+        assert bundle.evidence
+        assert not bundle.verify()
 
 
 def test_all_examples():

@@ -80,6 +80,11 @@ class TestHalving:
         two = f9.scalar(2)
         assert f9.scalar(1).halve() * two == f9.scalar(1)
 
+    @pytest.mark.parametrize("name", ["F2", "gf:2:2"])
+    def test_half_one_is_refused_in_char2(self, name):
+        with pytest.raises(UnsupportedInput, match="1/2 does not exist in characteristic 2"):
+            preset_field(name).half_one
+
 
 def test_f5_inverse_table(f5):
     assert f5.inv(3) == 2

@@ -286,6 +286,13 @@ class TestReplay:
                 tampered += 1
         assert tampered == 16
 
+    def test_forged_zero_intermediate_is_reported(self):
+        # E_11 o E_22 = 0 is recorded truly, but a chain to I may not pass 0
+        zero = mat_zero(F5, 2)
+        steps = ((mat_unit(F5, 2, 2, 2), zero), (mat_identity(F5, 2), zero))
+        verdict = replay(Certificate(start=mat_unit(F5, 2, 1, 1), steps=steps))
+        assert verdict == ReplayResult(False, 1, "intermediate result is zero")
+
     def test_tampered_multiplier_is_located(self):
         cert = certify_identity(Mat(F5, [[1, 2], [3, 4]]))
         steps = list(cert.steps)

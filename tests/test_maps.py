@@ -29,6 +29,7 @@ from jordanmaps import (
     rational_field,
 )
 from jordanmaps import maps
+from jordanmaps.classifier import _verification_points
 from jordanmaps.maps import (
     _domain,
     _domain_sums,
@@ -157,6 +158,50 @@ def test_domain_order(name, domain):
     assert index == {rows: k for k, rows in enumerate(expected)}
 
 
+def _domain_keys():
+    """(field name, n, domain) for every domain a map table may cover, over
+    the fields F2, F3, F5, F7, F9, F25 and F27 with n = 1..3."""
+    for name in ("F2", "F3", "F5", "F7", "F9", "F25", "gf:3:3"):
+        for n in (1, 2, 3):
+            for domain in ("full", "upper_triangular"):
+                try:
+                    maps._table_size(preset_field(name), n, domain)
+                except UnsupportedInput:
+                    continue
+                yield name, n, domain
+
+
+@pytest.mark.parametrize("name, n, domain", list(_domain_keys()))
+def test_domain_index_is_the_code(name, n, domain):
+    # index = code, which `_product_codes` and `_domain_sums` rely on: the
+    # k-th domain matrix holds the base-q digits of k at the free positions,
+    # the first position the least significant, and 0 off them
+    field = preset_field(name)
+    positions = _free_positions(n, domain)
+    mats, index = _domain(field, n, domain)
+    codes = [sum(x.rows[i][j] * field.order ** k for k, (i, j) in enumerate(positions))
+             for x in mats]
+    assert [index[x.rows] for x in mats] == codes == list(range(field.order ** len(positions)))
+    off = set(itertools.product(range(n), repeat=2)) - set(positions)
+    assert all(x.rows[i][j] == 0 for x in mats for i, j in off)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("field, domain", [
+    (F5, "full"), (F9, "upper_triangular"), (rational_field(), "full"),
+], ids=["F5", "F9-upper", "Q"])
+def test_sampled_points_are_the_pair_stream(field, domain, count):
+    # after the units, 0 and I, a sampled form check reads the first `count`
+    # matrices of the pre-check's pair stream x_1, y_1, x_2, ...
+    phi = JordanMap.from_oracle(field, 3, lambda x: x, domain=domain)
+    points = list(_verification_points(phi, Strategy.sampled(count, seed=11)))
+    units = [mat_unit(field, 3, i + 1, j + 1) for i, j in _free_positions(3, domain)]
+    fixed = units + [mat_zero(field, 3), mat_identity(field, 3)]
+    assert points[:len(fixed)] == fixed
+    stream = [x for pair in maps._sampled_pairs(phi, 11, count) for x in pair]
+    assert points[len(fixed):] == stream[:count]
+
+
 def test_memo_stays_bounded_on_long_sampled_runs():
     # every pair evaluates three new points over Q; CPU time, so other
     # processes do not count
@@ -208,6 +253,13 @@ def test_call_validates_input():
         phi(mat_identity(F3, 2))
     with pytest.raises(UnsupportedInput):
         phi(mat_identity(F5, 3))
+
+
+def test_triangular_map_refuses_a_point_below_the_diagonal():
+    phi = JordanMap.from_oracle(F3, 2, lambda x: x, domain="upper_triangular")
+    assert phi(mat_unit(F3, 2, 1, 2)) == mat_unit(F3, 2, 1, 2)
+    with pytest.raises(UnsupportedInput, match="input outside the upper-triangular domain"):
+        phi(mat_unit(F3, 2, 2, 1))
 
 
 def test_oracle_output_validated():

@@ -566,6 +566,34 @@ def test_form_with_singular_t_rejected():
         form_from_json(blob)
 
 
+def _edited(blob, **changes):
+    return {**blob, **changes}
+
+
+_IDENTITY_TABLE = table_to_json(
+    JordanMap.from_table(F3, 1, {x: x for x in _domain(F3, 1, "full")[0]}))
+_ZERO_FORM = form_to_json(CanonicalForm.zero_form(F5, 2))
+
+
+@pytest.mark.parametrize("load, blob, detail", [
+    (map_from_json, _edited(_IDENTITY_TABLE, mode="jordan"), "unknown product mode 'jordan'"),
+    (form_from_json, _edited(_ZERO_FORM, mode="jordan"), "unknown product mode 'jordan'"),
+    (form_from_json, _edited(_ZERO_FORM, variant="affine"), "unknown form variant 'affine'"),
+    (form_from_json,
+     _edited(form_to_json(CanonicalForm.conjugation_form(mat_identity(F9, 2))),
+             omega={"kind": "galois", "e": 1}),
+     "unknown endomorphism kind 'galois'"),
+    (form_from_json,
+     _edited(form_to_json(CanonicalForm.conjugation_form(mat_identity(Q, 2))),
+             omega={"kind": "frobenius", "e": 1}),
+     "frobenius endomorphisms need a finite field"),
+], ids=["table_mode", "form_mode", "form_variant", "omega_kind", "frobenius_over_q"])
+def test_unknown_names_are_refused(load, blob, detail):
+    with pytest.raises(UnsupportedInput) as exc:
+        load(blob)
+    assert str(exc.value) == detail
+
+
 def test_dumps_is_canonical():
     blob = {"b": 1, "a": [2, 3]}
     assert dumps(blob) == dumps(dict(reversed(list(blob.items()))))
