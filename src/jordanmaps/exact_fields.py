@@ -13,15 +13,17 @@ Internal raw-value model (the matrix layer computes on raw values directly):
 
 Fields are canonical: equal fields are one object; compare fields with `is`.
 
-The public `Scalar` wrapper pairs a raw value with its owning field and
-supports the usual operators. Galois fields have order at most
-`_LOG_TABLE_LIMIT` (4096); larger orders are refused at construction. Every
-Galois field builds discrete log/antilog tables once, by polynomial
-arithmetic modulo its irreducible modulus, and multiplies, inverts and
-raises to powers through them. The generator g is the least raw value
-whose powers run through all q - 1 units before returning to 1: the raw
-values 2, 3, ... are walked in turn, each walk bounded at q - 1 steps, and
-the first full walk is the antilog table.
+The public `Scalar` wrapper pairs a raw value with its owning field: it
+multiplies (`*`), halves, tests for zero, compares with `==` and prints.
+All other arithmetic is on raw values, through the `Field` methods.
+
+Galois fields have order at most `_LOG_TABLE_LIMIT` (4096); larger orders
+are refused at construction. Every Galois field builds discrete log/antilog
+tables once, by polynomial arithmetic modulo its irreducible modulus, and
+multiplies, inverts and raises to powers through them. The generator g is
+the least raw value whose powers run through all q - 1 units before
+returning to 1: the raw values 2, 3, ... are walked in turn, each walk
+bounded at q - 1 steps, and the first full walk is the antilog table.
 
 Next to the log tables sits a Zech table: for a generator g, `_zech[d]` is
 the log of 1 + g^d, or -1 when 1 + g^d = 0, so g^s + g^t = g^(s + zech[t - s])
@@ -167,9 +169,6 @@ class Field:
             self._build_log_tables()
         self._half = None if self.char2 else self.inv(self.of(2))
 
-    def __repr__(self):
-        return f"Field({self.name()})"
-
     def name(self):
         if self.kind == "rational":
             return "Q"
@@ -245,12 +244,11 @@ class Field:
         return self._half
 
     def pow_raw(self, a, e):
-        if self.kind == "rational":
-            return a ** e
-        if self.kind == "prime":
-            return pow(a, e, self.p)
+        """Raw a^e for e >= 1 over F_{p^k}, through the log tables. Its one
+        caller is `RingEndo.apply_raw`, which raises to p^e only for e != 0,
+        and that is only over F_{p^k}."""
         if not a:
-            return 0 if e else 1
+            return 0
         return self._exp[self._log[a] * e % (self.order - 1)]
 
     def _poly_mul(self, a, b):
@@ -395,7 +393,10 @@ def _find_irreducible(p, k):
 
 
 class Scalar:
-    """A field element: raw value plus owning field, with operator support."""
+    """A field element: raw value plus owning field. It multiplies by a
+    scalar or anything `Field.of` coerces (`*`), halves, tests for zero,
+    compares with `==` and prints; it does no other arithmetic. Defining
+    `==` without `__hash__` leaves it unhashable."""
 
     __slots__ = ("field", "value")
 
@@ -410,36 +411,10 @@ class Scalar:
             return other.value
         return self.field.of(other)
 
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return Scalar(self.field, self.field.sub(self._coerce(other), self.value))
-
     def __mul__(self, other):
         return Scalar(self.field, self.field.mul(self.value, self._coerce(other)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return Scalar(self.field, self.field.div(self._coerce(other), self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e):
-        return Scalar(self.field, self.field.pow_raw(self.value, e))
-
-    def inv(self):
-        return Scalar(self.field, self.field.inv(self.value))
 
     def halve(self):
         return Scalar(self.field, self.field.halve(self.value))
@@ -449,15 +424,7 @@ class Scalar:
         return not self.value
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field is other.field and self.value == other.value
-        try:
-            return self.value == self.field.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
+        return isinstance(other, Scalar) and self.field is other.field and self.value == other.value
 
     def __str__(self):
         if self.field.kind != "galois":
@@ -472,9 +439,6 @@ class Scalar:
                 x = "x" if i == 1 else f"x^{i}"
                 terms.append(x if c == 1 else f"{c}{x}")
         return " + ".join(reversed(terms)) if terms else "0"
-
-    def __repr__(self):
-        return f"Scalar({self} : {self.field.name()})"
 
 
 class RingEndo:
@@ -501,11 +465,6 @@ class RingEndo:
     def apply_raw(self, raw):
         return raw if self.e == 0 else self.field.pow_raw(raw, self.field.p ** self.e)
 
-    def __call__(self, scalar):
-        if scalar.field is not self.field:
-            raise ValueError("scalar belongs to a different field")
-        return Scalar(self.field, self.apply_raw(scalar.value))
-
     def describe(self):
         if self.is_identity:
             return {"kind": "identity"}
@@ -516,10 +475,6 @@ class RingEndo:
 
     def __hash__(self):
         return hash((self.field, self.e))
-
-    def __repr__(self):
-        tag = "id" if self.is_identity else f"frob^{self.e}"
-        return f"RingEndo({tag} on {self.field.name()})"
 
 
 # -- module-level operations -------------------------------------------------

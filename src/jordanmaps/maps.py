@@ -60,9 +60,9 @@ class Strategy:
 
     def __post_init__(self):
         if self.kind not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise UnsupportedInput(f"unknown strategy kind {self.kind!r}")
         if self.kind == "sampled" and self.count < 1:
-            raise ValueError("sampled strategy needs count >= 1")
+            raise UnsupportedInput("sampled strategy needs count >= 1")
 
     @staticmethod
     def exhaustive():
@@ -87,9 +87,10 @@ def _parse_strategy(text):
         try:
             count = int(parts[1]) if len(parts) > 1 else 1000
             seed = int(parts[2]) if len(parts) > 2 else 0
-            return Strategy.sampled(count=count, seed=seed)
         except ValueError:
             pass
+        else:
+            return Strategy.sampled(count=count, seed=seed)
     raise UnsupportedInput(f"cannot parse verification strategy {text!r}")
 
 

@@ -93,9 +93,6 @@ class Mat:
             raise ValueError(f"index ({i},{j}) out of range for {self.nrows}x{self.ncols}")
         return Scalar(self.field, self.rows[i - 1][j - 1])
 
-    def raw(self, i, j):
-        return self.rows[i - 1][j - 1]
-
     # -- linear structure -------------------------------------------------------
 
     def _check_same_shape(self, other):
@@ -121,10 +118,6 @@ class Mat:
             f,
             tuple(tuple(f.sub(a, b) for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)),
         )
-
-    def __neg__(self):
-        f = self.field
-        return Mat._from_raw(f, tuple(tuple(f.neg(a) for a in r) for r in self.rows))
 
     def scale(self, c):
         """Multiply every entry by the scalar c."""
@@ -158,9 +151,6 @@ class Mat:
             for i, row in enumerate(self.rows)
             for j, v in enumerate(row)
         )
-
-    def transpose(self):
-        return Mat._from_raw(self.field, tuple(zip(*self.rows)))
 
     def trace(self):
         if not self.is_square:

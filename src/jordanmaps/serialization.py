@@ -144,10 +144,6 @@ def _reader(field):
     return read
 
 
-def scalar_from_json(field, obj):
-    return Scalar(field, _decode_raw(field, obj))
-
-
 def mat_to_json(m):
     return {
         "n": m.nrows,

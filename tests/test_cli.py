@@ -439,6 +439,21 @@ def test_reports_are_frozen(group, tmp_path, monkeypatch):
     assert digest.hexdigest() == REPORT_DIGESTS[group]
 
 
+def test_failed_write_leaves_no_file(tmp_path, monkeypatch):
+    # the report goes to a temp file first; if it cannot take the target's
+    # name, the error propagates and the temp file is removed
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    target = tmp_path / "report.json"
+    argv = ["certify", "--field", "F5", "--n", "2", "--random", "--out", str(target)]
+    with pytest.raises(OSError, match="replace refused"):
+        cli.main(argv)
+    assert not target.exists()
+    assert list(tmp_path.glob(".tmp-*.json")) == []
+
+
 def test_stdout_when_no_out_flag(capsys):
     assert cli.main(["certify", "--field", "F5", "--n", "2", "--random", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -526,7 +541,11 @@ _NO_INPUT = "verify needs --certificate FILE, or --form FILE with --map FILE"
     (["verify"], _NO_INPUT),
     (["verify", "--form", {"variant": "zero"}], _NO_INPUT),
     (["classify", "--random", "--field", "F2"], "random structured maps need characteristic != 2"),
-], ids=["non_square_matrix", "certify", "classify", "verify", "verify_form_alone", "random_f2"])
+    (["classify", "--random", "--verify", "sampled:0:3"], "sampled strategy needs count >= 1"),
+    (["classify", "--random", "--verify", "sampled:x:3"],
+     "cannot parse verification strategy 'sampled:x:3'"),
+], ids=["non_square_matrix", "certify", "classify", "verify", "verify_form_alone", "random_f2",
+        "sampled_count_0", "sampled_count_x"])
 def test_refusals_exit_4_with_their_detail(argv, detail, tmp_path, capsys):
     # a dict stands for a JSON file, which is read (and listed in the
     # report's inputs) only where the subcommand reads it

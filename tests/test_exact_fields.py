@@ -35,34 +35,35 @@ class TestFieldAxioms:
 
     @given(a=ints, b=ints, c=ints)
     def test_ring_laws(self, field, a, b, c):
-        x, y, z = field.scalar(a), field.scalar(b), field.scalar(c)
+        x, y, z = field.of(a), field.of(b), field.of(c)
+        add, mul = field.add, field.mul
 
         # commutativity and associativity
-        assert x + y == y + x
-        assert x * y == y * x
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
+        assert add(x, y) == add(y, x)
+        assert mul(x, y) == mul(y, x)
+        assert add(add(x, y), z) == add(x, add(y, z))
+        assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
         # distributivity and neutral elements
-        assert x * (y + z) == x * y + x * z
-        assert x + field.scalar(0) == x
-        assert x * field.scalar(1) == x
-        assert x + (-x) == field.scalar(0)
+        assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
+        assert add(x, field.zero) == x
+        assert mul(x, field.one) == x
+        assert add(x, field.neg(x)) == field.zero
 
     @given(a=ints)
     def test_inverse(self, field, a):
-        x = field.scalar(a)
-        if x.is_zero:
-            with pytest.raises((ZeroDivisionError, ValueError)):
-                x.inv()
+        x = field.of(a)
+        if not x:
+            with pytest.raises(ZeroDivisionError):
+                field.inv(x)
         else:
-            assert x * x.inv() == field.scalar(1)
+            assert field.mul(x, field.inv(x)) == field.one
 
     @given(a=ints)
     def test_halve_doubles_back(self, field, a):
-        x = field.scalar(a)
-        assert x.halve() + x.halve() == x
-        assert x.halve() * field.scalar(2) == x
+        x = field.of(a)
+        assert field.add(field.halve(x), field.halve(x)) == x
+        assert field.mul(field.halve(x), field.of(2)) == x
 
 
 class TestHalving:
@@ -92,9 +93,9 @@ def test_f5_inverse_table(f5):
 
 
 def test_rationals_are_exact(qq):
-    third = qq.scalar(1) / qq.scalar(3)
-    assert third + third + third == qq.scalar(1)
-    assert str(third) == "1/3"
+    third = qq.inv(qq.of(3))
+    assert qq.add(qq.add(third, third), third) == qq.one
+    assert str(Scalar(qq, third)) == "1/3"
 
 
 class TestGaloisF9:
@@ -106,29 +107,27 @@ class TestGaloisF9:
         assert x * x == f9.scalar(-1)
 
     def test_frobenius_is_cubing(self, f9):
-        frob = RingEndo(f9, 1)
-        for raw in f9.elements():
-            a = Scalar(f9, raw)
-            assert frob(a) == a**3
+        frob = RingEndo(f9, 1).apply_raw
+        for a in f9.elements():
+            assert frob(a) == f9.mul(a, f9.mul(a, a))
 
     def test_frobenius_squared_is_identity(self, f9):
-        frob = RingEndo(f9, 1)
-        for raw in f9.elements():
-            a = Scalar(f9, raw)
+        frob = RingEndo(f9, 1).apply_raw
+        for a in f9.elements():
             assert frob(frob(a)) == a
 
     @given(a=ints, b=ints)
     def test_frobenius_is_a_ring_map(self, f9, a, b):
-        frob = RingEndo(f9, 1)
-        x = Scalar(f9, 3) + f9.scalar(a)
-        y = Scalar(f9, 3) * f9.scalar(b)
-        assert frob(x + y) == frob(x) + frob(y)
-        assert frob(x * y) == frob(x) * frob(y)
+        frob = RingEndo(f9, 1).apply_raw
+        x = f9.add(3, f9.of(a))
+        y = f9.mul(3, f9.of(b))
+        assert frob(f9.add(x, y)) == f9.add(frob(x), frob(y))
+        assert frob(f9.mul(x, y)) == f9.mul(frob(x), frob(y))
 
     def test_prime_subfield_is_fixed(self, f9):
-        frob = RingEndo(f9, 1)
+        frob = RingEndo(f9, 1).apply_raw
         for c in (0, 1, 2):
-            assert frob(f9.scalar(c)) == f9.scalar(c)
+            assert frob(c) == c
 
 
 class TestEndoEnumeration:

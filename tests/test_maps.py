@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 import time
 import tracemalloc
 from array import array
@@ -44,6 +45,10 @@ F2 = preset_field("F2")
 F3 = preset_field("F3")
 F5 = preset_field("F5")
 F9 = preset_field("F9")
+
+
+def transpose(x):
+    return Mat._from_raw(x.field, tuple(zip(*x.rows)))
 
 
 def identity_table(field, n):
@@ -126,7 +131,7 @@ def test_domain_iter_upper_triangular():
     phi = JordanMap.from_oracle(F3, 2, lambda x: x, domain="upper_triangular")
     seen = list(phi.domain_iter())
     assert len(seen) == 27
-    assert all(x.raw(2, 1) == F3.zero for x in seen)
+    assert all(x.rows[1][0] == F3.zero for x in seen)
     assert phi.domain_size == 27
 
 
@@ -405,9 +410,7 @@ def _genuine_map(case):
     if case == "T2F5-upper":
         # transposing preserves the circ product and leaves the triangular
         # domain, so products of images are coded rather than looked up
-        return JordanMap.from_oracle(
-            F5, 2, lambda x: x.transpose(), domain="upper_triangular"
-        )
+        return JordanMap.from_oracle(F5, 2, transpose, domain="upper_triangular")
     if case in ("M2F3-to-M4", "M2F3-to-M4-corner"):
         # blockdiag(X, E_11): every image is 4x4, so no product is looked up
         return block_embedding_example(F3).map
@@ -525,7 +528,7 @@ def test_exhaustive_check_finds_a_witness_past_row_1(value, mode):
     # whole, with images 0 and nonzero among them
     keep = mat_identity(F3, 2) if value == "I" else None
     entries = {
-        x: (keep or x) if x.raw(2, 2) else mat_zero(F3, 2)
+        x: (keep or x) if x.rows[1][1] else mat_zero(F3, 2)
         for x in JordanMap.zero(F3, 2).domain_iter()
     }
     phi = JordanMap.from_table(F3, 2, entries, mode=mode)
@@ -594,10 +597,10 @@ def test_domain_sums_reads_an_additive_map_at_unit_multiples(field, domain):
 
     def value(x):
         asked.append(x)
-        return (t @ x.transpose()).rows
+        return (t @ transpose(x)).rows
 
     mats = _domain(field, 2, domain)[0]
-    assert list(_domain_sums(field, 2, domain, value)) == [(t @ x.transpose()).rows for x in mats]
+    assert list(_domain_sums(field, 2, domain, value)) == [(t @ transpose(x)).rows for x in mats]
     units = [mat_unit(field, 2, i + 1, j + 1, Scalar(field, d))
              for i, j in _free_positions(2, domain) for d in range(1, field.order)]
     assert asked == [mat_zero(field, 2)] + units
@@ -734,3 +737,22 @@ class TestStrategy:
         ids=Strategy.describe)
     def test_description_replays_the_strategy(self, strategy):
         assert maps._parse_strategy(strategy.describe()) == strategy
+
+
+@pytest.mark.parametrize("make, error, detail", [
+    (lambda: check_multiplicative(JordanMap.conjugation(mat_identity(rational_field(), 2)),
+                                  "exhaustive"),
+     UnsupportedInput, "exhaustive checking needs a finite field"),
+    (lambda: check_multiplicative(JordanMap.conjugation(mat_identity(F9, 2)), "exhaustive"),
+     UnsupportedInput, "exhaustive checking would need 43046721 pairs (cap 10000000)"),
+    (lambda: JordanMap.from_oracle(F3, 2, None, mode="jordan"),
+     ValueError, "unknown product mode 'jordan'"),
+    (lambda: JordanMap.from_oracle(F3, 2, None, domain="lower_triangular"),
+     ValueError, "unknown domain 'lower_triangular'"),
+    (lambda: JordanMap.from_oracle(F3, 0, None), ValueError, "domain size n must be >= 1"),
+], ids=["exhaustive_over_Q", "exhaustive_over_pair_cap", "mode", "domain", "n_0"])
+def test_refusals_come_before_any_product_table(make, error, detail):
+    before = _product_table.cache_info()
+    with pytest.raises(error, match=f"^{re.escape(detail)}$"):
+        make()
+    assert _product_table.cache_info() == before

@@ -31,7 +31,6 @@ from jordanmaps.serialization import (
     map_from_json,
     mat_from_json,
     mat_to_json,
-    scalar_from_json,
     scalar_to_json,
     table_to_json,
 )
@@ -40,6 +39,15 @@ Q = rational_field()
 F3 = preset_field("F3")
 F5 = preset_field("F5")
 F9 = preset_field("F9")
+
+
+def transpose(x):
+    return Mat._from_raw(x.field, tuple(zip(*x.rows)))
+
+
+def scalar_of(field, entry):
+    """One scalar encoding decoded alone, as the entry of a 1x1 matrix."""
+    return mat_from_json(field, {"n": 1, "m": 1, "entries": [entry]}).entry(1, 1)
 
 
 @pytest.mark.parametrize("field", [Q, F3, F5, F9, preset_field("F25")], ids=lambda f: f.name())
@@ -64,25 +72,25 @@ def test_bad_field_is_unsupported(obj):
 
 
 def test_scalar_roundtrip_rational():
-    s = Q.scalar(2) / Q.scalar(3)
+    s = Q.scalar(Fraction(2, 3))
     blob = scalar_to_json(s)
     assert blob == "2/3"
-    assert scalar_from_json(Q, blob) == s
-    assert scalar_from_json(Q, "-7") == Q.scalar(-7)
+    assert scalar_of(Q, blob) == s
+    assert scalar_of(Q, "-7") == Q.scalar(-7)
 
 
 def test_scalar_roundtrip_galois():
     s = Scalar(F9, 6)
     blob = scalar_to_json(s)
     assert blob == [0, 2]  # ascending coefficients
-    assert scalar_from_json(F9, blob) == s
+    assert scalar_of(F9, blob) == s
 
 
 def test_scalar_rejects_garbage():
     with pytest.raises(UnsupportedInput):
-        scalar_from_json(F5, "socks")
+        scalar_of(F5, "socks")
     with pytest.raises(UnsupportedInput):
-        scalar_from_json(F9, [0, 1, 2, 3])
+        scalar_of(F9, [0, 1, 2, 3])
 
 
 REFUSED = None
@@ -128,11 +136,8 @@ def test_entry_decoding(row, column, field):
     if raw is REFUSED:
         with pytest.raises(UnsupportedInput, match="bad (galois )?scalar encoding"):
             mat_from_json(field, blob)
-        with pytest.raises(UnsupportedInput, match="bad (galois )?scalar encoding"):
-            scalar_from_json(field, entry)
     else:
         assert mat_from_json(field, blob).rows == ((raw,),)
-        assert scalar_from_json(field, entry) == Scalar(field, raw)
 
 
 def _respell(entry, i):
@@ -144,7 +149,7 @@ def _respell(entry, i):
 
 
 def _decoded_one_by_one(field, blob):
-    scalars = [scalar_from_json(field, e) for e in blob["entries"]]
+    scalars = [scalar_of(field, e) for e in blob["entries"]]
     m = blob["m"]
     return Mat(field, [scalars[i * m : (i + 1) * m] for i in range(blob["n"])])
 
@@ -228,7 +233,7 @@ def test_map_from_json_looks_up_a_table_written_by_hand(monkeypatch):
     decoded = _counting_decodes(monkeypatch)
     back = map_from_json(json.loads(text))
     assert decoded == []
-    assert all(back(x) == x.transpose() for x in back.domain_iter())
+    assert all(back(x) == transpose(x) for x in back.domain_iter())
     # an integer is no string: the same table spelled with one 1 is parsed there
     entries[5]["x"]["entries"][1] = 1
     again = map_from_json(json.loads(json.dumps({**json.loads(text), "entries": entries})))
@@ -360,7 +365,7 @@ def _valid_table(case):
         return table_to_json(JordanMap.from_table(F3, 2, {x: base(x) for x in base.domain_iter()}))
     xs = JordanMap.from_oracle(F5, 2, None, domain="upper_triangular").domain_iter()
     return table_to_json(
-        JordanMap.from_table(F5, 2, {x: x.transpose() for x in xs}, domain="upper_triangular")
+        JordanMap.from_table(F5, 2, {x: transpose(x) for x in xs}, domain="upper_triangular")
     )
 
 
