@@ -28,6 +28,7 @@ from .errors import UnsupportedInput
 from .exact_fields import Scalar
 from .matrices import (
     Mat,
+    _jordan_raw,
     _matmul_raw,
     _raw_draw,
     conjugator,
@@ -439,6 +440,42 @@ class MultReport:
         return self.ok
 
 
+def _proves_law(phi, ids, images, holds):
+    """Does phi keep its product on every domain pair, by proof? phi is read
+    as the exhaustive scan reads it, by its image ids into the distinct raw
+    `images`; holds(a, b) tests the law at the pair (x_a, x_b). False proves
+    nothing either way.
+
+    A raw value of F_{p^k} is the base-p number of its coefficients in t,
+    the residue of the modulus' variable, so the code of a domain matrix
+    (the sum of raw entry * q^i over the free positions i) is the base-p
+    number of its coordinates c_u over F_p in the basis x_u, u = p^j, of
+    the matrices t^s E_ij, s < k. phi is additive exactly when, entry by
+    entry, phi(x) is the sum of c_u phi(x_u) at every point x; these sums
+    are built in code order, as `_domain_sums` builds its own, from phi's
+    values at the x_u alone. Both sides of the law are then additive in x
+    and in y, so it holds on every pair once it holds on the pairs of the
+    basis; the products commute, so each unordered pair is tested once.
+    """
+    f, p = phi.field, phi.field.p
+    if any(map(any, images[ids[0]])):  # the sums refuse it too, but later
+        return False
+    units = [p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
+    plus = [[f.add(u, v) for v in range(f.order)] for u in range(f.order)]  # raw u + v
+    gather = itemgetter(*ids)
+    for entry in (column for rows in zip(*images) for column in zip(*rows)):
+        values = gather(entry)  # one entry of phi's images, in domain order
+        sums = [0]
+        for unit in units:
+            value = multiple = values[unit]
+            for _ in range(1, p):  # the points c x_u + (earlier points), c = 1, ..., p - 1
+                sums += map(plus[multiple].__getitem__, sums[:unit])
+                multiple = plus[multiple][value]
+        if tuple(sums) != values:
+            return False
+    return all(itertools.starmap(holds, itertools.combinations_with_replacement(units, 2)))
+
+
 def check_multiplicative(phi, strategy=None):
     """Does phi(x * y) = phi(x) * phi(y) for the map's product?
 
@@ -447,19 +484,28 @@ def check_multiplicative(phi, strategy=None):
     samples. Exhaustive checking refuses domains beyond 10^7 pairs. Returns
     the first violating pair.
 
-    The exhaustive scan reads x * y from a product table built once per
+    The exhaustive check reads x * y from a product table built once per
     (field, n, mode, domain) and kept in a cache bounded to 8 tables, over
     the domain matrices and index of `_domain`. It reads image ids, one per
     domain matrix, into the distinct images: a table body holds them; any
     other body is evaluated once at every point, in domain order, before
-    any pair is compared, and its images are interned by raw rows.
+    any pair is compared, and its images are interned by raw rows. Its
+    report is the one a row-major scan of all pairs would give: the first
+    violating pair as witness, with `pairs_checked` = a*size + b + 1 for
+    the pair (x_a, x_b), and size*size when every pair passes, however few
+    pairs were compared to know it. It gets there in three steps:
 
-    Only the upper triangle b >= a of the ordered pairs is visited, and this
+      * a map with one image c is decided by one product: every pair reads
+        c against c * c, so it passes, or fails first at (x_0, x_0);
+      * any other map is scanned over the rows a < q, those of x_a = a E_11
+        (a raw), where a map that breaks the law mostly fails first;
+      * then `_proves_law` tries to prove the law on every pair; if it
+        cannot, the scan goes on from row q.
+
+    Only the upper triangle b >= a of the ordered pairs is scanned, and this
     is exact: both products commute, the table is symmetric and each point
     has one image id, so (a, b) passes exactly when (b, a) does, and the
-    first violating pair in row-major domain_iter order has b >= a. The witness and `pairs_checked`
-    (a*size + b + 1) are those of that pair; an accepted scan covers, and
-    reports, all size*size ordered pairs.
+    first violating pair in row-major domain_iter order has b >= a.
 
     Each row a is compared whole; its first difference is the witness:
 
@@ -477,8 +523,9 @@ def check_multiplicative(phi, strategy=None):
 
     Either way the right-hand side of a row is kept under the row's image
     id: it depends on phi(x_a) alone, and a row that passed whole holds the
-    right-hand side of every later row with the same image, so a constant
-    map builds it once.
+    right-hand side of every later row with the same image. The proof tests
+    a single pair the same two ways: through the table, or by comparing raw
+    rows with the product of the two images.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -493,6 +540,12 @@ def check_multiplicative(phi, strategy=None):
         distinct = {}  # images by raw rows, each to its id
         ids, images = phi._table or (
             [distinct.setdefault(phi(x).rows, len(distinct)) for x in mats], list(distinct))
+        if len(images) == 1:
+            # phi = c: every pair reads c against c * c
+            c = images[0]
+            if _jordan_raw(phi.field, c, c, phi.mode == CIRC) == c:
+                return MultReport(True, size * size, "exhaustive")
+            return MultReport(False, 1, "exhaustive", (mats[0], mats[0]))
         # every image lies over the map's field, so its raw rows give its
         # domain index, or None off the domain
         gather = itemgetter(*ids)
@@ -504,6 +557,9 @@ def check_multiplicative(phi, strategy=None):
             def rhs_row(a, lhs):
                 return at(table[image[a]])
 
+            def holds(a, b):
+                return image[table[a][b]] == table[image[a]][image[b]]
+
         else:
             q, positions = phi.field.order, _free_positions(phi.m, "full")
             weights = [q ** k for k in range(len(positions))]
@@ -514,8 +570,14 @@ def check_multiplicative(phi, strategy=None):
                 # the pairs b < a passed as (b, a) in an earlier row
                 return lhs[:a] + tuple(codes(a))
 
+            def holds(a, b):
+                rhs = _jordan_raw(phi.field, images[ids[a]], images[ids[b]], phi.mode == CIRC)
+                return images[ids[table[a][b]]] == rhs
+
         rhs_rows = {}  # image id -> the right-hand side of its rows
         for a in range(size):
+            if a == phi.field.order and _proves_law(phi, ids, images, holds):
+                return MultReport(True, size * size, "exhaustive")
             lhs = itemgetter(*table[a])(keys)
             rhs = rhs_rows.get(ids[a])
             if rhs is None:

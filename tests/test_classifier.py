@@ -579,6 +579,10 @@ class TestCanonicalForm:
         assert form.t == Mat(F5, [[0, 1], [4, 0]])
         assert form == CanonicalForm.conjugation_form(t)
 
+    def test_an_unknown_variant_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown form variant 'affine'$"):
+            CanonicalForm(variant="affine", field=F5, n=2)
+
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
 @pytest.mark.parametrize("transpose", [False, True])

@@ -283,6 +283,29 @@ def test_verify_form_with_a_string_transpose_flag_exits_4(tmp_path, capsys):
         "status": "unsupported", "detail": "key 'transpose' has unexpected type str"}
 
 
+@pytest.mark.parametrize("variant, detail", [
+    ("conjugation", "conjugation form rejected: singular matrix"),
+    ("constant_idempotent", "constant forms require an idempotent value"),
+])
+def test_verify_form_with_a_bad_matrix_exits_4(variant, detail, tmp_path, capsys):
+    from jordanmaps import CanonicalForm
+
+    # an all-zero T is left as it is by normalizing, then has no inverse;
+    # E_12 is no idempotent
+    t = Mat(F3, [[1, 1], [0, 1]])
+    mp = write(tmp_path / "map.json", table_to_json(conjugation_table(F3, t)))
+    if variant == "conjugation":
+        blob = form_to_json(CanonicalForm.conjugation_form(t))
+        blob["T"] = mat_to_json(mat_zero(F3, 2))
+    else:
+        blob = form_to_json(CanonicalForm.constant_form(mat_unit(F3, 2, 1, 1), 2))
+        blob["idempotent"] = mat_to_json(mat_unit(F3, 2, 1, 2))
+    form = write(tmp_path / "form.json", blob)
+    assert cli.main(["verify", "--form", form, "--map", mp]) == 4
+    assert json.loads(capsys.readouterr().out)["outcome"] == {
+        "status": "unsupported", "detail": detail}
+
+
 def test_verify_zero_form_with_bad_size_exits_4(tmp_path, capsys):
     from jordanmaps import CanonicalForm
 

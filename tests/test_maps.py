@@ -13,6 +13,7 @@ from jordanmaps import (
     DIAMOND,
     JordanMap,
     Mat,
+    RingEndo,
     Scalar,
     Strategy,
     UnsupportedInput,
@@ -570,9 +571,13 @@ def test_kernel_drops_terms_that_are_always_zero(m, mode):
 
 @pytest.mark.parametrize("value", [0, 1])
 def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
-    # a constant M_2(F_3) -> M_1 table passes, and every row has the one
-    # image: the kernel's codes run for row 0 only, not for all 81 rows
+    # a constant M_2(F_3) -> M_1 table is decided by c * c = c alone: no
+    # kernel is set up and no scan row runs. On T_2(F_3), x -> diag(x_11^2,
+    # x_22^2, value) into M_3 is not additive, so it reaches the scan, which
+    # accepts it; it has 4 distinct images among 27 points, and the kernel's
+    # codes run once for each, at the first row that has it
     _product_table(F3, 2, CIRC, "full")  # built before the count starts
+    _product_table(F3, 2, CIRC, "upper_triangular")
     rows = []
 
     def counting(*args):
@@ -584,7 +589,18 @@ def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
     phi = JordanMap.from_table(F3, 2, {x: c for x in _domain(F3, 2, "full")[0]})
     report = check_multiplicative(phi, Strategy.exhaustive())
     assert (report.ok, report.pairs_checked, report.witness) == (True, 81 * 81, None)
-    assert rows == [0]
+    assert rows == []
+
+    def squares(x):
+        (a, _), (_, d) = x.rows
+        return Mat(F3, [[a * a, 0, 0], [0, d * d, 0], [0, 0, value]])
+
+    phi = JordanMap.from_oracle(F3, 2, squares, m=3, domain="upper_triangular")
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == (True, 27 * 27, None)
+    images = [squares(x) for x in phi.domain_iter()]
+    firsts = [a for a, image in enumerate(images) if images.index(image) == a]
+    assert rows == firsts and len(firsts) == 4
 
 
 @pytest.mark.parametrize("field, domain", [(F3, "full"), (F9, "upper_triangular")],
@@ -666,6 +682,149 @@ def test_exhaustive_scan_outside_the_domain_stops_early():
     assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
     assert report.pairs_checked == 625 + 2
     assert elapsed < 0.1
+
+
+def _spy_on_the_proof(monkeypatch):
+    """Record each run of the proof as (verdict, the basis-pair tests it made)."""
+    runs = []
+    prove = maps._proves_law
+
+    def spy(phi, ids, images, holds):
+        tested = []
+        verdict = prove(phi, ids, images, lambda a, b: tested.append(holds(a, b)) or tested[-1])
+        runs.append((verdict, tested))
+        return verdict
+
+    monkeypatch.setattr(maps, "_proves_law", spy)
+    return runs
+
+
+def _report_with_and_without_the_proof(phi, monkeypatch):
+    """The exhaustive report of phi, asserted equal to the report of the scan
+    alone, with the proof made to refuse."""
+    report = check_multiplicative(phi, Strategy.exhaustive())
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_proves_law", lambda *args: False)
+        scanned = check_multiplicative(phi, Strategy.exhaustive())
+    assert (report.ok, report.pairs_checked, report.witness) == (
+        scanned.ok, scanned.pairs_checked, scanned.witness)
+    return report
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("transpose", [False, True])
+def test_proof_agrees_with_the_scan_at_every_mutation(transpose, mode, monkeypatch):
+    # an M_2(F_3) conjugation table is proved; each of its 81 one-point
+    # mutations adds phi(E_22) at the point, which the rows of the line
+    # F E_11 do not see at most points, so the proof runs and refuses them
+    runs = _spy_on_the_proof(monkeypatch)
+    base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]), transpose=transpose, mode=mode)
+    genuine = {x: base(x) for x in base.domain_iter()}
+    report = _report_with_and_without_the_proof(
+        JordanMap.from_table(F3, 2, genuine, mode=mode), monkeypatch)
+    assert report.ok and runs == [(True, [True] * 10)]
+    delta = base(mat_unit(F3, 2, 2, 2))
+    for x in genuine:
+        phi = JordanMap.from_table(F3, 2, {**genuine, x: genuine[x] + delta}, mode=mode)
+        assert not _report_with_and_without_the_proof(phi, monkeypatch).ok
+    assert len(runs) > 40 and not any(verdict for verdict, _ in runs[1:])
+
+
+def _swap_2_and_4_at_e22(x):
+    # F_5: x_22 -> x_22 with 2 and 4 swapped, which keeps 0, 1 and 1/2 = 3
+    (a, b), (c, d) = x.rows
+    return Mat(F5, [[a, b], [c, {2: 4, 4: 2}.get(d, d)]])
+
+
+def _cube_on_e11(x):
+    return mat_unit(F5, 2, 1, 1, x.rows[0][0] ** 3) if x.support() <= {(1, 1)} else x
+
+
+def _frobenius(x):
+    return Mat._from_raw(F9, tuple(tuple(F9.mul(v, F9.mul(v, v)) for v in row) for row in x.rows))
+
+
+def _at_e22_of_f9(psi):
+    # x -> x with its (2, 2) entry a + b t of F_9 = F_3[t]/(t^2 + 1), raw
+    # a + 3 b, sent to psi(a, b); the rows of the line F E_11 do not see it
+    def fn(x):
+        b, a = divmod(x.rows[1][1], 3)
+        return Mat._from_raw(F9, (x.rows[0], (x.rows[1][0], psi(a, b))))
+
+    return fn
+
+
+def _changed_at_e12_plus_e22(x):
+    return x + mat_unit(F3, 2, 2, 2) if x == Mat(F3, [[0, 1], [0, 1]]) else x
+
+
+_TXS = Mat(F3, [[1, 2], [0, 1]]), Mat(F3, [[2, 0], [1, 1]])
+_T2 = Mat(F5, [[2, 1], [0, 3]])
+_T2_INV = _T2.inverse()
+_PROOF_CASES = {
+    # (field, mode, domain, m, map, the proof's outcome: None when it never runs)
+    # X -> TXS is rejected in the rows of the line F E_11
+    "TXS": (F3, CIRC, "full", 2, lambda x: _TXS[0] @ x @ _TXS[1], None),
+    # X -> X diag(1, 2) keeps the rows of the line F E_11, and breaks the law at (E_22, E_22)
+    "TXS-diagonal": (F3, CIRC, "full", 2, lambda x: x @ Mat(F3, [[1, 0], [0, 2]]), "basis"),
+    # the scan rejects it at (2 E_11, E_11 + E_12), in the rows of the line F E_11
+    "cube-on-E11": (F5, CIRC, "full", 2, _cube_on_e11, None),
+    # swapping keeps the law on the basis pairs, but phi is not additive on
+    # the line F E_22, so the sums from phi(E_22) refuse it
+    "swap-on-E22": (F5, CIRC, "full", 2, _swap_2_and_4_at_e22, "additivity"),
+    # the identity changed at E_12 + E_22 by E_22: additive on every line, not at that sum
+    "two-digit-point": (F3, DIAMOND, "full", 2, _changed_at_e12_plus_e22, "additivity"),
+    # the F_p-basis of F_9 has two values per position
+    "frobenius-T2F9": (F9, CIRC, "upper_triangular", 2, _frobenius, "proved"),
+    "frobenius-transposed-T2F9": (F9, DIAMOND, "upper_triangular", 2,
+                                  lambda x: transpose(_frobenius(x)), "proved"),
+    # a + b t -> a is additive, and breaks the law at (t E_22, t E_22)
+    "project-on-E22-T2F9": (F9, CIRC, "upper_triangular", 2, _at_e22_of_f9(lambda a, b: a),
+                            "basis"),
+    # a + b t -> a + t [b != 0] adds 1 as it should, but not t
+    "t-line-on-E22-T2F9": (F9, CIRC, "upper_triangular", 2,
+                           _at_e22_of_f9(lambda a, b: a + 3 * (b != 0)), "additivity"),
+    "conjugation-T2F5": (F5, CIRC, "upper_triangular", 2, lambda x: _T2 @ x @ _T2_INV, "proved"),
+    "diag-x-0-into-M3": (F3, CIRC, "full", 3, lambda x: block_diag(x, mat_zero(F3, 1)), "proved"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROOF_CASES))
+def test_proof_agrees_with_the_scan(case, monkeypatch):
+    field, mode, domain, m, fn, outcome = _PROOF_CASES[case]
+    runs = _spy_on_the_proof(monkeypatch)
+    phi = JordanMap.from_oracle(field, 2, fn, mode=mode, m=m, domain=domain)
+    report = _report_with_and_without_the_proof(phi, monkeypatch)
+    assert report.ok == (outcome == "proved")
+    if outcome is None:
+        assert runs == []
+    else:
+        # additivity is checked first, then the basis pairs up to the first that fails
+        [(verdict, tested)] = runs
+        assert verdict == (outcome == "proved")
+        if outcome == "additivity":
+            assert tested == []
+        else:
+            assert tested and all(tested[:-1]) and tested[-1] == verdict
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_one_image_maps_are_decided_by_one_product(m, mode, monkeypatch):
+    # c is decided by c * c = c, before the proof and the scan: the report is
+    # the reference scan's, for c = 0, an idempotent, and 2 h E_11 and E_12,
+    # which are not
+    runs = _spy_on_the_proof(monkeypatch)
+    h = 1 if mode == CIRC else 2  # E_11 * E_11 = E_11 for circ, 2 E_11 <> 2 E_11 = 2 E_11
+    values = [mat_zero(F3, m), mat_unit(F3, m, 1, 1, h), mat_unit(F3, m, 1, 1, 2 * h)]
+    values += [mat_unit(F3, m, 1, 2)] if m > 1 else []
+    for k, c in enumerate(values):
+        phi = JordanMap.from_oracle(F3, 2, lambda x, c=c: c, mode=mode, m=m,
+                                    domain="upper_triangular")
+        report = check_multiplicative(phi, Strategy.exhaustive())
+        assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(phi)
+        assert report.ok == (k < 2)
+    assert runs == []
 
 
 class TestDiamondToCirc:
@@ -750,7 +909,18 @@ class TestStrategy:
     (lambda: JordanMap.from_oracle(F3, 2, None, domain="lower_triangular"),
      ValueError, "unknown domain 'lower_triangular'"),
     (lambda: JordanMap.from_oracle(F3, 0, None), ValueError, "domain size n must be >= 1"),
-], ids=["exhaustive_over_Q", "exhaustive_over_pair_cap", "mode", "domain", "n_0"])
+    (lambda: JordanMap.from_table(F3, 1, [(Mat(F3, [[1]]), [[1]])]),
+     UnsupportedInput, "table entries must be matrix pairs"),
+    (lambda: JordanMap.conjugation(Mat(F3, [[1, 0, 0], [0, 1, 0]])),
+     UnsupportedInput, "conjugating matrix must be square"),
+    (lambda: JordanMap.conjugation(mat_identity(F9, 2), endo=RingEndo(preset_field("F25"), 1)),
+     UnsupportedInput, "endomorphism field does not match the matrix field"),
+    (lambda: JordanMap.constant(F3, 2, mat_identity(F5, 2)),
+     UnsupportedInput, "constant value must be square over the same field"),
+    (lambda: JordanMap.conjugation(mat_identity(rational_field(), 2)).domain_iter(),
+     UnsupportedInput, "cannot enumerate matrices over an infinite field"),
+], ids=["exhaustive_over_Q", "exhaustive_over_pair_cap", "mode", "domain", "n_0", "table_entry",
+        "non_square_t", "endo_field", "constant_field", "domain_iter_over_Q"])
 def test_refusals_come_before_any_product_table(make, error, detail):
     before = _product_table.cache_info()
     with pytest.raises(error, match=f"^{re.escape(detail)}$"):
