@@ -458,7 +458,10 @@ def _proves_law(phi, ids, images, holds):
     basis; the products commute, so each unordered pair is tested once.
     """
     f, p = phi.field, phi.field.p
-    if any(map(any, images[ids[0]])):  # the sums refuse it too, but later
+    # phi(0) != 0: the sums refuse it too, but only after summing every entry
+    # column before the first nonzero entry of phi(0); a map that keeps the
+    # law this way (a block embedding X -> diag(X, E_11)) reaches the proof
+    if any(map(any, images[ids[0]])):
         return False
     units = [p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
     plus = [[f.add(u, v) for v in range(f.order)] for u in range(f.order)]  # raw u + v
@@ -523,9 +526,10 @@ def check_multiplicative(phi, strategy=None):
 
     Either way the right-hand side of a row is kept under the row's image
     id: it depends on phi(x_a) alone, and a row that passed whole holds the
-    right-hand side of every later row with the same image. The proof tests
-    a single pair the same two ways: through the table, or by comparing raw
-    rows with the product of the two images.
+    right-hand side of every later row with the same image. The proof and
+    the one-image rule test a single pair by comparing raw rows with the
+    product of the two images; the proof reads it through the table instead
+    when every image is a domain matrix.
     """
     strategy = _resolve_strategy(phi, strategy)
     if strategy.kind == "exhaustive":
@@ -540,10 +544,14 @@ def check_multiplicative(phi, strategy=None):
         distinct = {}  # images by raw rows, each to its id
         ids, images = phi._table or (
             [distinct.setdefault(phi(x).rows, len(distinct)) for x in mats], list(distinct))
+
+        def holds(a, b):  # the law at (x_a, x_b), by raw rows
+            rhs = _jordan_raw(phi.field, images[ids[a]], images[ids[b]], phi.mode == CIRC)
+            return images[ids[table[a][b]]] == rhs
+
         if len(images) == 1:
-            # phi = c: every pair reads c against c * c
-            c = images[0]
-            if _jordan_raw(phi.field, c, c, phi.mode == CIRC) == c:
+            # phi = c: every pair reads c against c * c, as (x_0, x_0) does
+            if holds(0, 0):
                 return MultReport(True, size * size, "exhaustive")
             return MultReport(False, 1, "exhaustive", (mats[0], mats[0]))
         # every image lies over the map's field, so its raw rows give its
@@ -557,7 +565,7 @@ def check_multiplicative(phi, strategy=None):
             def rhs_row(a, lhs):
                 return at(table[image[a]])
 
-            def holds(a, b):
+            def holds(a, b):  # the same test by two table lookups
                 return image[table[a][b]] == table[image[a]][image[b]]
 
         else:
@@ -569,10 +577,6 @@ def check_multiplicative(phi, strategy=None):
             def rhs_row(a, lhs):
                 # the pairs b < a passed as (b, a) in an earlier row
                 return lhs[:a] + tuple(codes(a))
-
-            def holds(a, b):
-                rhs = _jordan_raw(phi.field, images[ids[a]], images[ids[b]], phi.mode == CIRC)
-                return images[ids[table[a][b]]] == rhs
 
         rhs_rows = {}  # image id -> the right-hand side of its rows
         for a in range(size):
