@@ -22,7 +22,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, ne
 
 from .errors import UnsupportedInput
 from .exact_fields import Scalar
@@ -300,23 +300,38 @@ def _domain(field, n, domain):
 
 
 def _domain_sums(field, n, domain, value):
-    """The raw rows `value(x)` of an additive map at each domain matrix x, in
-    code order, lazily; `_domain` is this order for the identity map. `value`
-    is called at 0 and at d E_ij, for each free position (i, j) and raw
-    d != 0, alone: a matrix whose most significant nonzero code digit is d,
-    at free position (i, j), is d E_ij plus a matrix earlier in the order,
-    so its value is one raw add."""
-    adds = itertools.repeat(field.add)
-    out = [value(mat_zero(field, n))]
-    yield out[0]
-    for i, j in _free_positions(n, domain):
-        head = len(out)
-        for d in range(1, field.order):
-            unit = value(mat_unit(field, n, i + 1, j + 1, Scalar(field, d)))
-            for rows in out[:head]:
-                rows = tuple(map(tuple, map(map, adds, rows, unit)))
-                out.append(rows)
-                yield rows
+    """The raw rows `value(x)` of an additive map M_n -> M_n at each domain
+    matrix x, in code order, lazily; `_domain` is this order for the identity
+    map. `value` is called at the F_p-basis t^s E_ij of `_domain_columns`."""
+    basis = [value(mat_unit(field, n, i + 1, j + 1, Scalar(field, field.p ** s)))
+             for i, j in _free_positions(n, domain) for s in range(field.k)]
+    return (tuple(zip(*[iter(e)] * n)) for e in zip(*_domain_columns(field, basis)))
+
+
+def _domain_columns(field, basis):
+    """For each entry of an additive map's images, row-major, lazily: its raw
+    value at every domain point in code order, summed from `basis`, the
+    map's raw rows at the F_p-basis x_u of the matrices t^s E_ij, s < k, with
+    u = p^(i k + s) at the i-th free position. A raw value of F_{p^k} is the
+    base-p number of its coefficients in t, so the code of a domain matrix is
+    the base-p number of its coordinates in that basis: the point of code
+    c u + r, 0 < c < p and r < u, is c x_u plus the point of code r, so the
+    map's value there is c times its value at x_u plus its value at r, one
+    raw add, read from a q x q table of raw sums unless the domain has fewer
+    points (M_1(F_q))."""
+    q, p = field.order, field.p
+    if p ** len(basis) < q * q:
+        plus = [functools.partial(field.add, u) for u in range(q)]
+    else:
+        plus = [[field.add(u, v) for v in range(q)].__getitem__ for u in range(q)]
+    for entry in zip(*map(itertools.chain.from_iterable, basis)):
+        sums = [0]
+        for value in entry:
+            head, multiple = sums[:], value
+            for _ in range(1, p):  # the points c x_u + r, c = 1, ..., p - 1
+                sums += map(plus[multiple], head)
+                multiple = plus[multiple](value)
+        yield tuple(sums)
 
 
 def _product_codes(field, mode, raws, points, positions):
@@ -446,36 +461,22 @@ def _proves_law(phi, ids, images, holds):
     `images`; holds(a, b) tests the law at the pair (x_a, x_b). False proves
     nothing either way.
 
-    A raw value of F_{p^k} is the base-p number of its coefficients in t,
-    the residue of the modulus' variable, so the code of a domain matrix
-    (the sum of raw entry * q^i over the free positions i) is the base-p
-    number of its coordinates c_u over F_p in the basis x_u, u = p^j, of
-    the matrices t^s E_ij, s < k. phi is additive exactly when, entry by
-    entry, phi(x) is the sum of c_u phi(x_u) at every point x; these sums
-    are built in code order, as `_domain_sums` builds its own, from phi's
-    values at the x_u alone. Both sides of the law are then additive in x
-    and in y, so it holds on every pair once it holds on the pairs of the
-    basis; the products commute, so each unordered pair is tested once.
+    phi is additive exactly when its values are the sums `_domain_columns`
+    builds from its values at the F_p-basis x_u. Both sides of the law are
+    then additive in each argument, so it holds on every pair once it holds
+    on the unordered pairs of the basis, as the products commute.
     """
-    f, p = phi.field, phi.field.p
+    f = phi.field
     # phi(0) != 0: the sums refuse it too, but only after summing every entry
     # column before the first nonzero entry of phi(0); a map that keeps the
     # law this way (a block embedding X -> diag(X, E_11)) reaches the proof
     if any(map(any, images[ids[0]])):
         return False
-    units = [p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
-    plus = [[f.add(u, v) for v in range(f.order)] for u in range(f.order)]  # raw u + v
-    gather = itemgetter(*ids)
-    for entry in (column for rows in zip(*images) for column in zip(*rows)):
-        values = gather(entry)  # one entry of phi's images, in domain order
-        sums = [0]
-        for unit in units:
-            value = multiple = values[unit]
-            for _ in range(1, p):  # the points c x_u + (earlier points), c = 1, ..., p - 1
-                sums += map(plus[multiple].__getitem__, sums[:unit])
-                multiple = plus[multiple][value]
-        if tuple(sums) != values:
-            return False
+    units = [f.p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
+    gather = itemgetter(*ids)  # one entry of phi's images, in domain order
+    values = (gather(column) for rows in zip(*images) for column in zip(*rows))
+    if any(map(ne, _domain_columns(f, [images[ids[u]] for u in units]), values)):
+        return False
     return all(itertools.starmap(holds, itertools.combinations_with_replacement(units, 2)))
 
 

@@ -28,12 +28,14 @@ from jordanmaps import (
     mat_unit,
     mat_zero,
     preset_field,
+    prime_field,
     rational_field,
 )
 from jordanmaps import maps
 from jordanmaps.classifier import _verification_points
 from jordanmaps.maps import (
     _domain,
+    _domain_columns,
     _domain_sums,
     _free_positions,
     _product_codes,
@@ -166,8 +168,8 @@ def test_domain_order(name, domain):
 
 def _domain_keys():
     """(field name, n, domain) for every domain a map table may cover, over
-    the fields F2, F3, F5, F7, F9, F25 and F27 with n = 1..3."""
-    for name in ("F2", "F3", "F5", "F7", "F9", "F25", "gf:3:3"):
+    the fields F2, F3, F4, F5, F7, F9, F25 and F27 with n = 1..3."""
+    for name in ("F2", "F3", "gf:2:2", "F5", "F7", "F9", "F25", "gf:3:3"):
         for n in (1, 2, 3):
             for domain in ("full", "upper_triangular"):
                 try:
@@ -179,7 +181,7 @@ def _domain_keys():
 
 @pytest.mark.parametrize("name, n, domain", list(_domain_keys()))
 def test_domain_index_is_the_code(name, n, domain):
-    # index = code, which `_product_codes` and `_domain_sums` rely on: the
+    # index = code, which `_product_codes` and `_domain_columns` rely on: the
     # k-th domain matrix holds the base-q digits of k at the free positions,
     # the first position the least significant, and 0 off them
     field = preset_field(name)
@@ -607,7 +609,7 @@ def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
                          ids=["M2F3", "T2F9"])
 def test_domain_sums_reads_an_additive_map_at_unit_multiples(field, domain):
     # x -> T x^t is additive: its values at the domain matrices, in domain
-    # order, come from its values at 0 and at d E_ij alone
+    # order, come from its values at the F_p-basis t^s E_ij alone
     t = Mat(field, [[1, 2], [1, 0]])
     asked = []
 
@@ -617,9 +619,35 @@ def test_domain_sums_reads_an_additive_map_at_unit_multiples(field, domain):
 
     mats = _domain(field, 2, domain)[0]
     assert list(_domain_sums(field, 2, domain, value)) == [(t @ transpose(x)).rows for x in mats]
-    units = [mat_unit(field, 2, i + 1, j + 1, Scalar(field, d))
-             for i, j in _free_positions(2, domain) for d in range(1, field.order)]
-    assert asked == [mat_zero(field, 2)] + units
+    assert asked == [mat_unit(field, 2, i + 1, j + 1, Scalar(field, field.p ** s))
+                     for i, j in _free_positions(2, domain) for s in range(field.k)]
+
+
+@pytest.mark.parametrize("name, n, domain", list(_domain_keys()))
+def test_domain_columns_sum_an_additive_map(name, n, domain):
+    # x -> T x^t is additive: each entry's values over the domain, in code
+    # order, are summed from its rows at the F_p-basis x_u, u = p^j, alone
+    field = preset_field(name)
+    t = Mat._from_raw(field, tuple(tuple((3 * i + j + 1) % field.order for j in range(n))
+                                   for i in range(n)))
+    mats = _domain(field, n, domain)[0]
+    values = [(t @ transpose(x)).rows for x in mats]
+    units = [field.p ** j for j in range(field.k * len(_free_positions(n, domain)))]
+    columns = _domain_columns(field, [values[u] for u in units])
+    assert list(columns) == [tuple(rows[i][j] for rows in values)
+                             for i in range(n) for j in range(n)]
+
+
+def test_domain_columns_of_a_line_build_no_table(monkeypatch):
+    # M_1(F_1009) has 1009 points, fewer than a table of 1009^2 raw sums:
+    # each point is one raw add, and so is each multiple of the basis value
+    field = prime_field(1009)
+    calls = []
+    add = field.add
+    monkeypatch.setattr(field, "add", lambda a, b: calls.append(1) or add(a, b))
+    mats = _domain.__wrapped__(field, 1, "full")[0]
+    assert [x.rows for x in mats] == [((v,),) for v in range(1009)]
+    assert len(calls) == 2 * 1008
 
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
@@ -758,6 +786,19 @@ def _changed_at_e12_plus_e22(x):
     return x + mat_unit(F3, 2, 2, 2) if x == Mat(F3, [[0, 1], [0, 1]]) else x
 
 
+F4 = preset_field("gf:2:2")
+# X -> T w(X) T^-1 on M_2(F_4) = M_2(F_2[t]/(t^2 + t + 1)), w the Frobenius a -> a^2
+_FROBENIUS_F4 = JordanMap.conjugation(Mat._from_raw(F4, ((1, 2), (1, 0))), RingEndo(F4, 1),
+                                      mode=DIAMOND)
+
+
+def _frobenius_f4_changed_at_e12_plus_e22(x):
+    # + phi(E_22) at E_12 + E_22: a E_11 <> y is off the diagonal and
+    # phi(a E_11) <> phi(E_22) = 0, so the rows of the line F E_11 do not see it
+    value = _FROBENIUS_F4(x)
+    return value + _FROBENIUS_F4(mat_unit(F4, 2, 2, 2)) if x.rows == ((0, 1), (0, 1)) else value
+
+
 _TXS = Mat(F3, [[1, 2], [0, 1]]), Mat(F3, [[2, 0], [1, 1]])
 _T2 = Mat(F5, [[2, 1], [0, 3]])
 _T2_INV = _T2.inverse()
@@ -784,6 +825,10 @@ _PROOF_CASES = {
     # a + b t -> a + t [b != 0] adds 1 as it should, but not t
     "t-line-on-E22-T2F9": (F9, CIRC, "upper_triangular", 2,
                            _at_e22_of_f9(lambda a, b: a + 3 * (b != 0)), "additivity"),
+    # p = 2, k = 2: the F_2-basis of M_2(F_4) is E_ij and t E_ij
+    "frobenius-conjugation-M2F4": (F4, DIAMOND, "full", 2, _FROBENIUS_F4, "proved"),
+    "frobenius-conjugation-M2F4-changed": (F4, DIAMOND, "full", 2,
+                                           _frobenius_f4_changed_at_e12_plus_e22, "additivity"),
     "conjugation-T2F5": (F5, CIRC, "upper_triangular", 2, lambda x: _T2 @ x @ _T2_INV, "proved"),
     "diag-x-0-into-M3": (F3, CIRC, "full", 3, lambda x: block_diag(x, mat_zero(F3, 1)), "proved"),
 }

@@ -63,8 +63,10 @@ def test_field_roundtrip(field):
         {"kind": "galois", "p": 3, "k": 2, "modulus": ["a", 0, 1]},
         {"kind": "galois", "p": 3, "k": 2, "modulus": 5},
         {"kind": "galois", "p": 3, "k": 2, "modulus": [True, 0, 1]},
+        {"kind": "real"},
     ],
-    ids=["composite_p", "reducible", "string_coefficient", "scalar_modulus", "bool_coefficient"],
+    ids=["composite_p", "reducible", "string_coefficient", "scalar_modulus", "bool_coefficient",
+         "unknown_kind"],
 )
 def test_bad_field_is_unsupported(obj):
     with pytest.raises(UnsupportedInput):
