@@ -234,8 +234,8 @@ def _form_mismatch(phi, form, strategy):
     a table's image ids (the point's `_domain` index, then its image), so a
     table body is not evaluated, and any other body by evaluation. A
     conjugation form is additive, so over the whole domain, whose points
-    come in `_domain` order, its values are `_domain_sums` from its values
-    at the F_p-basis; any other form, or a sampled check, evaluates it."""
+    come in `_domain` order, its values are `_domain_sums` up to the first
+    failure; any other form, or a sampled check, evaluates it."""
     if phi._table:
         ids, images = phi._table
         index = _domain(phi.field, phi.n, phi.domain)[1]

@@ -301,37 +301,36 @@ def _domain(field, n, domain):
 
 def _domain_sums(field, n, domain, value):
     """The raw rows `value(x)` of an additive map M_n -> M_n at each domain
-    matrix x, in code order, lazily; `_domain` is this order for the identity
-    map. `value` is called at the F_p-basis t^s E_ij of `_domain_columns`."""
-    basis = [value(mat_unit(field, n, i + 1, j + 1, Scalar(field, field.p ** s)))
-             for i, j in _free_positions(n, domain) for s in range(field.k)]
-    return (tuple(zip(*[iter(e)] * n)) for e in zip(*_domain_columns(field, basis)))
+    matrix x in code order (`_domain` is the identity's), summed lazily by
+    `_domain_columns`: up to the k-th matrix, `value` is asked at the basis
+    matrices of code at most k alone, and fewer than p k are summed."""
+    basis = (value(mat_unit(field, n, i + 1, j + 1, Scalar(field, field.p ** s)))
+             for i, j in _free_positions(n, domain) for s in range(field.k))
+    for columns in _domain_columns(field, n * n, basis):
+        new = [c[len(c) // field.p:] for c in columns]  # the points of code u to p u - 1
+        yield from zip(*[zip(*new[i:i + n]) for i in range(0, n * n, n)])
 
 
-def _domain_columns(field, basis):
-    """For each entry of an additive map's images, row-major, lazily: its raw
-    value at every domain point in code order, summed from `basis`, the
-    map's raw rows at the F_p-basis x_u of the matrices t^s E_ij, s < k, with
-    u = p^(i k + s) at the i-th free position. A raw value of F_{p^k} is the
-    base-p number of its coefficients in t, so the code of a domain matrix is
-    the base-p number of its coordinates in that basis: the point of code
-    c u + r, 0 < c < p and r < u, is c x_u plus the point of code r, so the
-    map's value there is c times its value at x_u plus its value at r, one
-    raw add, read from a q x q table of raw sums unless the domain has fewer
-    points (M_1(F_q))."""
+def _domain_columns(field, entries, basis):
+    """An additive map's raw values at the domain points in code order, as
+    one list per entry of its images, row-major, summed from `basis`: its
+    raw rows at the F_p-basis x_u of the matrices t^s E_ij, s < k, with
+    u = p^(i k + s) at the i-th free position. Yields the lists at 0, and
+    again grown by the points of code u to p u - 1 as each x_u is read.
+
+    A raw value of F_{p^k} is the base-p number of its coefficients in t, so
+    a code is the base-p number of the point's coordinates in that basis:
+    for r < (p - 1) u the point of code u + r is x_u plus the point of code
+    r, one raw add per entry, read from a table of sums with x_u's entry."""
     q, p = field.order, field.p
-    if p ** len(basis) < q * q:
-        plus = [functools.partial(field.add, u) for u in range(q)]
-    else:
-        plus = [[field.add(u, v) for v in range(q)].__getitem__ for u in range(q)]
-    for entry in zip(*map(itertools.chain.from_iterable, basis)):
-        sums = [0]
-        for value in entry:
-            head, multiple = sums[:], value
-            for _ in range(1, p):  # the points c x_u + r, c = 1, ..., p - 1
-                sums += map(plus[multiple], head)
-                multiple = plus[multiple](value)
-        yield tuple(sums)
+    plus = functools.cache(lambda v: [field.add(v, s) for s in range(q)].__getitem__)
+    columns = [[0] for _ in range(entries)]
+    yield columns
+    for x in basis:
+        for sums, value in zip(columns, itertools.chain.from_iterable(x)):
+            # reads each point r before the point u + r is appended
+            sums += map(plus(value), itertools.islice(sums, (p - 1) * len(sums)))
+        yield columns
 
 
 def _product_codes(field, mode, raws, points, positions):
@@ -467,15 +466,16 @@ def _proves_law(phi, ids, images, holds):
     on the unordered pairs of the basis, as the products commute.
     """
     f = phi.field
-    # phi(0) != 0: the sums refuse it too, but only after summing every entry
-    # column before the first nonzero entry of phi(0); a map that keeps the
-    # law this way (a block embedding X -> diag(X, E_11)) reaches the proof
+    # phi(0) != 0: the sums refuse it too, but only after summing the whole
+    # domain; a map that keeps the law this way (a block embedding
+    # X -> diag(X, E_11)) reaches the proof
     if any(map(any, images[ids[0]])):
         return False
     units = [f.p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
+    *_, sums = _domain_columns(f, phi.m * phi.m, (images[ids[u]] for u in units))
     gather = itemgetter(*ids)  # one entry of phi's images, in domain order
-    values = (gather(column) for rows in zip(*images) for column in zip(*rows))
-    if any(map(ne, _domain_columns(f, [images[ids[u]] for u in units]), values)):
+    values = (list(gather(column)) for rows in zip(*images) for column in zip(*rows))
+    if any(map(ne, sums, values)):
         return False
     return all(itertools.starmap(holds, itertools.combinations_with_replacement(units, 2)))
 

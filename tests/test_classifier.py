@@ -642,14 +642,18 @@ def test_form_check_of_a_table_stops_where_evaluation_does(case, strategy):
 
 def test_form_check_of_a_table_sums_a_conjugation():
     # over the whole domain a conjugation form is evaluated at the F_3-basis
-    # of M_2(F_3), its 4 matrix units, not at 81 points; a sampled check
-    # evaluates it at each of its points
+    # of M_2(F_3), its 4 matrix units, not at 81 points, and a table wrong at
+    # 0 is refused before any of them; a sampled check evaluates it at each
+    # of its points
     real = next(_form_cases())[1]
     table = as_table(JordanMap.conjugation(real.t, transpose=True))
     asked = []
     form = SimpleNamespace(variant=real.variant,
                            evaluate=lambda x: asked.append(x) or real.evaluate(x))
     assert _form_mismatch(table, form, Strategy.exhaustive()) == (None, 81)
+    assert len(asked) == 4
+    constant = as_table(JordanMap.constant(F3, 2, mat_unit(F3, 2, 1, 1)))
+    assert _form_mismatch(constant, form, Strategy.exhaustive()) == (mat_zero(F3, 2), 1)
     assert len(asked) == 4
     assert _form_mismatch(table, form, Strategy.sampled(10, 1)) == (None, 16)
     assert len(asked) == 4 + 16

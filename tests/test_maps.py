@@ -28,14 +28,12 @@ from jordanmaps import (
     mat_unit,
     mat_zero,
     preset_field,
-    prime_field,
     rational_field,
 )
 from jordanmaps import maps
 from jordanmaps.classifier import _verification_points
 from jordanmaps.maps import (
     _domain,
-    _domain_columns,
     _domain_sums,
     _free_positions,
     _product_codes,
@@ -605,49 +603,41 @@ def test_codes_scan_keeps_a_right_hand_side_per_image(monkeypatch, value):
     assert rows == firsts and len(firsts) == 4
 
 
-@pytest.mark.parametrize("field, domain", [(F3, "full"), (F9, "upper_triangular")],
-                         ids=["M2F3", "T2F9"])
-def test_domain_sums_reads_an_additive_map_at_unit_multiples(field, domain):
-    # x -> T x^t is additive: its values at the domain matrices, in domain
-    # order, come from its values at the F_p-basis t^s E_ij alone
-    t = Mat(field, [[1, 2], [1, 0]])
-    asked = []
-
-    def value(x):
-        asked.append(x)
-        return (t @ transpose(x)).rows
-
-    mats = _domain(field, 2, domain)[0]
-    assert list(_domain_sums(field, 2, domain, value)) == [(t @ transpose(x)).rows for x in mats]
-    assert asked == [mat_unit(field, 2, i + 1, j + 1, Scalar(field, field.p ** s))
-                     for i, j in _free_positions(2, domain) for s in range(field.k)]
+def _transposed_times(field, n):
+    # x -> T x^t, an additive map of M_n(field)
+    t = Mat._from_raw(field, tuple(tuple((3 * i + j + 1) % field.order for j in range(n))
+                                   for i in range(n)))
+    return lambda x: (t @ transpose(x)).rows
 
 
 @pytest.mark.parametrize("name, n, domain", list(_domain_keys()))
-def test_domain_columns_sum_an_additive_map(name, n, domain):
-    # x -> T x^t is additive: each entry's values over the domain, in code
-    # order, are summed from its rows at the F_p-basis x_u, u = p^j, alone
+def test_domain_sums_reads_an_additive_map_at_the_basis(name, n, domain):
+    # x -> T x^t is additive: its values at the domain matrices, in domain
+    # order, come from its values at the F_p-basis t^s E_ij alone
     field = preset_field(name)
-    t = Mat._from_raw(field, tuple(tuple((3 * i + j + 1) % field.order for j in range(n))
-                                   for i in range(n)))
+    asked = []
+    value = _transposed_times(field, n)
     mats = _domain(field, n, domain)[0]
-    values = [(t @ transpose(x)).rows for x in mats]
-    units = [field.p ** j for j in range(field.k * len(_free_positions(n, domain)))]
-    columns = _domain_columns(field, [values[u] for u in units])
-    assert list(columns) == [tuple(rows[i][j] for rows in values)
-                             for i in range(n) for j in range(n)]
+    sums = _domain_sums(field, n, domain, lambda x: asked.append(x) or value(x))
+    assert list(sums) == list(map(value, mats))
+    assert asked == [mat_unit(field, n, i + 1, j + 1, Scalar(field, field.p ** s))
+                     for i, j in _free_positions(n, domain) for s in range(field.k)]
 
 
-def test_domain_columns_of_a_line_build_no_table(monkeypatch):
-    # M_1(F_1009) has 1009 points, fewer than a table of 1009^2 raw sums:
-    # each point is one raw add, and so is each multiple of the basis value
-    field = prime_field(1009)
-    calls = []
+@pytest.mark.parametrize("name", ["F3", "F7", "F9"])
+def test_domain_sums_stop_where_their_caller_does(monkeypatch, name):
+    # 0 needs no value and no add; the multiples of E_11 after it need the
+    # value at E_11 alone and at most one row of q raw sums per entry
+    field = preset_field(name)
+    value = _transposed_times(field, 2)
+    asked, calls = [], []
     add = field.add
     monkeypatch.setattr(field, "add", lambda a, b: calls.append(1) or add(a, b))
-    mats = _domain.__wrapped__(field, 1, "full")[0]
-    assert [x.rows for x in mats] == [((v,),) for v in range(1009)]
-    assert len(calls) == 2 * 1008
+    sums = _domain_sums(field, 2, "full", lambda x: asked.append(x) or value(x))
+    assert next(sums) == ((0, 0), (0, 0)) and not asked and not calls
+    firsts = list(itertools.islice(sums, field.p - 1))
+    assert firsts == [value(mat_unit(field, 2, 1, 1, Scalar(field, c))) for c in range(1, field.p)]
+    assert asked == [mat_unit(field, 2, 1, 1)] and 0 < len(calls) <= 4 * field.order
 
 
 @pytest.mark.parametrize("mode", [CIRC, DIAMOND])
