@@ -251,10 +251,8 @@ class JordanMap:
 
 
 def _is_upper_triangular(x):
-    zero = x.field.zero
-    return all(
-        x.rows[i][j] == zero for i in range(x.nrows) for j in range(min(i, x.ncols))
-    )
+    # the raw zero is the only falsy raw value of every field
+    return not any(any(row[:i]) for i, row in enumerate(x.rows))
 
 
 def _free_positions(n, domain):
@@ -306,30 +304,34 @@ def _domain_sums(field, n, domain, value):
     matrices of code at most k alone, and fewer than p k are summed."""
     basis = (value(mat_unit(field, n, i + 1, j + 1, Scalar(field, field.p ** s)))
              for i, j in _free_positions(n, domain) for s in range(field.k))
-    for columns in _domain_columns(field, n * n, basis):
+    for columns in _domain_columns(field, basis, ((0,) * n,) * n):
         new = [c[len(c) // field.p:] for c in columns]  # the points of code u to p u - 1
         yield from zip(*[zip(*new[i:i + n]) for i in range(0, n * n, n)])
 
 
-def _domain_columns(field, entries, basis):
-    """An additive map's raw values at the domain points in code order, as
-    one list per entry of its images, row-major, summed from `basis`: its
-    raw rows at the F_p-basis x_u of the matrices t^s E_ij, s < k, with
-    u = p^(i k + s) at the i-th free position. Yields the lists at 0, and
-    again grown by the points of code u to p u - 1 as each x_u is read.
+def _domain_columns(field, basis, origin):
+    """An affine map's raw values at the domain points in code order, as one
+    list per entry of its images, row-major, summed from `origin`, its raw
+    rows at 0, and `basis`, its raw rows at the F_p-basis x_u of the
+    matrices t^s E_ij, s < k, with u = p^(i k + s) at the i-th free
+    position. Yields the lists at 0, and again grown by the points of code u
+    to p u - 1 as each x_u is read.
 
     A raw value of F_{p^k} is the base-p number of its coefficients in t, so
     a code is the base-p number of the point's coordinates in that basis:
-    for r < (p - 1) u the point of code u + r is x_u plus the point of code
-    r, one raw add per entry, read from a table of sums with x_u's entry."""
-    q, p = field.order, field.p
+    for r < (p - 1) u the point of code u + r is the point of code r plus
+    the step along x_u, the value at x_u minus the value at 0, one raw add
+    per entry, read from a table of sums with the step's entry."""
+    q, p, sub = field.order, field.p, field.sub
     plus = functools.cache(lambda v: [field.add(v, s) for s in range(q)].__getitem__)
-    columns = [[0] for _ in range(entries)]
+    origin = list(itertools.chain.from_iterable(origin))
+    columns = [[v] for v in origin]
     yield columns
     for x in basis:
-        for sums, value in zip(columns, itertools.chain.from_iterable(x)):
+        for sums, value, at_0 in zip(columns, itertools.chain.from_iterable(x), origin):
+            step = sub(value, at_0) if at_0 else value
             # reads each point r before the point u + r is appended
-            sums += map(plus(value), itertools.islice(sums, (p - 1) * len(sums)))
+            sums += map(plus(step), itertools.islice(sums, (p - 1) * len(sums)))
         yield columns
 
 
@@ -455,24 +457,28 @@ class MultReport:
 
 
 def _proves_law(phi, ids, images, holds):
-    """Does phi keep its product on every domain pair, by proof? phi is read
-    as the exhaustive scan reads it, by its image ids into the distinct raw
-    `images`; holds(a, b) tests the law at the pair (x_a, x_b). False proves
-    nothing either way.
+    """Does phi keep its product on every domain pair, by proof, given that
+    it keeps it on every pair (0, y)? phi is read as the exhaustive scan
+    reads it, by its image ids into the distinct raw `images`; holds(a, b)
+    tests the law at the pair (x_a, x_b). False proves nothing either way.
 
-    phi is additive exactly when its values are the sums `_domain_columns`
-    builds from its values at the F_p-basis x_u. Both sides of the law are
-    then additive in each argument, so it holds on every pair once it holds
-    on the unordered pairs of the basis, as the products commute.
+    With c = phi(0), phi is affine, phi = c + psi with psi additive, exactly
+    when its values are the sums `_domain_columns` builds from c and its
+    values at the F_p-basis x_u, by the steps psi(x_u) = phi(x_u) - c. The
+    pairs (0, y) give c * c = c and c * phi(y) = c, so c * psi(y) = 0 and
+    phi(x) * phi(y) = c + psi(x) * psi(y), while phi(x * y) = c + psi(x * y).
+    The law is then the law of psi, whose two sides are additive in each
+    argument, so it holds on every pair once it holds on the unordered pairs
+    of the basis, as the products commute.
     """
     f = phi.field
-    # phi(0) != 0: the sums refuse it too, but only after summing the whole
-    # domain; a map that keeps the law this way (a block embedding
-    # X -> diag(X, E_11)) reaches the proof
-    if any(map(any, images[ids[0]])):
+    # the images of an affine map are c plus the image of the group of
+    # domain matrices, whose order divides the domain's: a one-point
+    # mutation of a constant or of a bijection is refused here
+    if len(ids) % len(images):
         return False
     units = [f.p ** j for j in range(f.k * len(_free_positions(phi.n, phi.domain)))]
-    *_, sums = _domain_columns(f, phi.m * phi.m, (images[ids[u]] for u in units))
+    *_, sums = _domain_columns(f, (images[ids[u]] for u in units), images[ids[0]])
     gather = itemgetter(*ids)  # one entry of phi's images, in domain order
     values = (list(gather(column)) for rows in zip(*images) for column in zip(*rows))
     if any(map(ne, sums, values)):
@@ -503,15 +509,18 @@ def check_multiplicative(phi, strategy=None):
         c against c * c, so it passes, or fails first at (x_0, x_0);
       * any other map is scanned over the rows a < q, those of x_a = a E_11
         (a raw), where a map that breaks the law mostly fails first;
-      * then `_proves_law` tries to prove the law on every pair; if it
-        cannot, the scan goes on from row q.
+      * then `_proves_law` tries to prove the law on every pair of an affine
+        map, which needs row 0 passed; if it cannot, the scan goes on from
+        row q.
 
     Only the upper triangle b >= a of the ordered pairs is scanned, and this
     is exact: both products commute, the table is symmetric and each point
     has one image id, so (a, b) passes exactly when (b, a) does, and the
     first violating pair in row-major domain_iter order has b >= a.
 
-    Each row a is compared whole; its first difference is the witness:
+    Row a is gathered and compared from column a - 1, which passed as
+    (a - 1, a), so that the last row is still a tuple of two; its first
+    difference is the witness:
 
       * if every image lies in the domain, the ids of phi(x_a * x_b) and of
         phi(x_a) * phi(x_b) are two gathers through the table;
@@ -526,8 +535,9 @@ def check_multiplicative(phi, strategy=None):
         rejection builds few.
 
     Either way the right-hand side of a row is kept under the row's image
-    id: it depends on phi(x_a) alone, and a row that passed whole holds the
-    right-hand side of every later row with the same image. The proof and
+    id, with the column it starts at: it depends on phi(x_a) alone, and a
+    row that passed holds the right-hand side of every later row with the
+    same image, from its own first column on. The proof and
     the one-image rule test a single pair by comparing raw rows with the
     product of the two images; the proof reads it through the table instead
     when every image is a domain matrix.
@@ -559,12 +569,12 @@ def check_multiplicative(phi, strategy=None):
         # domain index, or None off the domain
         gather = itemgetter(*ids)
         image = gather([index.get(rows) for rows in images])
-        # every row whole: by ids if every image is a domain matrix, else by codes
+        # each row from column a - 1: by ids if every image is a domain matrix, else by codes
         if None not in image:
-            keys, at = image, itemgetter(*image)
+            keys = image
 
-            def rhs_row(a, lhs):
-                return at(table[image[a]])
+            def rhs_row(a, s, lhs):
+                return itemgetter(*image[s:])(table[image[a]])
 
             def holds(a, b):  # the same test by two table lookups
                 return image[table[a][b]] == table[image[a]][image[b]]
@@ -575,20 +585,23 @@ def check_multiplicative(phi, strategy=None):
             keys = gather([sum(map(mul, itertools.chain(*rows), weights)) for rows in images])
             codes = _product_codes(phi.field, phi.mode, images, ids, positions)
 
-            def rhs_row(a, lhs):
-                # the pairs b < a passed as (b, a) in an earlier row
-                return lhs[:a] + tuple(codes(a))
+            def rhs_row(a, s, lhs):
+                # column a - 1 < a passed as (a - 1, a) in the row before
+                return (*lhs[:a - s], *codes(a))
 
-        rhs_rows = {}  # image id -> the right-hand side of its rows
+        rhs_rows = {}  # image id -> the first column of its rows' right-hand side, and that side
         for a in range(size):
             if a == phi.field.order and _proves_law(phi, ids, images, holds):
                 return MultReport(True, size * size, "exhaustive")
-            lhs = itemgetter(*table[a])(keys)
-            rhs = rhs_rows.get(ids[a])
-            if rhs is None:
-                rhs = rhs_rows[ids[a]] = rhs_row(a, lhs)
+            # columns b >= a - 1: from a - 1 rather than a, the last row
+            # still gathers two columns, so a tuple
+            s = a - 1 if a else 0
+            lhs = itemgetter(*table[a][s:])(keys)
+            start, rhs = rhs_rows.get(ids[a]) or rhs_rows.setdefault(
+                ids[a], (s, rhs_row(a, s, lhs)))
+            rhs = rhs[s - start:]
             if lhs != rhs:
-                b = next(b for b in range(a, size) if lhs[b] != rhs[b])
+                b = next(b for b in range(a, size) if lhs[b - s] != rhs[b - s])
                 return MultReport(False, a * size + b + 1, "exhaustive", (mats[a], mats[b]))
         return MultReport(True, size * size, "exhaustive")
     pairs = _sampled_pairs(phi, strategy.seed, strategy.count)

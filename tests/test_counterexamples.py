@@ -99,6 +99,16 @@ class TestChar2:
         with pytest.raises(ValueError):
             char2_example(b=mat_zero(F2, 2))
 
+    @pytest.mark.parametrize("a, b", [
+        (mat_unit(preset_field("F3"), 2, 1, 1), None),
+        (None, mat_unit(preset_field("gf:2:2"), 2, 1, 2)),
+        (mat_unit(F2, 3, 1, 1), None),
+        (None, mat_unit(F2, 3, 1, 2)),
+    ], ids=["A-over-F3", "B-over-F4", "A-3x3", "B-3x3"])
+    def test_a_and_b_must_be_n_by_n_over_f2(self, a, b):
+        with pytest.raises(ValueError, match="n x n matrices over F_2"):
+            char2_example(a=a, b=b)
+
 
 class TestBlockEmbedding:
     def test_bundle_verifies(self):

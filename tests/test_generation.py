@@ -54,6 +54,12 @@ def test_p_sequence_values():
     assert [p_sequence(j) for j in range(1, 6)] == [1, 2, 6, 18, 54]
 
 
+@pytest.mark.parametrize("j", [0, -1])
+def test_p_sequence_is_indexed_from_1(j):
+    with pytest.raises(ValueError, match="indexed from 1"):
+        p_sequence(j)
+
+
 def test_p_sequence_doubling_identity():
     # each term doubles the sum of everything before it
     for j in range(2, 33):
@@ -141,6 +147,10 @@ class TestReach:
     def test_zero_matrix_rejected(self):
         with pytest.raises(UnsupportedInput):
             reach_unit(mat_zero(F5, 2))
+
+    def test_non_square_matrix_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            reach_unit(Mat(F5, [[0, 3, 1]]))
 
 
 def test_spread_walks_between_units():

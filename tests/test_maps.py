@@ -268,6 +268,22 @@ def test_triangular_map_refuses_a_point_below_the_diagonal():
         phi(mat_unit(F3, 2, 2, 1))
 
 
+@pytest.mark.parametrize("field", [rational_field(), F9], ids=["Q", "F9"])
+def test_upper_triangular_test_reads_every_entry_below_the_diagonal(field):
+    # t = raw 3 of F_9 and 1/2 of Q are nonzero below the diagonal, at each
+    # place; entries on and above the diagonal are free
+    phi = JordanMap.from_oracle(field, 3, lambda x: x, domain="upper_triangular")
+    nonzero = field.of([0, 1] if field.is_finite else "1/2")
+    upper = Mat._from_raw(field, tuple(tuple(nonzero if j >= i else field.zero
+                                             for j in range(3)) for i in range(3)))
+    assert maps._is_upper_triangular(upper) and phi(upper) == upper
+    for i, j in [(2, 1), (3, 1), (3, 2)]:
+        x = upper + mat_unit(field, 3, i, j, Scalar(field, nonzero))
+        assert not maps._is_upper_triangular(x)
+        with pytest.raises(UnsupportedInput, match="outside the upper-triangular domain"):
+            phi(x)
+
+
 def test_oracle_output_validated():
     phi = JordanMap.from_oracle(F5, 2, lambda x: mat_zero(F3, 2))
     with pytest.raises(UnsupportedInput):
@@ -746,6 +762,115 @@ def test_proof_agrees_with_the_scan_at_every_mutation(transpose, mode, monkeypat
         phi = JordanMap.from_table(F3, 2, {**genuine, x: genuine[x] + delta}, mode=mode)
         assert not _report_with_and_without_the_proof(phi, monkeypatch).ok
     assert len(runs) > 40 and not any(verdict for verdict, _ in runs[1:])
+
+
+def _block_embedding(mode):
+    # X -> diag(X, P) from M_2(F_3) into M_4, P = E_11 for circ and E_11 / 2 =
+    # 2 E_11 for diamond: phi(0) = diag(0, P) is idempotent for the product
+    corner = mat_unit(F3, 2, 1, 1, 1 if mode == CIRC else 2)
+    return JordanMap.from_oracle(F3, 2, lambda x: block_diag(x, corner), mode=mode, m=4)
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+def test_proof_accepts_an_affine_map(mode, monkeypatch):
+    # phi = diag(0, P) + an additive map: proved on the 10 basis pairs, as an
+    # oracle and as a table, with the scan's report
+    runs = _spy_on_the_proof(monkeypatch)
+    base = _block_embedding(mode)
+    table = JordanMap.from_table(F3, 2, {x: base(x) for x in base.domain_iter()}, mode=mode)
+    for phi in (base, table):
+        report = _report_with_and_without_the_proof(phi, monkeypatch)
+        assert (report.ok, report.pairs_checked) == (True, 81 * 81)
+    assert runs == [(True, [True] * 10)] * 2
+
+
+def test_proof_accepts_the_block_embedding_bundle(monkeypatch):
+    runs = _spy_on_the_proof(monkeypatch)
+    phi = block_embedding_example(F5).map
+    report = _report_with_and_without_the_proof(phi, monkeypatch)
+    assert (report.ok, report.pairs_checked) == (True, 625 * 625)
+    assert runs == [(True, [True] * 10)]
+
+
+@pytest.mark.parametrize("mode", [CIRC, DIAMOND])
+def test_proof_refuses_every_mutation_of_an_affine_table(mode, monkeypatch):
+    # each one-point mutation adds diag(E_22, 0), the step along E_22, at the
+    # point: every one breaks the law, and the proof never accepts one
+    runs = _spy_on_the_proof(monkeypatch)
+    base = _block_embedding(mode)
+    genuine = {x: base(x) for x in base.domain_iter()}
+    delta = block_diag(mat_unit(F3, 2, 2, 2), mat_zero(F3, 2))
+    for x in genuine:
+        phi = JordanMap.from_table(F3, 2, {**genuine, x: genuine[x] + delta}, mode=mode)
+        assert not _report_with_and_without_the_proof(phi, monkeypatch).ok
+    assert len(runs) > 40 and not any(verdict for verdict, _ in runs)
+
+
+_E = {(i, j): mat_unit(F3, 2, i, j) for i in (1, 2) for j in (1, 2)}
+
+
+@pytest.mark.parametrize("kind", ["constant", "conjugation"])
+def test_proof_counts_images_before_it_sums(kind, monkeypatch):
+    # an affine map has a power of p images, so E_11 with I at E_22 (2
+    # images) and a conjugation with E_22 sent to 0 (80 images) reach the
+    # proof past the rows of the line F E_11 and are refused without a sum
+    base = JordanMap.conjugation(Mat(F3, [[1, 1], [2, 0]]))
+    if kind == "constant":
+        entries = {x: mat_unit(F3, 2, 1, 1) for x in base.domain_iter()}
+        entries[_E[2, 2]] = mat_identity(F3, 2)
+    else:
+        entries = {x: base(x) for x in base.domain_iter()}
+        entries[_E[2, 2]] = mat_zero(F3, 2)
+    phi = JordanMap.from_table(F3, 2, entries)
+    runs = _spy_on_the_proof(monkeypatch)
+    sums = []
+    columns = maps._domain_columns
+    monkeypatch.setattr(maps, "_domain_columns", lambda *args: sums.append(1) or columns(*args))
+    report = _report_with_and_without_the_proof(phi, monkeypatch)
+    assert not report.ok and report.pairs_checked > 3 * 81
+    assert runs == [(False, [])] and sums == []
+
+
+def _indicator(field, n, domain, point, value, wide):
+    # value at `point` and 0 elsewhere, into M_n; when wide, as diag(., 0)
+    # into M_n+1, so that every image lies off the domain and rows compare
+    # by codes rather than by ids
+    def fn(x):
+        image = value if x == point else mat_zero(field, n)
+        return block_diag(image, mat_zero(field, 1)) if wide else image
+
+    return JordanMap.from_oracle(field, n, fn, m=n + wide, domain=domain)
+
+
+_TRIANGLE_CASES = {
+    # (map arguments, the witness (a, b) by domain index); on T_2(F_3) the
+    # index is x_11 + 3 x_12 + 9 x_22, and the proof runs at row 3 and
+    # refuses each map, which is not additive
+    # E_22 o E_22 = E_22, and 2 E_11 is not idempotent
+    "diagonal": ((F3, 2, "upper_triangular", _E[2, 2], mat_unit(F3, 2, 1, 1, 2)), (9, 9)),
+    # E_22 o E_22 passes; E_22 o I = E_22, but E_11 o phi(I) = 0
+    "next-column": ((F3, 2, "upper_triangular", _E[2, 2], _E[1, 1]), (9, 10)),
+    # I o I passes; x = 2 E_11 + E_22 has x o x = I, and phi(x) = 0
+    "diagonal-after-the-image": ((F3, 2, "upper_triangular", _E[1, 1] + _E[2, 2], _E[1, 1]),
+                                 (11, 11)),
+    # on M_1(F_3), 2 o 2 = 1, and phi(2) = 0: the last row, two columns wide
+    "last-row": ((F3, 1, "full", mat_identity(F3, 1), mat_identity(F3, 1)), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["ids", "codes"])
+@pytest.mark.parametrize("case", list(_TRIANGLE_CASES))
+def test_scan_of_the_upper_triangle_finds_the_reference_witness(case, wide):
+    args, (a, b) = _TRIANGLE_CASES[case]
+    field, n = args[:2]
+    phi = _indicator(*args, wide)
+    for psi in (phi, JordanMap.from_table(field, n, {x: phi(x) for x in phi.domain_iter()},
+                                          domain=phi.domain)):
+        report = check_multiplicative(psi, Strategy.exhaustive())
+        mats = _domain(field, n, phi.domain)[0]
+        assert report.witness == (mats[a], mats[b])
+        assert report.pairs_checked == a * len(mats) + b + 1
+        assert (report.ok, report.pairs_checked, report.witness) == _reference_scan(psi)
 
 
 def _swap_2_and_4_at_e22(x):
