@@ -207,6 +207,11 @@ class JordanMap:
             raise UnsupportedInput(f"input must be {self.n}x{self.n}")
         if self.domain == "upper_triangular" and not _is_upper_triangular(x):
             raise UnsupportedInput("input outside the upper-triangular domain")
+        return self._evaluate(x)
+
+    def _evaluate(self, x):
+        """fn(x) at a matrix x known to lie in the domain, as the exhaustive
+        check reads its own domain matrices; an oracle's output is checked."""
         out = self._fn(x)
         if self._kind == "oracle" and (not isinstance(out, Mat) or out.field is not self.field
                                        or out.nrows != self.m or out.ncols != self.m):
@@ -399,20 +404,52 @@ def _product_table(field, n, mode, domain):
     kernel `_product_codes` computes the codes of products. Positions off an
     upper-triangular domain are 0 in every product and take no part.
 
-    The products commute, so row a is computed for b >= a and copied from
-    column a of the earlier rows for b < a. Rows are 16-bit arrays: `_domain`
-    keeps every domain below 2^16 matrices.
+    Both products are bilinear, (c x) * (d y) = c d (x * y), so the kernel
+    runs on one point of each scalar line, and scaling gives the rest:
+      * lines: each nonzero point lies on one line {c r : c in F^*}, whose
+        representative r is its least point, the first in code order. For
+        x of digits d_k, c x has the digits c d_k, so the codes of the
+        multiples c x of every point are summed digit by digit, one list
+        per scale c > 1, with no matrix formed; scale 1 is the identity;
+      * block: `_product_codes` gives the codes of r_i * r_j for r_0 = 0 and
+        the (|D| - 1) / (q - 1) representatives; the products commute, so
+        block row i is computed for j >= i and copied from column i of the
+        earlier rows for j < i;
+      * rows: block row i scaled by 1, 2, ..., q - 1 in turn is the table
+        row of r_i with its columns in line order, as c (r_i * r_j) =
+        r_i * (c r_j); for x_a = c r_i, (c r_i) * x_b = r_i * (c x_b), so one
+        gather per scale c reads row a in code order at the places of the
+        points c x_b. The identity scale reuses the block row itself.
+    Rows are 16-bit arrays: `_domain` keeps every domain below 2^16 matrices.
     """
     if mode == CIRC and field.char2:
         raise UnsupportedInput("the circ product needs characteristic != 2; use jordan_diamond")
     mats, raw_index = _domain(field, n, domain)
-    codes = _product_codes(
-        field, mode, [x.rows for x in mats], range(len(mats)), _free_positions(n, domain))
-    rows = []
-    for a in range(len(mats)):
-        row = array("H", map(itemgetter(a), rows))
-        row.extend(codes(a))
-        rows.append(row)
+    q, size, positions = field.order, len(mats), _free_positions(n, domain)
+    units = range(1, q)
+    scales = [None, range(size)]  # scales[c][a]: the code of c x_a
+    for c in range(2, q):
+        scaled = [0]
+        for weight in (q ** k for k in range(len(positions))):
+            scaled = [v + t for t in [weight * field.mul(c, d) for d in range(q)] for v in scaled]
+        scales.append(scaled)
+    # r_0 = 0, then each point that is the least of its multiples
+    reps = [a for a, multiples in enumerate(zip(*scales[1:])) if min(multiples) == a]
+    width = len(reps)
+    # the place of the point c r_j, the j-th column of scale c in a scaled block row
+    place = dict(zip(itertools.chain.from_iterable(
+        map(scale.__getitem__, reps) for scale in scales[1:]), itertools.count()))
+    gathers = [None, *(itemgetter(*map(place.__getitem__, scale)) for scale in scales[1:])]
+    codes = _product_codes(field, mode, [mats[r].rows for r in reps], range(width), positions)
+    block, rows = [], [None] * size
+    for i, r in enumerate(reps):
+        row = [*map(itemgetter(i), block), *codes(i)]
+        for c in range(2, q):
+            row += map(scales[c].__getitem__, row[:width])
+        for c in units:  # the zero row, r_0's line, is written once per scale
+            rows[scales[c][r]] = array("H", gathers[c](row))
+        del row[width:]  # the block keeps scale 1 alone
+        block.append(row)
     return mats, raw_index, tuple(rows)
 
 
@@ -499,7 +536,8 @@ def check_multiplicative(phi, strategy=None):
     the domain matrices and index of `_domain`. It reads image ids, one per
     domain matrix, into the distinct images: a table body holds them; any
     other body is evaluated once at every point, in domain order, before
-    any pair is compared, and its images are interned by raw rows. Its
+    any pair is compared, by `JordanMap._evaluate`, which skips the input
+    checks of a call, and its images are interned by raw rows. Its
     report is the one a row-major scan of all pairs would give: the first
     violating pair as witness, with `pairs_checked` = a*size + b + 1 for
     the pair (x_a, x_b), and size*size when every pair passes, however few
@@ -554,7 +592,8 @@ def check_multiplicative(phi, strategy=None):
         mats, index, table = _product_table(phi.field, phi.n, phi.mode, phi.domain)
         distinct = {}  # images by raw rows, each to its id
         ids, images = phi._table or (
-            [distinct.setdefault(phi(x).rows, len(distinct)) for x in mats], list(distinct))
+            [distinct.setdefault(phi._evaluate(x).rows, len(distinct)) for x in mats],
+            list(distinct))
 
         def holds(a, b):  # the law at (x_a, x_b), by raw rows
             rhs = _jordan_raw(phi.field, images[ids[a]], images[ids[b]], phi.mode == CIRC)

@@ -348,3 +348,31 @@ def test_reducible_modulus_message():
     # x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2
     with pytest.raises(UnsupportedInput, match=r"modulus \[1, 0, 1, 0, 1\] is reducible over F_2"):
         galois_field(2, 4, modulus=(1, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("make, error, detail", [
+    (lambda: prime_field(5).of(1.0), TypeError,
+     "floats are not exact; use int, Fraction, or a string"),
+    (lambda: rational_field().of(0.5), TypeError,
+     "floats are not exact; use int, Fraction, or a string"),
+    (lambda: prime_field(5).of(None), TypeError, "cannot coerce None into F5"),
+    (lambda: prime_field(5).of([1, 2]), TypeError, r"cannot coerce \[1, 2\] into F5"),
+    (lambda: rational_field().elements(), ValueError, "cannot enumerate the rationals"),
+    (lambda: prime_field(5).coeffs(1), ValueError, "coefficient view is galois-only"),
+    (lambda: Field("complex"), UnsupportedInput, "unknown field kind 'complex'"),
+    (lambda: Field("rational", p=3), UnsupportedInput, "rational field takes no p/k/modulus"),
+    (lambda: Field("rational", k=2), UnsupportedInput, "rational field takes no p/k/modulus"),
+    (lambda: Field("rational", modulus=(1, 1)), UnsupportedInput,
+     "rational field takes no p/k/modulus"),
+    (lambda: Field("prime", p=5, k=2), UnsupportedInput, "k >= 2 requires kind='galois'"),
+    (lambda: Field("prime", p=5, modulus=(1, 1)), UnsupportedInput,
+     "prime field takes no modulus"),
+    (lambda: Scalar(prime_field(5), 1) * Scalar(prime_field(3), 1), ValueError,
+     "scalars from different fields"),
+    (lambda: RingEndo(rational_field(), 1), ValueError, "Q admits only the identity endomorphism"),
+], ids=["float_into_F5", "float_into_Q", "none", "list_into_prime", "enumerate_Q",
+        "coeffs_of_prime", "unknown_kind", "rational_p", "rational_k", "rational_modulus",
+        "prime_k", "prime_modulus", "scalars_across_fields", "frobenius_on_Q"])
+def test_refusals_name_the_fault(make, error, detail):
+    with pytest.raises(error, match=f"^{detail}$"):
+        make()

@@ -299,6 +299,19 @@ def test_oracle_output_must_be_square():
         classify_with_report(phi)
 
 
+@pytest.mark.parametrize("domain", ["full", "upper_triangular"])
+@pytest.mark.parametrize("value", [
+    lambda x: mat_zero(F3, 2), lambda x: Mat(F5, [[0, 0, 0], [0, 0, 0]]),
+    lambda x: mat_zero(F5, 3), lambda x: "not a matrix",
+], ids=["other_field", "not_square", "other_size", "not_a_matrix"])
+def test_exhaustive_check_refuses_an_oracle_value_outside_m_m(domain, value):
+    # the check evaluates its own domain matrices without a call's input
+    # checks, but an oracle's value is still checked at every point
+    phi = JordanMap.from_oracle(F5, 2, value, domain=domain)
+    with pytest.raises(UnsupportedInput, match=r"^oracle returned a value outside M_m\(F\)$"):
+        check_multiplicative(phi, Strategy.exhaustive())
+
+
 def test_product_dispatch():
     circ = JordanMap.from_oracle(F5, 2, lambda x: x, mode=CIRC)
     diam = JordanMap.from_oracle(F5, 2, lambda x: x, mode=DIAMOND)
@@ -330,6 +343,9 @@ TABLE_KEYS = [
       if (name, n, domain) != ("F5", 2, "full")],
     ("F7", 2, CIRC, "upper_triangular"),
     ("gf:2:2", 2, DIAMOND, "upper_triangular"),
+    # one scalar line each: every nonzero point is a multiple of 1
+    ("F9", 1, CIRC, "full"),
+    ("gf:3:3", 1, DIAMOND, "full"),
 ]
 
 
@@ -345,6 +361,8 @@ def test_product_table_matches_pairwise_products(name, n, mode, domain):
     ("F5", 2, CIRC, "full"),
     ("F9", 2, CIRC, "upper_triangular"),
     ("F9", 2, DIAMOND, "upper_triangular"),
+    ("F7", 2, CIRC, "full"),
+    ("F3", 3, CIRC, "upper_triangular"),
 ])
 def test_large_product_table_rows_match_pairwise_products(name, n, mode, domain):
     jordan = jordan_circ if mode == CIRC else jordan_diamond
@@ -353,6 +371,31 @@ def test_large_product_table_rows_match_pairwise_products(name, n, mode, domain)
     size = len(mats)
     for a in [0, 1, size - 1, *random.Random(7).sample(range(size), 5)]:
         assert table[a] == array("H", [index[jordan(mats[a], y).rows] for y in mats])
+
+
+@pytest.mark.parametrize("name, n, domain, lines", [
+    ("F3", 2, "full", 40), ("F7", 2, "upper_triangular", 57), ("F9", 1, "full", 1),
+    ("F2", 2, "full", 15),
+])
+def test_product_table_runs_the_kernel_on_one_point_per_scalar_line(monkeypatch, name, n,
+                                                                     domain, lines):
+    # the kernel gets 0 and the least point of each line {c x : c != 0}, in
+    # code order: 41 of the 81 points of M_2(F_3), 58 of the 343 of T_2(F_7)
+    field = preset_field(name)
+    mats, index = _domain(field, n, domain)
+    multiples = [{index[x.scale(Scalar(field, c)).rows] for c in range(1, field.order)}
+                 for x in mats]
+    least = [0] + [a for a in range(1, len(mats)) if min(multiples[a]) == a]
+    assert len(least) == 1 + lines
+    handed = []
+
+    def spy(field, mode, raws, points, positions):
+        handed.append([index[raws[k]] for k in points])
+        return _product_codes(field, mode, raws, points, positions)
+
+    monkeypatch.setattr(maps, "_product_codes", spy)
+    _product_table.__wrapped__(field, n, DIAMOND, domain)  # cold, past the cache
+    assert handed == [least]
 
 
 @pytest.mark.parametrize("name", ["F2", "gf:2:2"])

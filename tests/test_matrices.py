@@ -387,13 +387,28 @@ def test_fields_do_not_mix():
         Mat(F5, [[1, 0], [0, 1]]) + mat_identity(preset_field("F3"), 2)
 
 
-@pytest.mark.parametrize("make, detail", [
-    (lambda: Mat(F5, []), "matrices must be nonempty"),
-    (lambda: Mat(F5, [[]]), "matrices must be nonempty"),
-    (lambda: Mat(F5, [[1, 2], [3]]), "ragged rows"),
-    (lambda: Mat(F5, [[1]]) @ Mat(F3, [[1]]), "matrices over different fields"),
-    (lambda: block_diag(Mat(F5, [[1]]), Mat(F3, [[1]])), "matrices over different fields"),
-], ids=["no_rows", "empty_row", "ragged", "matmul_across_fields", "block_diag_across_fields"])
-def test_malformed_or_mixed_matrices_are_refused(make, detail):
-    with pytest.raises(ValueError, match=f"^{detail}$"):
+@pytest.mark.parametrize("make, error, detail", [
+    (lambda: Mat(F5, []), ValueError, "matrices must be nonempty"),
+    (lambda: Mat(F5, [[]]), ValueError, "matrices must be nonempty"),
+    (lambda: Mat(F5, [[1, 2], [3]]), ValueError, "ragged rows"),
+    (lambda: Mat(F5, [[1]]) @ Mat(F3, [[1]]), ValueError, "matrices over different fields"),
+    (lambda: block_diag(Mat(F5, [[1]]), Mat(F3, [[1]])), ValueError,
+     "matrices over different fields"),
+    (lambda: Mat(F5, [[1, 2], [3, 4]]).entry(3, 1), ValueError,
+     r"index \(3,1\) out of range for 2x2"),
+    (lambda: Mat(F5, [[1, 2]]).entry(1, 0), ValueError, r"index \(1,0\) out of range for 1x2"),
+    (lambda: Mat(F5, [[1]]) + 1, TypeError, "expected Mat, got int"),
+    (lambda: Mat(F5, [[1, 2]]).trace(), ValueError, "trace needs a square matrix"),
+    (lambda: Mat(F5, [[1, 2]]).inverse(), ValueError, "inverse needs a square matrix"),
+    (lambda: conjugator(mat_identity(F5, 2), mat_identity(F5, 3)), ValueError,
+     "conjugator needs square matrices of equal size"),
+    (lambda: conjugator(Mat(F5, [[1, 2]]), Mat(F5, [[1, 2]])), ValueError,
+     "conjugator needs square matrices of equal size"),
+    (lambda: block_diag(Mat(F5, [[1, 2]]), Mat(F5, [[1]])), ValueError,
+     "block_diag needs square blocks"),
+], ids=["no_rows", "empty_row", "ragged", "matmul_across_fields", "block_diag_across_fields",
+        "entry_row", "entry_column", "add_non_mat", "trace", "inverse", "conjugator_sizes",
+        "conjugator_non_square", "block_diag_non_square"])
+def test_malformed_or_mixed_matrices_are_refused(make, error, detail):
+    with pytest.raises(error, match=f"^{detail}$"):
         make()
